@@ -14,12 +14,17 @@ Pricing with the adjusted forward *and* a non-zero drift mu would count
 the same correction twice; the engine therefore fixes mu = 0 and keeps
 the literal double-drift variant available behind ``paper_literal``
 flags for comparison.
+
+Legs and cap/floor periods are valued as arrays over their periods:
+one discount lookup per curve, one adjustment (and variance) integral
+per distinct vol/correlation spec, and one Black call per cap or
+floor.  A caplet is the one-period cap, and a swap values each of its
+legs once for both its PV and its par rate.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,52 +57,46 @@ __all__ = [
 
 _SQRT_2PI = 2.506628274631000502415765284811
 
-
-def _norm_cdf_scalar(x: float) -> float:
-    # Hart's double-precision rational approximation; abs error < 1e-15
-    xa = abs(x)
-    if xa > 37.0:
-        c = 0.0
-    else:
-        e = math.exp(-xa * xa / 2.0)
-        if xa < 7.07106781186547:
-            b = 3.52624965998911e-02 * xa + 0.700383064443688
-            b = b * xa + 6.37396220353165
-            b = b * xa + 33.912866078383
-            b = b * xa + 112.079291497871
-            b = b * xa + 221.213596169931
-            b = b * xa + 220.206867912376
-            num = e * b
-            b = 8.83883476483184e-02 * xa + 1.75566716318264
-            b = b * xa + 16.064177579207
-            b = b * xa + 86.7807322029461
-            b = b * xa + 296.564248779674
-            b = b * xa + 637.333633378831
-            b = b * xa + 793.826512519948
-            b = b * xa + 440.413735824752
-            c = num / b
-        else:
-            b = xa + 0.65
-            b = xa + 4.0 / b
-            b = xa + 3.0 / b
-            b = xa + 2.0 / b
-            b = xa + 1.0 / b
-            c = e / (b * _SQRT_2PI)
-    return 1.0 - c if x > 0.0 else c
+# Hart's double-precision rational approximation of N(-|x|) / exp(-x^2/2):
+# numerator and denominator coefficients in ascending powers of |x|
+_HART_NUM = np.array([
+    220.206867912376, 221.213596169931, 112.079291497871, 33.912866078383,
+    6.37396220353165, 0.700383064443688, 3.52624965998911e-02,
+])
+_HART_DEN = np.array([
+    440.413735824752, 793.826512519948, 637.333633378831, 296.564248779674,
+    86.7807322029461, 16.064177579207, 1.75566716318264, 8.83883476483184e-02,
+])
 
 
 def norm_cdf(x):
     """Standard normal CDF (Hart rational approximation).
 
     Accepts scalars or arrays; accurate to better than 1e-15 absolute.
+    The rational part is evaluated as two power sums, whose terms are
+    all positive, and a continued fraction takes over beyond
+    |x| = 10/sqrt(2).
     """
-    if np.isscalar(x):
-        return _norm_cdf_scalar(float(x))
-    arr = np.asarray(x, dtype=float)
-    return np.vectorize(_norm_cdf_scalar, otypes=[float])(arr)
+    x = np.asarray(x, dtype=float)
+    xa = np.abs(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(-0.5 * xa * xa)
+        powers = np.power.outer(xa, np.arange(8.0))
+        num = (powers[..., :7] * _HART_NUM).sum(axis=-1)
+        c = e * num / (powers * _HART_DEN).sum(axis=-1)
+        tail = xa >= 7.07106781186547
+        if tail.any():
+            b = xa + 0.65
+            b = xa + 4.0 / b
+            b = xa + 3.0 / b
+            b = xa + 2.0 / b
+            b = xa + 1.0 / b
+            c = np.where(tail, np.where(xa > 37.0, 0.0, e / (b * _SQRT_2PI)), c)
+    out = np.where(x > 0.0, 1.0 - c, c)
+    return float(out) if out.ndim == 0 else out
 
 
-def black(forward: float, strike: float, drift: float, variance: float, omega: int) -> float:
+def black(forward, strike, drift, variance, omega: int):
     """Undiscounted lognormal option kernel.
 
     ``omega`` is +1 for a call (caplet / payer) and -1 for a put
@@ -107,22 +106,26 @@ def black(forward: float, strike: float, drift: float, variance: float, omega: i
     and exists for the literal variant that also feeds the adjustment
     through them.  With zero drift the zero-variance value degenerates
     to the intrinsic max(omega * (F - K), 0).
+
+    Forward, strike, drift and variance may be arrays, which broadcast
+    to one value per element; scalars give a float.
     """
     if omega not in (1, -1):
         raise ValueError("omega must be +1 or -1")
-    if forward <= 0.0 or strike <= 0.0:
+    f, k, mu, var = (np.asarray(v, dtype=float) for v in (forward, strike, drift, variance))
+    if (f <= 0.0).any() or (k <= 0.0).any():
         raise ValueError("lognormal formula needs positive forward and strike")
-    if variance < 0.0:
+    if (var < 0.0).any():
         raise ValueError("variance must be non-negative")
-    if variance == 0.0:
-        s = math.log(forward / strike) + drift
-        return omega * (forward - strike) if omega * s > 0.0 else 0.0
-    sd = math.sqrt(variance)
-    d_plus = (math.log(forward / strike) + drift + 0.5 * variance) / sd
-    d_minus = d_plus - sd
-    return omega * (
-        forward * norm_cdf(omega * d_plus) - strike * norm_cdf(omega * d_minus)
-    )
+    s = np.log(f / k) + mu
+    sd = np.sqrt(var)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_plus = (s + 0.5 * var) / sd
+    n_plus, n_minus = norm_cdf(np.stack((omega * d_plus, omega * (d_plus - sd))))
+    value = omega * (f * n_plus - k * n_minus)
+    intrinsic = np.where(omega * s > 0.0, omega * (f - k), 0.0)
+    out = np.where(var == 0.0, intrinsic, value)
+    return float(out) if out.ndim == 0 else out
 
 
 def annuity(curve: YieldCurve, dates: list[Date], daycount: DayCount | None = None) -> float:
@@ -202,6 +205,38 @@ def price_float_zcb(
     return notional * p_d * (1.0 / p_f - 1.0)
 
 
+def _period_specs(volcorr, n: int) -> list[tuple[VolCorrSpec, slice | list[int]]]:
+    """(spec, period index) pairs covering every period that has a spec.
+
+    ``volcorr`` is None, one spec for all ``n`` periods, or a list with
+    one spec (or None) per period.  A list is grouped by spec object, so
+    each distinct spec is evaluated in one array call.
+    """
+    if not isinstance(volcorr, list):
+        return [] if volcorr is None else [(volcorr, slice(None))]
+    if len(volcorr) != n:
+        raise ValueError("need one vol/corr spec per period")
+    groups: dict[int, tuple[VolCorrSpec, list[int]]] = {}
+    for i, spec in enumerate(volcorr):
+        if spec is not None:
+            groups.setdefault(id(spec), (spec, []))[1].append(i)
+    return list(groups.values())
+
+
+def _fra_value(
+    disc: YieldCurve,
+    fwd: YieldCurve,
+    spec: FraSpec,
+    volcorr: VolCorrSpec | None,
+) -> tuple[float, float]:
+    """PV of an FRA and its adjusted forward F * QA."""
+    dc = spec.daycount or fwd.daycount
+    tau = year_fraction(spec.start, spec.end, dc)
+    f = fwd.simple_forward(spec.start, spec.end, dc)
+    f_adj = f * quanto_mult(volcorr, 0.0, disc.time(spec.start))
+    return spec.notional * disc.discount(spec.end) * tau * (f_adj - spec.strike), f_adj
+
+
 def price_fra(
     disc: YieldCurve,
     fwd: YieldCurve,
@@ -209,11 +244,7 @@ def price_fra(
     volcorr: VolCorrSpec | None = None,
 ) -> float:
     """PV of a forward rate agreement paying tau * (L - K) at the end date."""
-    dc = spec.daycount or fwd.daycount
-    tau = year_fraction(spec.start, spec.end, dc)
-    f = fwd.simple_forward(spec.start, spec.end, dc)
-    qa = quanto_mult(volcorr, 0.0, disc.time(spec.start))
-    return spec.notional * disc.discount(spec.end) * tau * (f * qa - spec.strike)
+    return _fra_value(disc, fwd, spec, volcorr)[0]
 
 
 def _float_leg_coupons(
@@ -229,18 +260,32 @@ def _float_leg_coupons(
     """
     p = np.atleast_1d(fwd.discount(dates))
     coupons = p[:-1] / p[1:] - 1.0
-    if volcorr is not None:
-        specs = volcorr if isinstance(volcorr, list) else [volcorr] * (len(dates) - 1)
-        if len(specs) != len(dates) - 1:
-            raise ValueError("need one vol/corr spec per floating period")
-        qa = np.array(
-            [
-                quanto_mult(s, 0.0, fwd.time(d))
-                for s, d in zip(specs, dates[:-1])
-            ]
-        )
+    groups = _period_specs(volcorr, len(coupons))
+    if groups:
+        fixings = fwd.times(dates[:-1])
+        qa = np.ones_like(coupons)
+        for spec, idx in groups:
+            qa[idx] = np.exp(spec.drift_integral(0.0, fixings[idx]))
         coupons = coupons * qa
     return coupons
+
+
+def _swap_legs(
+    disc: YieldCurve,
+    fwd: YieldCurve,
+    spec: SwapSpec,
+    volcorr: VolCorrSpec | list[VolCorrSpec] | None,
+) -> tuple[float, float]:
+    """Adjusted floating-leg PV and fixed annuity, per unit notional."""
+    fdates = spec.float_schedule()
+    coupons = _float_leg_coupons(fwd, fdates, volcorr)
+    float_pv = float(np.dot(disc.discount(fdates[1:]), coupons))
+    return float_pv, annuity(disc, spec.fixed_schedule(), spec.daycount_fixed)
+
+
+def _swap_pv(spec: SwapSpec, float_pv: float, a_d: float) -> float:
+    pv = spec.notional * (float_pv - spec.fixed_rate * a_d)
+    return pv if spec.payer else -pv
 
 
 def fair_swap_rate(
@@ -250,11 +295,7 @@ def fair_swap_rate(
     volcorr: VolCorrSpec | list[VolCorrSpec] | None = None,
 ) -> float:
     """Par fixed rate: adjusted floating leg over the fixed annuity."""
-    fdates = spec.float_schedule()
-    coupons = _float_leg_coupons(fwd, fdates, volcorr)
-    p_d = np.atleast_1d(disc.discount(fdates[1:]))
-    float_pv = float(np.dot(p_d, coupons))
-    a_d = annuity(disc, spec.fixed_schedule(), spec.daycount_fixed)
+    float_pv, a_d = _swap_legs(disc, fwd, spec, volcorr)
     return float_pv / a_d
 
 
@@ -265,13 +306,7 @@ def price_swap(
     volcorr: VolCorrSpec | list[VolCorrSpec] | None = None,
 ) -> float:
     """PV of the swap; positive when the payer side is in the money."""
-    fdates = spec.float_schedule()
-    coupons = _float_leg_coupons(fwd, fdates, volcorr)
-    p_d = np.atleast_1d(disc.discount(fdates[1:]))
-    float_pv = float(np.dot(p_d, coupons))
-    a_d = annuity(disc, spec.fixed_schedule(), spec.daycount_fixed)
-    pv = spec.notional * (float_pv - spec.fixed_rate * a_d)
-    return pv if spec.payer else -pv
+    return _swap_pv(spec, *_swap_legs(disc, fwd, spec, volcorr))
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +322,14 @@ def price_caplet_floorlet(
 ) -> float:
     """Black value of one caplet/floorlet on the adjusted forward.
 
-    ``paper_literal`` additionally feeds the drift integral into the
-    d+- terms, reproducing the literal double-adjusted variant.
+    The one-period case of :func:`price_capfloor`.  ``paper_literal``
+    additionally feeds the drift integral into the d+- terms,
+    reproducing the literal double-adjusted variant.
     """
-    dc = opt.daycount or fwd.daycount
-    tau = year_fraction(opt.start, opt.end, dc)
-    f = fwd.simple_forward(opt.start, opt.end, dc)
-    t_fix = disc.time(opt.start)
-    qa = quanto_mult(volcorr, 0.0, t_fix)
-    variance = volcorr.variance_integral(0.0, t_fix) if volcorr else 0.0
-    mu = volcorr.drift_integral(0.0, t_fix) if (paper_literal and volcorr) else 0.0
-    kernel = black(f * qa, opt.strike, mu, variance, opt.omega)
-    return opt.notional * disc.discount(opt.end) * tau * kernel
+    return price_capfloor(
+        disc, fwd, [opt.start, opt.end], opt.strike, opt.omega,
+        opt.notional, volcorr, opt.daycount, paper_literal,
+    )
 
 
 def price_capfloor(
@@ -315,27 +346,33 @@ def price_capfloor(
     """Sum of caplets/floorlets over consecutive schedule periods.
 
     ``strike`` and ``volcorr`` may be scalars applied to every period or
-    sequences with one entry per period.
+    sequences with one entry per period.  The periods are valued as
+    arrays: one discount lookup per curve, one adjustment and variance
+    call per distinct spec and one Black call.
     """
-    n = len(schedule_dates) - 1
+    dates = tuple(schedule_dates)
+    n = len(dates) - 1
     if n < 1:
         raise ValueError("cap/floor schedule needs at least one period")
     strikes = np.broadcast_to(np.asarray(strike, dtype=float), (n,))
-    specs = volcorr if isinstance(volcorr, list) else [volcorr] * n
-    if len(specs) != n:
-        raise ValueError("need one vol/corr spec per period")
-    total = 0.0
-    for i in range(n):
-        opt = OptionSpec(
-            start=schedule_dates[i],
-            end=schedule_dates[i + 1],
-            strike=float(strikes[i]),
-            omega=omega,
-            notional=notional,
-            daycount=daycount,
-        )
-        total += price_caplet_floorlet(disc, fwd, opt, specs[i], paper_literal)
-    return total
+    groups = _period_specs(volcorr, n)
+    t = disc.times(dates)
+    if (t[1:] <= t[:-1]).any():
+        raise ValueError("cap/floor periods need increasing dates")
+    taus = np.array(cached_accruals(dates, daycount or fwd.daycount))
+    p_f = fwd.discount(dates)
+    p_d = disc.discount_time(t[1:])
+    forwards = (p_f[:-1] - p_f[1:]) / (taus * p_f[1:])
+    t_fix = t[:-1]
+    qa, variance, mu = np.ones(n), np.zeros(n), np.zeros(n)
+    for spec, idx in groups:
+        drift = spec.drift_integral(0.0, t_fix[idx])
+        qa[idx] = np.exp(drift)
+        variance[idx] = spec.variance_integral(0.0, t_fix[idx])
+        if paper_literal:
+            mu[idx] = drift
+    kernel = black(forwards * qa, strikes, mu, variance, omega)
+    return float(np.sum(notional * p_d * taus * kernel))
 
 
 def price_swaption(
@@ -353,13 +390,12 @@ def price_swaption(
     t_exp = disc.time(swap.start)
     if t_exp <= 0.0:
         raise ValueError("swaption expiry must lie after the reference date")
-    s = fair_swap_rate(disc, fwd, swap)
-    a_d = annuity(disc, swap.fixed_schedule(), swap.daycount_fixed)
+    float_pv, a_d = _swap_legs(disc, fwd, swap, None)
     qa = swap_quanto_mult(volcorr, 0.0, t_exp)
     variance = volcorr.variance_integral(0.0, t_exp) if volcorr else 0.0
     mu = volcorr.drift_integral(0.0, t_exp) if (paper_literal and volcorr) else 0.0
     omega = 1 if swap.payer else -1
-    kernel = black(s * qa, swap.fixed_rate, mu, variance, omega)
+    kernel = black(float_pv / a_d * qa, swap.fixed_rate, mu, variance, omega)
     return swap.notional * a_d * kernel
 
 
@@ -456,13 +492,11 @@ def price_position(
     disc = curves["discount"]
     fwd = disc if single_curve else curves[pos.forwarding]
     if pos.kind == "fra":
-        pv = price_fra(disc, fwd, pos.spec, volcorr)
-        qa = quanto_mult(volcorr, 0.0, disc.time(pos.spec.start))
-        dc = pos.spec.daycount or fwd.daycount
-        fair = fwd.simple_forward(pos.spec.start, pos.spec.end, dc) * qa
+        pv, fair = _fra_value(disc, fwd, pos.spec, volcorr)
     elif pos.kind == "swap":
-        pv = price_swap(disc, fwd, pos.spec, volcorr)
-        fair = fair_swap_rate(disc, fwd, pos.spec, volcorr)
+        float_pv, a_d = _swap_legs(disc, fwd, pos.spec, volcorr)
+        pv = _swap_pv(pos.spec, float_pv, a_d)
+        fair = float_pv / a_d
     elif pos.kind in ("caplet", "floorlet"):
         pv = price_caplet_floorlet(disc, fwd, pos.spec, volcorr, paper_literal)
         fair = pv / pos.spec.notional

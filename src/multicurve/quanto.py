@@ -66,26 +66,29 @@ def _validate_piecewise(breakpoints, vols_a, vols_b, corr):
         raise ValueError("correlations must lie in [-1, 1]")
 
 
-def _segment_values(breakpoints, values, a, b):
-    """Cut [a, b] at the breakpoints and pair sub-intervals with values."""
-    bp = np.asarray(breakpoints, dtype=float)
-    inner = bp[(bp > a) & (bp < b)]
-    edges = np.concatenate(([a], inner, [b]))
-    idx = np.searchsorted(bp, edges[:-1], side="right")
-    vals = np.asarray(values, dtype=float)[idx]
-    return edges, vals
+def piecewise_product_integral(
+    breakpoints, v1, v2, corr, a: float, b: float | np.ndarray
+) -> float | np.ndarray:
+    """Exact integral of v1(u) * v2(u) * corr(u) over [a, b].
 
-
-def piecewise_product_integral(breakpoints, v1, v2, corr, a: float, b: float) -> float:
-    """Exact integral of v1(u) * v2(u) * corr(u) over [a, b]."""
-    if a < 0.0 or b < a:
+    ``b`` may be a scalar or an array of upper limits; an array gives
+    one integral per limit.  Each is a difference of the closed-form
+    running integral I(t) = C_k + p_k (t - t_k), where k is the segment
+    holding t, p_k the segment's product and C_k the sum of the whole
+    segments before it.
+    """
+    upper = np.asarray(b, dtype=float)
+    if a < 0.0 or (upper < a).any():
         raise ValueError("need 0 <= a <= b")
-    if a == b:
-        return 0.0
-    edges, x1 = _segment_values(breakpoints, v1, a, b)
-    _, x2 = _segment_values(breakpoints, v2, a, b)
-    _, xr = _segment_values(breakpoints, corr, a, b)
-    return float(np.sum(x1 * x2 * xr * np.diff(edges)))
+    bp = np.asarray(breakpoints, dtype=float)
+    prod = np.multiply(np.multiply(v1, v2, dtype=float), corr, dtype=float)
+    left = np.concatenate(((0.0,), bp))
+    running = np.concatenate(((0.0,), np.cumsum(prod[:-1] * (bp - left[:-1]))))
+    t = np.concatenate((upper.reshape(-1), (a,)))
+    k = np.searchsorted(bp, t, side="right")
+    at = running[k] + prod[k] * (t - left[k])
+    total = (at[:-1] - at[-1]).reshape(upper.shape)
+    return float(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)
@@ -104,12 +107,12 @@ class VolCorrSpec:
     def flat(cls, sigma_f: float, sigma_x: float, rho: float) -> "VolCorrSpec":
         return cls((), (sigma_f,), (sigma_x,), (rho,))
 
-    def drift_integral(self, a: float, b: float) -> float:
+    def drift_integral(self, a: float, b: float | np.ndarray) -> float | np.ndarray:
         return -piecewise_product_integral(
             self.breakpoints, self.sigma_f, self.sigma_x, self.rho, a, b
         )
 
-    def variance_integral(self, a: float, b: float) -> float:
+    def variance_integral(self, a: float, b: float | np.ndarray) -> float | np.ndarray:
         """Integral of sigma_f^2, the Black variance of the forward."""
         return piecewise_product_integral(
             self.breakpoints, self.sigma_f, self.sigma_f, [1.0] * len(self.sigma_f), a, b
@@ -149,12 +152,12 @@ class SwapVolCorrSpec:
     def flat(cls, nu_f: float, nu_y: float, rho: float) -> "SwapVolCorrSpec":
         return cls((), (nu_f,), (nu_y,), (rho,))
 
-    def drift_integral(self, a: float, b: float) -> float:
+    def drift_integral(self, a: float, b: float | np.ndarray) -> float | np.ndarray:
         return -piecewise_product_integral(
             self.breakpoints, self.nu_f, self.nu_y, self.rho, a, b
         )
 
-    def variance_integral(self, a: float, b: float) -> float:
+    def variance_integral(self, a: float, b: float | np.ndarray) -> float | np.ndarray:
         return piecewise_product_integral(
             self.breakpoints, self.nu_f, self.nu_f, [1.0] * len(self.nu_f), a, b
         )
@@ -187,15 +190,24 @@ def load_volcorr(path) -> VolCorrSpec | SwapVolCorrSpec:
 
 # -- forward-rate adjustment -------------------------------------------------
 
-def drift_integral(spec: VolCorrSpec, a: float, b: float) -> float:
+def drift_integral(spec: VolCorrSpec, a: float, b: float | np.ndarray) -> float | np.ndarray:
     return spec.drift_integral(a, b)
 
 
-def quanto_mult(spec: VolCorrSpec | None, a: float, b: float) -> float:
-    """Multiplicative adjustment QA over [a, b]; 1 when spec is None."""
+def _exp(x):
+    return math.exp(x) if isinstance(x, float) else np.exp(x)
+
+
+def quanto_mult(
+    spec: VolCorrSpec | None, a: float, b: float | np.ndarray
+) -> float | np.ndarray:
+    """Multiplicative adjustment QA over [a, b]; 1 when spec is None.
+
+    An array of upper limits gives one adjustment per limit.
+    """
     if spec is None:
         return 1.0
-    return math.exp(spec.drift_integral(a, b))
+    return _exp(spec.drift_integral(a, b))
 
 
 def quanto_add(spec: VolCorrSpec | None, forward: float, a: float, b: float) -> float:
@@ -205,14 +217,18 @@ def quanto_add(spec: VolCorrSpec | None, forward: float, a: float, b: float) -> 
 
 # -- swap-rate adjustment ----------------------------------------------------
 
-def swap_drift_integral(spec: SwapVolCorrSpec, a: float, b: float) -> float:
+def swap_drift_integral(
+    spec: SwapVolCorrSpec, a: float, b: float | np.ndarray
+) -> float | np.ndarray:
     return spec.drift_integral(a, b)
 
 
-def swap_quanto_mult(spec: SwapVolCorrSpec | None, a: float, b: float) -> float:
+def swap_quanto_mult(
+    spec: SwapVolCorrSpec | None, a: float, b: float | np.ndarray
+) -> float | np.ndarray:
     if spec is None:
         return 1.0
-    return math.exp(spec.drift_integral(a, b))
+    return _exp(spec.drift_integral(a, b))
 
 
 def swap_quanto_add(spec: SwapVolCorrSpec | None, rate: float, a: float, b: float) -> float:

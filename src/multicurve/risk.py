@@ -450,11 +450,27 @@ def hedge_ratios(
     return rows
 
 
+def _hedge_curves(
+    row_label: str, q: InstrumentQuote, curves: dict[str, YieldCurve]
+) -> tuple[YieldCurve | None, ...]:
+    """The curve objects a hedge's PV reads: its own curve, the discount
+    curve, and for a basis swap the curve of its second tenor."""
+    read = [curves[row_label]]
+    if row_label != "discount":
+        read.append(curves["discount"])
+    if q.kind is InstrumentKind.BASIS_SWAP:
+        read.append(curves.get(_tenor_label(q.second_tenor)))
+    return tuple(read)
+
+
 def _net_of_hedges(
-    pv: float, rows: list[HedgeRow], curves: dict[str, YieldCurve]
+    pv: float,
+    rows: list[HedgeRow],
+    curves: dict[str, YieldCurve],
+    unit_pv=_hedge_position_pv,
 ) -> float:
     for r in rows:
-        pv -= r.ratio * _hedge_position_pv(r.set_label, r.quote, curves)
+        pv -= r.ratio * unit_pv(r.set_label, r.quote, curves)
     return pv
 
 
@@ -474,11 +490,23 @@ def hedged_residual_ladder(
     bump: float = 1e-4,
 ) -> list[DeltaEntry]:
     """Quote deltas of ``hedged_pv_fn(pv_fn, rows)``, reusing the curve
-    sets and book values already produced on ``state``."""
+    sets and book values already produced on ``state``.
+
+    A bumped set holds the base curve object wherever it did not
+    rebuild, so each hedge is valued once per distinct tuple of curves
+    it reads rather than once per set.
+    """
+    unit_pvs: dict[tuple, float] = {}
+
+    def unit_pv(label: str, q: InstrumentQuote, curves: dict[str, YieldCurve]) -> float:
+        key = (label, q, *_hedge_curves(label, q, curves))
+        if key not in unit_pvs:
+            unit_pvs[key] = _hedge_position_pv(label, q, curves)
+        return unit_pvs[key]
 
     def hedged_pv(overrides: Override) -> float:
         curves = state.build(overrides)
-        return _net_of_hedges(state._book_pv(pv_fn, overrides), rows, curves)
+        return _net_of_hedges(state._book_pv(pv_fn, overrides), rows, curves, unit_pv)
 
     return _ladder(state, hedged_pv, bump)
 

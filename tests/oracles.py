@@ -193,3 +193,84 @@ def reference_monotone_cubic_slopes(ts, ys):
     d[0] = _reference_edge_slope(h[0], h[1], m[0], m[1])
     d[-1] = _reference_edge_slope(h[-1], h[-2], m[-1], m[-2])
     return d
+
+
+# ---------------------------------------------------------------------------
+# per-period reference forms of the pricer
+# ---------------------------------------------------------------------------
+# The package values cap/floor periods and floating legs as arrays and
+# takes every adjustment integral from a running integral.  These are
+# the earlier forms (a fresh segment cut per integral, one caplet and
+# one adjustment at a time) kept as the yardstick.
+
+def _reference_segment_values(breakpoints, values, a, b):
+    """Cut [a, b] at the breakpoints and pair sub-intervals with values."""
+    import numpy as np
+
+    bp = np.asarray(breakpoints, dtype=float)
+    inner = bp[(bp > a) & (bp < b)]
+    edges = np.concatenate(([a], inner, [b]))
+    idx = np.searchsorted(bp, edges[:-1], side="right")
+    vals = np.asarray(values, dtype=float)[idx]
+    return edges, vals
+
+
+def reference_product_integral(breakpoints, v1, v2, corr, a, b):
+    """Integral of v1 * v2 * corr over [a, b] as a sum over the cut segments."""
+    import numpy as np
+
+    if a == b:
+        return 0.0
+    edges, x1 = _reference_segment_values(breakpoints, v1, a, b)
+    _, x2 = _reference_segment_values(breakpoints, v2, a, b)
+    _, xr = _reference_segment_values(breakpoints, corr, a, b)
+    return float(np.sum(x1 * x2 * xr * np.diff(edges)))
+
+
+def reference_drift(spec, a, b):
+    return -reference_product_integral(
+        spec.breakpoints, spec.sigma_f, spec.sigma_x, spec.rho, a, b
+    )
+
+
+def reference_variance(spec, a, b):
+    return reference_product_integral(
+        spec.breakpoints, spec.sigma_f, spec.sigma_f, [1.0] * len(spec.sigma_f), a, b
+    )
+
+
+def reference_float_leg_coupons(fwd, dates, specs):
+    """tau_f * F_f * QA per floating period, one adjustment at a time."""
+    coupons = []
+    for d0, d1, spec in zip(dates[:-1], dates[1:], specs):
+        coupon = fwd.discount(d0) / fwd.discount(d1) - 1.0
+        if spec is not None:
+            coupon *= math.exp(reference_drift(spec, 0.0, fwd.time(d0)))
+        coupons.append(coupon)
+    return coupons
+
+
+def reference_capfloor(disc, fwd, dates, strikes, omega, notional, specs,
+                       daycount=None, paper_literal=False):
+    """Cap/floor as a sum of caplets priced one period at a time.
+
+    Uses the engine's scalar Black kernel, which is checked against
+    ``black_reference`` on its own.
+    """
+    from multicurve import black
+
+    total = 0.0
+    for d0, d1, strike, spec in zip(dates[:-1], dates[1:], strikes, specs):
+        dc = daycount or fwd.daycount
+        tau = year_fraction(d0, d1, dc)
+        f = fwd.simple_forward(d0, d1, dc)
+        t_fix = disc.time(d0)
+        qa, variance, mu = 1.0, 0.0, 0.0
+        if spec is not None:
+            drift = reference_drift(spec, 0.0, t_fix)
+            qa = math.exp(drift)
+            variance = reference_variance(spec, 0.0, t_fix)
+            mu = drift if paper_literal else 0.0
+        kernel = black(f * qa, strike, mu, variance, omega)
+        total += notional * disc.discount(d1) * tau * kernel
+    return total

@@ -30,6 +30,7 @@ from multicurve import (
     year_fraction,
 )
 from multicurve.synthetic import default_market, true_pillar_curve
+from multicurve.timegrid import cached_schedule
 
 import oracles
 
@@ -150,6 +151,48 @@ class TestBlackKernel:
             black(0.04, 0.0, 0.0, 0.01, 1)
         with pytest.raises(ValueError):
             black(0.04, 0.04, 0.0, -1e-9, 1)
+
+
+class TestBlackArrays:
+    def cases(self):
+        rng = np.random.default_rng(17)
+        n = 400
+        f = rng.uniform(0.005, 0.1, n)
+        k = f * rng.uniform(0.4, 2.5, n)
+        mu = rng.choice([0.0, -0.03, 0.03], n)
+        var = rng.choice([0.0, 1e-6, 0.01, 0.09], n)
+        return f, k, mu, var
+
+    @pytest.mark.parametrize("omega", [1, -1])
+    def test_matches_reference_element_by_element(self, omega):
+        f, k, mu, var = self.cases()
+        got = black(f, k, mu, var, omega)
+        assert got.shape == f.shape
+        assert np.any(var == 0.0)
+        for i in range(f.size):
+            want = oracles.black_reference(f[i], k[i], mu[i], var[i], omega)
+            assert got[i] == pytest.approx(want, rel=1e-13, abs=1e-16), i
+            assert got[i] == black(float(f[i]), float(k[i]), float(mu[i]), float(var[i]), omega)
+
+    def test_scalar_inputs_return_float(self):
+        assert isinstance(black(0.04, 0.03, 0.0, 0.01, 1), float)
+        assert isinstance(black(0.04, 0.03, 0.0, 0.0, -1), float)
+
+    def test_scalars_broadcast_against_arrays(self):
+        ks = np.array([0.02, 0.04, 0.06])
+        got = black(0.04, ks, 0.0, 0.01, 1)
+        assert got.tolist() == [black(0.04, float(k), 0.0, 0.01, 1) for k in ks]
+
+    def test_any_non_positive_forward_rejected(self):
+        f = np.array([0.03, 0.04, 0.0, 0.05])
+        with pytest.raises(ValueError):
+            black(f, 0.03, 0.0, 0.01, 1)
+        with pytest.raises(ValueError):
+            black(-f[::-1] + 0.05, 0.03, 0.0, 0.01, -1)
+        with pytest.raises(ValueError):
+            black(0.04, np.array([0.03, -0.01]), 0.0, 0.01, 1)
+        with pytest.raises(ValueError):
+            black(0.04, 0.03, 0.0, np.array([0.01, -1e-12]), 1)
 
 
 class TestAnnuity:
@@ -364,6 +407,127 @@ class TestCapFloor:
             price_capfloor(DISC, FWD, dates[:1], 0.03)
         with pytest.raises(ValueError):
             price_capfloor(DISC, FWD, dates, 0.03, 1, 1e6, [VolCorrSpec.flat(0.2, 0.1, 0.0)])
+
+
+class TestArrayPeriodsMatchPerPeriodReference:
+    """Cap/floor periods and floating legs against the one-period-at-a-time
+    reference forms in ``oracles``."""
+
+    DATES = generate_schedule(add_months(REF, 3), add_months(REF, 63), 3)
+
+    def specs(self):
+        rng = np.random.default_rng(29)
+        pool = [
+            VolCorrSpec(
+                breakpoints=(0.7, 2.0, 3.5),
+                sigma_f=tuple(rng.uniform(0.1, 0.4, 4)),
+                sigma_x=tuple(rng.uniform(0.05, 0.3, 4)),
+                rho=tuple(rng.uniform(-0.9, 0.9, 4)),
+            ),
+            VolCorrSpec.flat(0.25, 0.15, 0.6),
+            None,
+        ]
+        return [pool[i % 3] for i in range(len(self.DATES) - 1)]
+
+    @pytest.mark.parametrize("omega", [1, -1])
+    @pytest.mark.parametrize("paper_literal", [False, True])
+    def test_capfloor_with_per_period_specs(self, omega, paper_literal):
+        specs = self.specs()
+        strikes = np.linspace(0.015, 0.045, len(specs))
+        got = price_capfloor(
+            DISC, FWD, self.DATES, strikes, omega, 1e6, specs, DayCount.ACT_365_FIXED,
+            paper_literal,
+        )
+        want = oracles.reference_capfloor(
+            DISC, FWD, self.DATES, strikes, omega, 1e6, specs, DayCount.ACT_365_FIXED,
+            paper_literal,
+        )
+        assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("paper_literal", [False, True])
+    def test_capfloor_with_one_spec(self, paper_literal):
+        vc = self.specs()[0]
+        n = len(self.DATES) - 1
+        got = price_capfloor(DISC, FWD, self.DATES, 0.03, 1, 1e6, vc, None, paper_literal)
+        want = oracles.reference_capfloor(
+            DISC, FWD, self.DATES, [0.03] * n, 1, 1e6, [vc] * n, None, paper_literal
+        )
+        assert got == pytest.approx(want, rel=1e-14)
+
+    def test_caplet_is_one_period_cap(self):
+        vc = self.specs()[0]
+        opt = OptionSpec(self.DATES[4], self.DATES[5], 0.027, -1, 1e6)
+        got = price_caplet_floorlet(DISC, FWD, opt, vc, paper_literal=True)
+        want = oracles.reference_capfloor(
+            DISC, FWD, self.DATES[4:6], [0.027], -1, 1e6, [vc], paper_literal=True
+        )
+        assert got == pytest.approx(want, rel=1e-14)
+
+    def test_float_leg_with_per_period_specs(self):
+        spec = make_swap(start=self.DATES[0], end=self.DATES[-1], float_tenor_months=3)
+        specs = self.specs()
+        coupons = oracles.reference_float_leg_coupons(FWD, self.DATES, specs)
+        float_pv = sum(DISC.discount(d) * c for d, c in zip(self.DATES[1:], coupons))
+        ann = annuity(DISC, spec.fixed_schedule(), spec.daycount_fixed)
+        assert fair_swap_rate(DISC, FWD, spec, specs) == pytest.approx(
+            float_pv / ann, rel=1e-14
+        )
+        assert price_swap(DISC, FWD, spec, specs) == pytest.approx(
+            1e6 * (float_pv - 0.03 * ann), rel=1e-13
+        )
+
+
+class TestWorkPerPosition:
+    """Discount lookups and adjustment calls do not grow with the number
+    of periods a position has."""
+
+    VC = VolCorrSpec.flat(0.25, 0.12, -0.3)
+    SVC = SwapVolCorrSpec.flat(0.22, 0.08, -0.25)
+    ROWS = [
+        ({"kind": "fra", "start": "2027-06-15", "end": "2027-12-15", "strike": 0.027}, 2),
+        ({"kind": "caplet", "start": "2027-06-15", "end": "2027-12-15", "strike": 0.03}, 2),
+        ({"kind": "swap", "start": "2026-06-15", "end": "2056-06-15", "fixed_rate": 0.03}, 3),
+        ({"kind": "swaption", "start": "2028-06-15", "end": "2038-06-15", "strike": 0.03}, 3),
+        ({"kind": "cap", "start": "2026-07-15", "end": "2029-07-15", "strike": 0.03,
+          "tenor_months": 1}, 2),
+    ]
+
+    def test_discount_lookups_and_adjustments_per_position(self, monkeypatch):
+        from multicurve import YieldCurve, pricer, quanto
+
+        lookups, adjustments, integrals = [], [], []
+        real_lookup = YieldCurve.discount_time
+        real_qa = quanto.quanto_mult
+        real_drift = VolCorrSpec.drift_integral
+
+        def counting_lookup(self, t):
+            lookups.append(1)
+            return real_lookup(self, t)
+
+        def counting_qa(*args):
+            adjustments.append(1)
+            return real_qa(*args)
+
+        def counting_drift(self, a, b):
+            integrals.append(1)
+            return real_drift(self, a, b)
+
+        monkeypatch.setattr(YieldCurve, "discount_time", counting_lookup)
+        monkeypatch.setattr(quanto, "quanto_mult", counting_qa)
+        monkeypatch.setattr(pricer, "quanto_mult", counting_qa)
+        monkeypatch.setattr(VolCorrSpec, "drift_integral", counting_drift)
+        curves = {"discount": DISC, "fwd_1M": FWD}
+        for row, budget in self.ROWS:
+            (pos,) = parse_portfolio([dict(row, forwarding="fwd_1M", notional=1e6)])
+            if pos.kind == "cap":
+                assert len(cached_schedule(pos.spec.start, pos.spec.end, 1)) == 37
+            lookups.clear()
+            adjustments.clear()
+            integrals.clear()
+            price_position(pos, curves, volcorr=self.VC, swap_volcorr=self.SVC)
+            assert len(lookups) <= budget, (pos.kind, len(lookups))
+            assert len(adjustments) <= 1, (pos.kind, len(adjustments))
+            assert len(integrals) <= 1, (pos.kind, len(integrals))
 
 
 class TestSwaption:

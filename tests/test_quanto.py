@@ -22,7 +22,7 @@ from multicurve import (
 )
 from multicurve.quanto import drift_integral
 
-from oracles import drift_quadrature
+from oracles import drift_quadrature, reference_drift, reference_variance
 
 REF = Date.of(2026, 6, 15)
 
@@ -83,6 +83,73 @@ class TestDriftIntegral:
         )
         want = 0.2**2 * 1.0 + 0.3**2 * 2.0 + 0.45**2 * 1.0
         assert spec.variance_integral(0.0, 4.0) == pytest.approx(want, rel=1e-15)
+
+
+def upper_limits(rng, spec):
+    """Zero, every breakpoint, points between them and past the last one."""
+    bp = np.asarray(spec.breakpoints, dtype=float)
+    edges = np.concatenate(([0.0], bp, [bp[-1] + 3.0 if bp.size else 3.0]))
+    between = edges[:-1] + rng.uniform(0.0, 1.0, edges.size - 1) * np.diff(edges)
+    return np.concatenate(([0.0], bp, between, edges[-1:] + 4.5))
+
+
+class TestRunningIntegral:
+    """The array integral against the segment-sum reference and quadrature."""
+
+    def test_array_limits_match_segment_sum_and_quadrature(self):
+        rng = np.random.default_rng(20261018)
+        worst_ref = worst_quad = 0.0
+        for _ in range(300):
+            spec = random_spec(rng)
+            b = upper_limits(rng, spec)
+            for a in (0.0, float(rng.uniform(0.0, 2.0))):
+                lims = b[b >= a]
+                got = drift_integral(spec, a, lims)
+                var = spec.variance_integral(a, lims)
+                assert got.shape == var.shape == lims.shape
+                for t, g, v in zip(lims, got, var):
+                    t = float(t)
+                    worst_ref = max(
+                        worst_ref,
+                        abs(g - reference_drift(spec, a, t)),
+                        abs(v - reference_variance(spec, a, t)),
+                    )
+                    worst_quad = max(worst_quad, abs(g - drift_quadrature(spec, a, t)))
+        assert worst_ref <= 2e-15
+        assert worst_quad <= 1e-12
+
+    def test_scalar_limit_gives_float_equal_to_array_entry(self):
+        rng = np.random.default_rng(3)
+        spec = random_spec(rng)
+        b = upper_limits(rng, spec)
+        whole = drift_integral(spec, 0.0, b)
+        for t, w in zip(b, whole):
+            one = drift_integral(spec, 0.0, float(t))
+            assert isinstance(one, float)
+            assert one == w
+
+    def test_flat_spec_is_exact_product(self):
+        spec = VolCorrSpec.flat(0.25, 0.4, -0.5)
+        t = np.array([0.0, 0.5, 2.0, 30.0])
+        assert drift_integral(spec, 0.0, t).tolist() == [
+            -(0.25 * 0.4 * -0.5) * x for x in t
+        ]
+
+    def test_quanto_mult_one_value_per_fixing(self):
+        rng = np.random.default_rng(5)
+        spec = random_spec(rng)
+        b = upper_limits(rng, spec)
+        qa = quanto_mult(spec, 0.0, b)
+        want = [math.exp(reference_drift(spec, 0.0, float(t))) for t in b]
+        assert np.max(np.abs(qa / want - 1.0)) <= 5e-15
+        assert quanto_mult(None, 0.0, b) == 1.0
+
+    def test_limit_below_lower_end_rejected(self):
+        spec = VolCorrSpec.flat(0.3, 0.2, 0.8)
+        with pytest.raises(ValueError):
+            drift_integral(spec, 1.0, np.array([2.0, 0.5]))
+        with pytest.raises(ValueError):
+            drift_integral(spec, -0.1, np.array([2.0]))
 
 
 class TestAdjustmentSignAndSize:

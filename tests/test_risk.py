@@ -193,6 +193,49 @@ class TestBuildOnce:
         assert built.count("discount") == 2 * n_disc
 
 
+class TestResidualReusesHedgeValues:
+    def test_each_hedge_valued_once_per_distinct_curve_tuple(self, monkeypatch):
+        sets = make_quote_sets()
+        quote_sets = {"discount": sets["discount"], "fwd_6M": sets["fwd_6M"]}
+        state = MarketState(REF, quote_sets)
+        q = next(
+            q for q in sets["fwd_6M"]
+            if q.kind is InstrumentKind.SWAP and q.end == add_months(REF, 84)
+        )
+
+        def pv_fn(curves):
+            return 1e6 * instrument_pv(q, q.quote, curves["fwd_6M"], curves["discount"])
+
+        locations = [
+            (label, i)
+            for label in state.build_order
+            for i in range(len(state.quote_sets[label]))
+        ]
+        delta_ladder(state, pv_fn)
+        rows = hedge_ratios(state, pv_fn, locations)
+        valued = []
+        real_pv = risk.instrument_pv
+
+        def counting_pv(*args, **kwargs):
+            valued.append(1)
+            return real_pv(*args, **kwargs)
+
+        monkeypatch.setattr(risk, "instrument_pv", counting_pv)
+        residual = hedged_residual_ladder(state, pv_fn, rows)
+        monkeypatch.undo()
+
+        # a discount hedge reads only the discount curve: one value per
+        # discount-bumped curve plus the base one every 6M bump keeps; a
+        # 6M hedge reads both curves, and every bumped set changes one
+        n_disc, n_fwd = len(sets["discount"]), len(sets["fwd_6M"])
+        assert len(valued) == n_disc * (2 * n_disc + 1) + n_fwd * 2 * (n_disc + n_fwd)
+
+        # bit for bit the ladder of the hedged book valued from scratch
+        fresh = MarketState(REF, quote_sets)
+        want = delta_ladder(fresh, hedged_pv_fn(pv_fn, rows))
+        assert [e.delta_per_bp for e in residual] == [e.delta_per_bp for e in want]
+
+
 class TestProjectDeltas:
     def test_on_grid_times_stay_put(self):
         tgt = [1.0, 2.0, 5.0, 10.0]
