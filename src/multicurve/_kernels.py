@@ -1,16 +1,12 @@
-"""Hot evaluation kernels for curve interpolation.
+"""Curve interpolation kernels and the choice between them.
 
-Every discount-factor lookup funnels through one of three kernels (one
-per interpolation scheme).  Each kernel exists in two forms:
-
-* a scalar loop compiled with ``numba.njit(cache=True)``, and
-* a vectorised pure-numpy implementation.
-
-The active backend is chosen once at import time from the environment
-variable ``MULTICURVE_BACKEND`` ("numba", the default, or "numpy").
-Falling back to numpy is automatic when numba is not importable.  Both
-variants stay exposed so benchmarks and parity tests can run them side
-by side.
+Every discount-factor lookup funnels through one of three vectorised
+numpy kernels, one per interpolation scheme.  ``knot_data`` builds the
+per-knot data a scheme's kernel needs and ``evaluate`` picks the
+kernel; ``YieldCurve`` and the bootstrap workspace both go through
+these two, so no other module branches on the scheme to evaluate a
+curve.  ``evaluate`` looks the kernels up as module globals on every
+call, so a kernel replaced on this module is the one that runs.
 
 Kernel contract, shared by all schemes:
 
@@ -26,42 +22,20 @@ Kernel contract, shared by all schemes:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+from .interp import InterpScheme, monotone_cubic_slopes, zero_rates_from_logdf
+
 __all__ = [
-    "BACKEND",
     "eval_log_cubic",
     "eval_log_linear",
     "eval_linear_zero",
-    "NUMPY_IMPLS",
-    "NUMBA_IMPLS",
+    "knot_data",
+    "evaluate",
 ]
 
-_choice = os.environ.get("MULTICURVE_BACKEND", "numba").strip().lower()
-if _choice not in ("numba", "numpy"):
-    raise ValueError(
-        f"MULTICURVE_BACKEND must be 'numba' or 'numpy', got {_choice!r}"
-    )
 
-_HAVE_NUMBA = False
-if _choice == "numba":
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _HAVE_NUMBA = False
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-def _np_locate(t, ts):
+def _locate(t, ts):
     """Queries as a float array, the last knot at or below each query
     (clamped to the first) and the segment each query evaluates on.
 
@@ -76,7 +50,7 @@ def _np_locate(t, ts):
     return t, lo, np.minimum(lo, ts.shape[0] - 2)
 
 
-def _np_finish(y, t, ts, dfs, lo):
+def _finish(y, t, ts, dfs, lo):
     # exponentiate in place, then put the stored df back on exact knots
     out = np.exp(y, out=y)
     hit = ts[lo] == t
@@ -85,8 +59,8 @@ def _np_finish(y, t, ts, dfs, lo):
     return out
 
 
-def np_eval_log_cubic(t, ts, dfs, lnp, drv):
-    t, lo, j = _np_locate(t, ts)
+def eval_log_cubic(t, ts, dfs, lnp, drv):
+    t, lo, j = _locate(t, ts)
     j1 = j + 1
     tj = ts[j]
     h = ts[j1] - tj
@@ -101,11 +75,11 @@ def np_eval_log_cubic(t, ts, dfs, lnp, drv):
     ext = t > ts[-1]
     if ext.any():
         y[ext] = lnp[-1] + drv[-1] * (t[ext] - ts[-1])
-    return _np_finish(y, t, ts, dfs, lo)
+    return _finish(y, t, ts, dfs, lo)
 
 
-def np_eval_log_linear(t, ts, dfs, lnp):
-    t, lo, j = _np_locate(t, ts)
+def eval_log_linear(t, ts, dfs, lnp):
+    t, lo, j = _locate(t, ts)
     slope = (lnp[j + 1] - lnp[j]) / (ts[j + 1] - ts[j])
     y = lnp[j] + slope * (t - ts[j])
     # the last interior segment slope doubles as the extrapolation forward
@@ -113,11 +87,11 @@ def np_eval_log_linear(t, ts, dfs, lnp):
     if ext.any():
         slope_end = (lnp[-1] - lnp[-2]) / (ts[-1] - ts[-2])
         y[ext] = lnp[-1] + slope_end * (t[ext] - ts[-1])
-    return _np_finish(y, t, ts, dfs, lo)
+    return _finish(y, t, ts, dfs, lo)
 
 
-def np_eval_linear_zero(t, ts, dfs, zr):
-    t, lo, j = _np_locate(t, ts)
+def eval_linear_zero(t, ts, dfs, zr):
+    t, lo, j = _locate(t, ts)
     slope = (zr[j + 1] - zr[j]) / (ts[j + 1] - ts[j])
     z = zr[j] + slope * (t - ts[j])
     y = -z * t
@@ -127,135 +101,24 @@ def np_eval_linear_zero(t, ts, dfs, zr):
         slope_end = (zr[-1] - zr[-2]) / (ts[-1] - ts[-2])
         f_end = zr[-1] + ts[-1] * slope_end
         y[ext] = -zr[-1] * ts[-1] - f_end * (t[ext] - ts[-1])
-    return _np_finish(y, t, ts, dfs, lo)
+    return _finish(y, t, ts, dfs, lo)
 
 
-# ---------------------------------------------------------------------------
-# numba implementations (scalar loops over the query array)
-# ---------------------------------------------------------------------------
-
-def _segment_of(ts, x):
-    lo = 0
-    hi = ts.shape[0] - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if x < ts[mid]:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+def knot_data(scheme: InterpScheme, ts: np.ndarray, lnp: np.ndarray):
+    """Per-knot data the scheme's kernel reads beside the log-discounts:
+    monotone cubic slopes, zero rates, or None for log-linear."""
+    if scheme is InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC:
+        return monotone_cubic_slopes(ts, lnp)
+    if scheme is InterpScheme.LINEAR_ZERO:
+        return zero_rates_from_logdf(ts, lnp)
+    return None
 
 
-def _nb_eval_log_cubic(t, ts, dfs, lnp, drv):
-    n = t.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    tn = ts[ts.shape[0] - 1]
-    for i in range(n):
-        x = t[i]
-        if x >= tn:
-            if x == tn:
-                out[i] = dfs[ts.shape[0] - 1]
-            else:
-                out[i] = np.exp(lnp[ts.shape[0] - 1] + drv[ts.shape[0] - 1] * (x - tn))
-            continue
-        j = _segment_of(ts, x)
-        if x == ts[j]:
-            out[i] = dfs[j]
-            continue
-        h = ts[j + 1] - ts[j]
-        s = (x - ts[j]) / h
-        u = 1.0 - s
-        h00 = (1.0 + 2.0 * s) * u * u
-        h10 = s * u * u
-        h01 = s * s * (3.0 - 2.0 * s)
-        h11 = s * s * (s - 1.0)
-        y = h00 * lnp[j] + h * h10 * drv[j] + h01 * lnp[j + 1] + h * h11 * drv[j + 1]
-        out[i] = np.exp(y)
-    return out
-
-
-def _nb_eval_log_linear(t, ts, dfs, lnp):
-    n = t.shape[0]
-    m = ts.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    tn = ts[m - 1]
-    slope_end = (lnp[m - 1] - lnp[m - 2]) / (tn - ts[m - 2])
-    for i in range(n):
-        x = t[i]
-        if x >= tn:
-            if x == tn:
-                out[i] = dfs[m - 1]
-            else:
-                out[i] = np.exp(lnp[m - 1] + slope_end * (x - tn))
-            continue
-        j = _segment_of(ts, x)
-        if x == ts[j]:
-            out[i] = dfs[j]
-            continue
-        slope = (lnp[j + 1] - lnp[j]) / (ts[j + 1] - ts[j])
-        out[i] = np.exp(lnp[j] + slope * (x - ts[j]))
-    return out
-
-
-def _nb_eval_linear_zero(t, ts, dfs, zr):
-    n = t.shape[0]
-    m = ts.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    tn = ts[m - 1]
-    slope_end = (zr[m - 1] - zr[m - 2]) / (tn - ts[m - 2])
-    f_end = zr[m - 1] + tn * slope_end
-    for i in range(n):
-        x = t[i]
-        if x >= tn:
-            if x == tn:
-                out[i] = dfs[m - 1]
-            else:
-                out[i] = np.exp(-zr[m - 1] * tn - f_end * (x - tn))
-            continue
-        j = _segment_of(ts, x)
-        if x == ts[j]:
-            out[i] = dfs[j]
-            continue
-        slope = (zr[j + 1] - zr[j]) / (ts[j + 1] - ts[j])
-        z = zr[j] + slope * (x - ts[j])
-        out[i] = np.exp(-z * x)
-    return out
-
-
-NUMPY_IMPLS = {
-    "cubic": np_eval_log_cubic,
-    "loglinear": np_eval_log_linear,
-    "linzero": np_eval_linear_zero,
-}
-
-if _HAVE_NUMBA:
-    _segment_of = njit(cache=True)(_segment_of)
-    nb_eval_log_cubic = njit(cache=True)(_nb_eval_log_cubic)
-    nb_eval_log_linear = njit(cache=True)(_nb_eval_log_linear)
-    nb_eval_linear_zero = njit(cache=True)(_nb_eval_linear_zero)
-    NUMBA_IMPLS = {
-        "cubic": nb_eval_log_cubic,
-        "loglinear": nb_eval_log_linear,
-        "linzero": nb_eval_linear_zero,
-    }
-    eval_log_cubic = nb_eval_log_cubic
-    eval_log_linear = nb_eval_log_linear
-    eval_linear_zero = nb_eval_linear_zero
-else:
-    NUMBA_IMPLS = None
-    eval_log_cubic = np_eval_log_cubic
-    eval_log_linear = np_eval_log_linear
-    eval_linear_zero = np_eval_linear_zero
-
-
-def warm_up() -> None:
-    """Trigger JIT compilation (a no-op on the numpy backend)."""
-    ts = np.array([0.0, 1.0, 2.0])
-    dfs = np.array([1.0, 0.98, 0.95])
-    lnp = np.log(dfs)
-    drv = np.array([-0.02, -0.025, -0.03])
-    zr = np.array([0.02, 0.02, 0.025])
-    t = np.array([0.5, 1.5, 2.5])
-    eval_log_cubic(t, ts, dfs, lnp, drv)
-    eval_log_linear(t, ts, dfs, lnp)
-    eval_linear_zero(t, ts, dfs, zr)
+def evaluate(scheme: InterpScheme, t, ts, dfs, lnp, aux) -> np.ndarray:
+    """Discount factors at times ``t`` through the scheme's kernel;
+    ``aux`` is what ``knot_data`` built for the same knots."""
+    if scheme is InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC:
+        return eval_log_cubic(t, ts, dfs, lnp, aux)
+    if scheme is InterpScheme.LINEAR_ZERO:
+        return eval_linear_zero(t, ts, dfs, aux)
+    return eval_log_linear(t, ts, dfs, lnp)

@@ -28,7 +28,7 @@ from scipy.optimize import brentq
 from . import _kernels
 from .basis import ForwardBasisCurve
 from .curve import YieldCurve
-from .interp import InterpScheme, monotone_cubic_slopes, zero_rates_from_logdf
+from .interp import InterpScheme
 from .timegrid import Date, DayCount, year_fraction
 from .timegrid import cached_accruals as _taus
 from .timegrid import cached_schedule as _sched
@@ -116,8 +116,14 @@ class InstrumentQuote:
             raise ValueError("underlying tenor must be positive months")
         if not np.isfinite(self.quote):
             raise ValueError("quote must be finite")
-        if self.kind is InstrumentKind.BASIS_SWAP and self.second_tenor is None:
-            raise ValueError("basis swap quote needs second_tenor")
+        if self.kind is InstrumentKind.BASIS_SWAP:
+            if self.second_tenor is None:
+                raise ValueError("basis swap quote needs second_tenor")
+            if self.second_tenor == self.underlying_tenor:
+                raise ValueError(
+                    f"basis swap legs must differ in tenor, both are "
+                    f"{self.underlying_tenor}M"
+                )
 
     def implied_rate(self) -> float:
         """The quote as a decimal rate (futures price unwound)."""
@@ -136,36 +142,118 @@ class BootstrapConfig:
     df_bracket: tuple[float, float] = (1e-8, 2.0)
 
 
-def _leg_pv(curve: YieldCurve, disc: YieldCurve, dates: tuple[Date, ...]) -> float:
-    """Floating leg PV per unit notional: sum P_d(t_i) (P_f ratio - 1).
-
-    The accrual-times-rate product is taken as the projection curve's
-    discount ratio minus one, which is day-count free and telescopes
-    exactly when projection and discounting coincide.
-    """
-    pf = np.atleast_1d(curve.discount(dates))
-    pd_ = np.atleast_1d(disc.discount(dates[1:]))
-    return float(np.dot(pd_, pf[:-1] / pf[1:] - 1.0))
-
-
-def _fixed_annuity(disc: YieldCurve, dates: tuple[Date, ...], dc: DayCount) -> float:
-    taus = np.array(_taus(dates, dc))
-    pd_ = np.atleast_1d(disc.discount(dates[1:]))
-    return float(np.dot(taus, pd_))
-
-
-def _basis_leg_curve(
+def _compile_quote(
     q: InstrumentQuote,
-    months: int,
-    target: YieldCurve,
+    ref: Date,
+    df,
+    discounting: YieldCurve | None,
     companions: dict[int, YieldCurve] | None,
-) -> YieldCurve:
-    if months == q.underlying_tenor:
-        return target
-    if companions and months in companions:
-        return companions[months]
-    raise BootstrapError(
-        f"basis swap leg needs a companion curve for the {months}M tenor"
+):
+    """The quote's rate-space fair value and PV weight, as two closures.
+
+    ``df`` maps an array of times (ACT/365F years from ``ref``) to
+    discount factors on the curve that projects the quote's own tenor:
+    the bootstrap workspace while solving, ``YieldCurve.discount_time``
+    on a finished curve.  Without ``discounting`` the same source
+    discounts.  Schedule dates convert to times once; legs living on
+    curves that stay fixed (external discounting, basis companions)
+    freeze to constant arrays, each read on its own curve's clock.
+
+    The fair value is the forward rate of a money-market quote (futures
+    before convexity), the par rate of a swap or overnight index swap
+    and the par spread of a basis swap.  The weight turns a difference
+    in that rate into PV per unit notional: P_d(end) * tau for
+    money-market quotes, the fixed or spread leg annuity otherwise.
+    The weight of a money-market quote reads the discount curve only
+    when called, so the solver, which never asks for it, makes one
+    kernel call per money-market residual.
+    """
+
+    def times(dates) -> np.ndarray:
+        return np.array([(d.serial - ref.serial) / 365.0 for d in dates])
+
+    def disc_getter(dates):
+        if discounting is not None:
+            const = discounting.discount(dates)
+            return lambda: const
+        t = times(dates)
+        return lambda: df(t)
+
+    def annuity(dates, dc: DayCount):
+        taus = np.array(_taus(dates, dc))
+        get_pd = disc_getter(dates[1:])
+        return lambda: float(np.dot(taus, get_pd()))
+
+    def float_leg(months: int):
+        # sum P_d(t_i) (P_f ratio - 1): the accrual-times-rate product is
+        # the projection curve's discount ratio minus one, day-count free
+        # and telescoping exactly when projection and discounting coincide
+        dates = _sched(q.start, q.end, months)
+        get_pd = disc_getter(dates[1:])
+        if months == q.underlying_tenor:
+            t_leg = times(dates)
+
+            def pv() -> float:
+                p = df(t_leg)
+                return float(np.dot(get_pd(), p[:-1] / p[1:] - 1.0))
+
+            return pv
+        if not companions or months not in companions:
+            raise BootstrapError(
+                f"basis swap leg needs a companion curve for the {months}M tenor"
+            )
+        p = companions[months].discount(dates)
+        ratio = p[:-1] / p[1:] - 1.0
+        return lambda: float(np.dot(get_pd(), ratio))
+
+    k = q.kind
+    if k in (InstrumentKind.DEPOSIT, InstrumentKind.FRA, InstrumentKind.FUTURES):
+        t_pair = times([q.start, q.end])
+        tau = year_fraction(q.start, q.end, q.daycount)
+
+        def fair():
+            p = df(t_pair)
+            return (p[0] - p[1]) / (tau * p[1])
+
+        def weight():
+            if discounting is None:
+                return df(t_pair[1:])[0] * tau
+            return discounting.discount(q.end) * tau
+
+        return fair, weight
+
+    if k is InstrumentKind.SWAP:
+        leg = float_leg(q.underlying_tenor)
+        ann = annuity(_sched(q.start, q.end, q.fixed_frequency), q.daycount)
+        return (lambda: leg() / ann()), ann
+
+    if k is InstrumentKind.OIS:
+        get_p = disc_getter([q.start, q.end])
+        ann = annuity(_sched(q.start, q.end, q.fixed_frequency), q.daycount)
+
+        def fair() -> float:
+            p = get_p()
+            return float(p[0] - p[1]) / ann()
+
+        return fair, ann
+
+    if k is InstrumentKind.BASIS_SWAP:
+        short_m, long_m = sorted((q.underlying_tenor, q.second_tenor))
+        pv_short, pv_long = float_leg(short_m), float_leg(long_m)
+        ann = annuity(_sched(q.start, q.end, short_m), q.float_daycount)
+        return (lambda: (pv_long() - pv_short()) / ann()), ann
+
+    raise BootstrapError(f"unknown instrument kind {k!r}")
+
+
+def _on_curves(
+    q: InstrumentQuote,
+    target: YieldCurve,
+    discounting: YieldCurve | None,
+    companions: dict[int, YieldCurve] | None,
+):
+    return _compile_quote(
+        q, target.reference_date, target.discount_time, discounting, companions
     )
 
 
@@ -180,30 +268,11 @@ def fair_quote(
     ``target`` projects the quote's own tenor; ``discounting`` defaults
     to the target itself (single-curve pricing).
     """
-    disc = discounting or target
-    k = q.kind
-    if k in (InstrumentKind.DEPOSIT, InstrumentKind.FRA):
-        return target.simple_forward(q.start, q.end, q.daycount)
-    if k is InstrumentKind.FUTURES:
-        f = target.simple_forward(q.start, q.end, q.daycount)
+    fair, _ = _on_curves(q, target, discounting, companions)
+    f = float(fair())
+    if q.kind is InstrumentKind.FUTURES:
         return 100.0 * (1.0 - (f + q.convexity))
-    if k is InstrumentKind.SWAP:
-        float_pv = _leg_pv(target, disc, _sched(q.start, q.end, q.underlying_tenor))
-        ann = _fixed_annuity(disc, _sched(q.start, q.end, q.fixed_frequency), q.daycount)
-        return float_pv / ann
-    if k is InstrumentKind.OIS:
-        p = np.atleast_1d(disc.discount([q.start, q.end]))
-        ann = _fixed_annuity(disc, _sched(q.start, q.end, q.fixed_frequency), q.daycount)
-        return float(p[0] - p[1]) / ann
-    if k is InstrumentKind.BASIS_SWAP:
-        short_m, long_m = sorted((q.underlying_tenor, q.second_tenor))
-        short_curve = _basis_leg_curve(q, short_m, target, companions)
-        long_curve = _basis_leg_curve(q, long_m, target, companions)
-        pv_short = _leg_pv(short_curve, disc, _sched(q.start, q.end, short_m))
-        pv_long = _leg_pv(long_curve, disc, _sched(q.start, q.end, long_m))
-        ann = _fixed_annuity(disc, _sched(q.start, q.end, short_m), q.float_daycount)
-        return (pv_long - pv_short) / ann
-    raise BootstrapError(f"unknown instrument kind {k!r}")
+    return f
 
 
 def instrument_pv(
@@ -221,26 +290,11 @@ def instrument_pv(
     the end date.  Futures contracts are struck at a price, converted
     to rate space internally.
     """
-    disc = discounting or target
-    k = q.kind
-    if k in (InstrumentKind.DEPOSIT, InstrumentKind.FRA, InstrumentKind.FUTURES):
-        f = target.simple_forward(q.start, q.end, q.daycount)
-        if k is InstrumentKind.FUTURES:
-            strike = (100.0 - contract_quote) / 100.0 - q.convexity
-        else:
-            strike = contract_quote
-        tau = year_fraction(q.start, q.end, q.daycount)
-        return notional * disc.discount(q.end) * tau * (f - strike)
-    if k in (InstrumentKind.SWAP, InstrumentKind.OIS):
-        par = fair_quote(q, target, discounting, companions)
-        ann = _fixed_annuity(disc, _sched(q.start, q.end, q.fixed_frequency), q.daycount)
-        return notional * (par - contract_quote) * ann
-    if k is InstrumentKind.BASIS_SWAP:
-        s = fair_quote(q, target, discounting, companions)
-        short_m = min(q.underlying_tenor, q.second_tenor)
-        ann = _fixed_annuity(disc, _sched(q.start, q.end, short_m), q.float_daycount)
-        return notional * (s - contract_quote) * ann
-    raise BootstrapError(f"unknown instrument kind {k!r}")
+    fair, weight = _on_curves(q, target, discounting, companions)
+    strike = contract_quote
+    if q.kind is InstrumentKind.FUTURES:
+        strike = (100.0 - contract_quote) / 100.0 - q.convexity
+    return float(notional * weight() * (fair() - strike))
 
 
 def repricing_errors(
@@ -252,11 +306,8 @@ def repricing_errors(
     """Fair-minus-quote residual per instrument, futures in rate space."""
     out = np.empty(len(quotes))
     for i, q in enumerate(quotes):
-        if q.kind is InstrumentKind.FUTURES:
-            f = target.simple_forward(q.start, q.end, q.daycount)
-            out[i] = f - q.implied_rate()
-        else:
-            out[i] = fair_quote(q, target, discounting, companions) - q.quote
+        fair, _ = _on_curves(q, target, discounting, companions)
+        out[i] = fair() - q.implied_rate()
     return out
 
 
@@ -289,13 +340,13 @@ def select_pillar_instruments(
 
 
 class _Workspace:
-    """Mutable pillar-df array evaluated through the interp kernels.
+    """Mutable pillar-df array evaluated through ``_kernels``.
 
     The bootstrap mutates one discount factor per root-finding step;
     rebuilding a full curve object each time would dominate the run.
-    Derived arrays (log-discounts, slopes or zero rates) refresh only
-    when marked stale, and ``active`` restricts evaluation to the
-    pillars solved so far during the first sequential pass.
+    The log-discounts and the scheme's knot data refresh only when
+    marked stale, and ``active`` restricts evaluation to the pillars
+    solved so far during the first sequential pass.
     """
 
     __slots__ = ("ts", "dfs", "scheme", "active", "_stale", "_lnp", "_aux")
@@ -318,128 +369,9 @@ class _Workspace:
         ts, dfs = self.ts[:m], self.dfs[:m]
         if self._stale:
             self._lnp = np.log(dfs)
-            if self.scheme is InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC:
-                self._aux = monotone_cubic_slopes(ts, self._lnp)
-            elif self.scheme is InterpScheme.LINEAR_ZERO:
-                self._aux = zero_rates_from_logdf(ts, self._lnp)
+            self._aux = _kernels.knot_data(self.scheme, ts, self._lnp)
             self._stale = False
-        if self.scheme is InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC:
-            return _kernels.eval_log_cubic(t, ts, dfs, self._lnp, self._aux)
-        if self.scheme is InterpScheme.LINEAR_ZERO:
-            return _kernels.eval_linear_zero(t, ts, dfs, self._aux)
-        return _kernels.eval_log_linear(t, ts, dfs, self._lnp)
-
-
-def _compile_residual(
-    q: InstrumentQuote,
-    ref: Date,
-    ws: _Workspace,
-    discounting: YieldCurve | None,
-    companions: dict[int, YieldCurve] | None,
-):
-    """Residual closure over the workspace, arithmetic-identical to
-    ``repricing_errors`` on the finished curve.
-
-    Schedule dates convert to kernel times once; legs living on fixed
-    curves (external discounting, basis companions) freeze to constant
-    arrays.
-    """
-
-    def times(dates) -> np.ndarray:
-        return np.array([(d.serial - ref.serial) / 365.0 for d in dates])
-
-    def disc_getter(dates):
-        t = times(dates)
-        if discounting is not None:
-            const = np.atleast_1d(discounting.discount_time(t))
-            return lambda: const
-        return lambda: ws.df(t)
-
-    k = q.kind
-    if k in (InstrumentKind.DEPOSIT, InstrumentKind.FRA, InstrumentKind.FUTURES):
-        t_pair = times([q.start, q.end])
-        tau = year_fraction(q.start, q.end, q.daycount)
-        target = q.implied_rate()
-
-        def res() -> float:
-            p = ws.df(t_pair)
-            return (p[0] - p[1]) / (tau * p[1]) - target
-
-        return res
-
-    if k is InstrumentKind.SWAP:
-        fdates = _sched(q.start, q.end, q.underlying_tenor)
-        t_float = times(fdates)
-        get_pd = disc_getter(fdates[1:])
-        xdates = _sched(q.start, q.end, q.fixed_frequency)
-        taus = np.array(_taus(xdates, q.daycount))
-        get_pd_fix = disc_getter(xdates[1:])
-
-        def res() -> float:
-            pf = ws.df(t_float)
-            float_pv = float(np.dot(get_pd(), pf[:-1] / pf[1:] - 1.0))
-            return float_pv / float(np.dot(taus, get_pd_fix())) - q.quote
-
-        return res
-
-    if k is InstrumentKind.OIS:
-        t_pair = times([q.start, q.end])
-        xdates = _sched(q.start, q.end, q.fixed_frequency)
-        taus = np.array(_taus(xdates, q.daycount))
-        if discounting is not None:
-            p_const = np.atleast_1d(discounting.discount_time(t_pair))
-            get_p = lambda: p_const
-        else:
-            get_p = lambda: ws.df(t_pair)
-        get_pd_fix = disc_getter(xdates[1:])
-
-        def res() -> float:
-            p = get_p()
-            ann = float(np.dot(taus, get_pd_fix()))
-            return float(p[0] - p[1]) / ann - q.quote
-
-        return res
-
-    if k is InstrumentKind.BASIS_SWAP:
-        short_m, long_m = sorted((q.underlying_tenor, q.second_tenor))
-
-        def leg(months):
-            dates = _sched(q.start, q.end, months)
-            get_pd = disc_getter(dates[1:])
-            if months == q.underlying_tenor:
-                t_leg = times(dates)
-
-                def pv() -> float:
-                    p = ws.df(t_leg)
-                    return float(np.dot(get_pd(), p[:-1] / p[1:] - 1.0))
-
-            else:
-                if not companions or months not in companions:
-                    raise BootstrapError(
-                        f"basis swap leg needs a companion curve for the "
-                        f"{months}M tenor"
-                    )
-                comp = companions[months]
-                ratio = np.atleast_1d(comp.discount(dates))
-                ratio = ratio[:-1] / ratio[1:] - 1.0
-
-                def pv() -> float:
-                    return float(np.dot(get_pd(), ratio))
-
-            return pv
-
-        pv_short, pv_long = leg(short_m), leg(long_m)
-        sdates = _sched(q.start, q.end, short_m)
-        staus = np.array(_taus(sdates, q.float_daycount))
-        get_pd_s = disc_getter(sdates[1:])
-
-        def res() -> float:
-            ann = float(np.dot(staus, get_pd_s()))
-            return (pv_long() - pv_short()) / ann - q.quote
-
-        return res
-
-    raise BootstrapError(f"unknown instrument kind {k!r}")
+        return _kernels.evaluate(self.scheme, t, ts, dfs, self._lnp, self._aux)
 
 
 def bootstrap_curve(
@@ -513,16 +445,17 @@ def _solve_curve(
     ts[0] = 0.0
     ts[1:] = [(d.serial - ref.serial) / 365.0 for d in pillar_dates]
     ws = _Workspace(ts, cfg.interpolation)
-    res_fns = [
-        _compile_residual(q, ref, ws, discount_curve, companions) for q in chosen
+    fairs = [
+        _compile_quote(q, ref, ws.df, discount_curve, companions)[0] for q in chosen
     ]
+    rates = [q.implied_rate() for q in chosen]
     lo, hi = cfg.df_bracket
     rtol = 4 * np.finfo(float).eps
 
     def solve(i: int) -> None:
         def f(df: float) -> float:
             ws.set_df(i, df)
-            return res_fns[i]()
+            return fairs[i]() - rates[i]
 
         x = float(ws.dfs[i + 1])
         width = _SEED_WIDTH if seed is not None and lo < x < hi else None
@@ -555,7 +488,7 @@ def _solve_curve(
 
     # Gauss-Seidel sweeps until every instrument reprices at once.
     for _ in range(cfg.max_sweeps):
-        if max(abs(fn()) for fn in res_fns) <= cfg.tolerance:
+        if max(abs(fair() - rate) for fair, rate in zip(fairs, rates)) <= cfg.tolerance:
             break
         for i in range(n):
             solve(i)
@@ -567,8 +500,8 @@ def _solve_curve(
         cfg.daycount,
         tenor_label,
     )
-    # Closure check through the public pricing path; also guards the
-    # compiled residuals against drifting from it.
+    # Closure check on the finished curve, whose interpolation data is
+    # rebuilt from the solved pillars rather than taken from the workspace.
     worst = np.max(np.abs(
         repricing_errors(chosen, curve, discount_curve, companions)
     ))

@@ -32,7 +32,7 @@ from .bootstrap import (
     read_quotes_csv,
     repricing_errors,
 )
-from .curve import TENOR_LABELS, YieldCurve, tenor_months_from_label
+from .curve import TENOR_LABELS, YieldCurve
 from .interp import InterpScheme
 from .pricer import PRICE_CSV_HEADER, load_portfolio, price_position
 from .quanto import (
@@ -47,6 +47,7 @@ from .risk import (
     delta_ladder,
     hedge_ratios,
     hedged_residual_ladder,
+    pricing_curves,
     project_deltas,
     write_hedge_csv,
     write_ladder_csv,
@@ -148,13 +149,7 @@ def cmd_bootstrap(args) -> int:
         curves[label].save(os.path.join(args.out, f"{label}.json"))
     for label in state.build_order:
         chosen = select_pillar_instruments(sets[label])
-        disc = None if label == "discount" else curves["discount"]
-        companions = {
-            tenor_months_from_label(lbl): c
-            for lbl, c in curves.items()
-            if lbl != label and tenor_months_from_label(lbl) is not None
-        }
-        errs = repricing_errors(chosen, curves[label], disc, companions)
+        errs = repricing_errors(chosen, curves[label], *pricing_curves(label, curves))
         for q, e in zip(chosen, errs):
             print(
                 f"info:repricing:{label}:{q.kind.value}:{q.end.iso()}:{e:+.3e}",

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels
-from .interp import InterpScheme, monotone_cubic_slopes, zero_rates_from_logdf
+from .interp import InterpScheme
 from .timegrid import Date, DayCount, add_months, year_fraction
 
 __all__ = ["YieldCurve", "TENOR_LABELS", "tenor_months_from_label"]
@@ -61,8 +61,7 @@ class YieldCurve:
         "_ts",
         "_dfs",
         "_lnp",
-        "_drv",
-        "_zr",
+        "_aux",
     )
 
     def __init__(
@@ -103,15 +102,7 @@ class YieldCurve:
         self._ts = ts
         self._dfs = all_dfs
         self._lnp = np.log(all_dfs)
-        if self.interpolation is InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC:
-            self._drv = monotone_cubic_slopes(ts, self._lnp)
-            self._zr = None
-        elif self.interpolation is InterpScheme.LINEAR_ZERO:
-            self._drv = None
-            self._zr = zero_rates_from_logdf(ts, self._lnp)
-        else:
-            self._drv = None
-            self._zr = None
+        self._aux = _kernels.knot_data(self.interpolation, ts, self._lnp)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -128,12 +119,9 @@ class YieldCurve:
         arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
         if arr.size and arr.min() < 0.0:
             raise ValueError("cannot discount before the reference date")
-        if self.interpolation is InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC:
-            out = _kernels.eval_log_cubic(arr, self._ts, self._dfs, self._lnp, self._drv)
-        elif self.interpolation is InterpScheme.LINEAR_ZERO:
-            out = _kernels.eval_linear_zero(arr, self._ts, self._dfs, self._zr)
-        else:
-            out = _kernels.eval_log_linear(arr, self._ts, self._dfs, self._lnp)
+        out = _kernels.evaluate(
+            self.interpolation, arr, self._ts, self._dfs, self._lnp, self._aux
+        )
         if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
             return float(out[0])
         return out

@@ -45,6 +45,7 @@ __all__ = [
     "HedgeRow",
     "ProjectionResult",
     "quote_fingerprint",
+    "pricing_curves",
     "delta_ladder",
     "project_deltas",
     "hedge_ratios",
@@ -64,6 +65,22 @@ Override = dict[tuple[str, int], InstrumentQuote]
 
 def _tenor_label(months: int) -> str:
     return f"fwd_{months}M"
+
+
+def pricing_curves(
+    label: str, curves: dict[str, YieldCurve]
+) -> tuple[YieldCurve | None, dict[int, YieldCurve]]:
+    """Discounting curve and basis companions the ``label`` quote set
+    prices against: the ``discount`` curve (None for the discount set
+    itself, which discounts on its own curve) and every other
+    forwarding curve in ``curves`` keyed by tenor months."""
+    disc = None if label == "discount" else curves["discount"]
+    companions = {
+        tenor_months_from_label(lbl): c
+        for lbl, c in curves.items()
+        if lbl != label and tenor_months_from_label(lbl) is not None
+    }
+    return disc, companions
 
 
 class MarketState:
@@ -204,23 +221,11 @@ class MarketState:
             overrides.get((label, i), q)
             for i, q in enumerate(self.quote_sets[label])
         ]
-        if label == "discount":
-            return bootstrap_curve(
-                quotes,
-                self.config_for(label),
-                reference_date=self.reference_date,
-                tenor_label=label,
-                start_curve=start_curve,
-            )
-        companions = {
-            tenor_months_from_label(lbl): c
-            for lbl, c in curves.items()
-            if lbl != label and tenor_months_from_label(lbl) is not None
-        }
+        disc, companions = pricing_curves(label, curves)
         return bootstrap_curve(
             quotes,
             self.config_for(label),
-            discount_curve=curves["discount"],
+            discount_curve=disc,
             companions=companions,
             reference_date=self.reference_date,
             tenor_label=label,
@@ -405,12 +410,7 @@ class HedgeRow:
 def _hedge_position_pv(
     row_label: str, q: InstrumentQuote, curves: dict[str, YieldCurve]
 ) -> float:
-    disc = None if row_label == "discount" else curves["discount"]
-    companions = {
-        tenor_months_from_label(lbl): c
-        for lbl, c in curves.items()
-        if lbl != row_label and tenor_months_from_label(lbl) is not None
-    }
+    disc, companions = pricing_curves(row_label, curves)
     return instrument_pv(q, q.quote, curves[row_label], disc, companions)
 
 

@@ -11,9 +11,17 @@ against them.
 import math
 import warnings
 
+import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from multicurve import Date, DayCount, year_fraction
+from multicurve import (
+    BootstrapError,
+    Date,
+    DayCount,
+    InstrumentKind,
+    generate_schedule,
+    year_fraction,
+)
 
 
 def norm_cdf_erfc(x: float) -> float:
@@ -274,3 +282,97 @@ def reference_capfloor(disc, fwd, dates, strikes, omega, notional, specs,
         kernel = black(f * qa, strike, mu, variance, omega)
         total += notional * disc.discount(d1) * tau * kernel
     return total
+
+
+# ---------------------------------------------------------------------------
+# quote pricing on dates, leg by leg: the reference for the quote
+# arithmetic that multicurve.bootstrap compiles onto kernel times
+# ---------------------------------------------------------------------------
+
+def _reference_leg_pv(curve, disc, dates):
+    """Floating leg PV per unit notional: sum P_d(t_i) (P_f ratio - 1)."""
+    pf = np.atleast_1d(curve.discount(dates))
+    pd_ = np.atleast_1d(disc.discount(dates[1:]))
+    return float(np.dot(pd_, pf[:-1] / pf[1:] - 1.0))
+
+
+def _reference_annuity(disc, dates, dc):
+    taus = np.array([year_fraction(a, b, dc) for a, b in zip(dates[:-1], dates[1:])])
+    pd_ = np.atleast_1d(disc.discount(dates[1:]))
+    return float(np.dot(taus, pd_))
+
+
+def _reference_leg_curve(q, months, target, companions):
+    if months == q.underlying_tenor:
+        return target
+    if companions and months in companions:
+        return companions[months]
+    raise BootstrapError(f"basis swap leg needs a companion curve for the {months}M tenor")
+
+
+def reference_fair_quote(q, target, discounting=None, companions=None):
+    """Model value of the quote in quote units, priced leg by leg on dates."""
+    disc = discounting or target
+    k = q.kind
+    if k in (InstrumentKind.DEPOSIT, InstrumentKind.FRA):
+        return target.simple_forward(q.start, q.end, q.daycount)
+    if k is InstrumentKind.FUTURES:
+        f = target.simple_forward(q.start, q.end, q.daycount)
+        return 100.0 * (1.0 - (f + q.convexity))
+    if k is InstrumentKind.SWAP:
+        float_pv = _reference_leg_pv(
+            target, disc, generate_schedule(q.start, q.end, q.underlying_tenor)
+        )
+        fixed = generate_schedule(q.start, q.end, q.fixed_frequency)
+        return float_pv / _reference_annuity(disc, fixed, q.daycount)
+    if k is InstrumentKind.OIS:
+        p = np.atleast_1d(disc.discount([q.start, q.end]))
+        fixed = generate_schedule(q.start, q.end, q.fixed_frequency)
+        return float(p[0] - p[1]) / _reference_annuity(disc, fixed, q.daycount)
+    if k is InstrumentKind.BASIS_SWAP:
+        short_m, long_m = sorted((q.underlying_tenor, q.second_tenor))
+        short = generate_schedule(q.start, q.end, short_m)
+        long_ = generate_schedule(q.start, q.end, long_m)
+        pv_short = _reference_leg_pv(
+            _reference_leg_curve(q, short_m, target, companions), disc, short
+        )
+        pv_long = _reference_leg_pv(
+            _reference_leg_curve(q, long_m, target, companions), disc, long_
+        )
+        return (pv_long - pv_short) / _reference_annuity(disc, short, q.float_daycount)
+    raise ValueError(f"unknown instrument kind {k!r}")
+
+
+def reference_instrument_pv(q, contract_quote, target, discounting=None,
+                            companions=None, notional=1.0):
+    """PV of a payer position: FRA-style settlement for money-market
+    quotes, (par - contract) times the fixed or spread annuity otherwise."""
+    disc = discounting or target
+    k = q.kind
+    if k in (InstrumentKind.DEPOSIT, InstrumentKind.FRA, InstrumentKind.FUTURES):
+        f = target.simple_forward(q.start, q.end, q.daycount)
+        if k is InstrumentKind.FUTURES:
+            strike = (100.0 - contract_quote) / 100.0 - q.convexity
+        else:
+            strike = contract_quote
+        tau = year_fraction(q.start, q.end, q.daycount)
+        return notional * disc.discount(q.end) * tau * (f - strike)
+    par = reference_fair_quote(q, target, discounting, companions)
+    if k in (InstrumentKind.SWAP, InstrumentKind.OIS):
+        dates = generate_schedule(q.start, q.end, q.fixed_frequency)
+        ann = _reference_annuity(disc, dates, q.daycount)
+    else:
+        dates = generate_schedule(q.start, q.end, min(q.underlying_tenor, q.second_tenor))
+        ann = _reference_annuity(disc, dates, q.float_daycount)
+    return notional * (par - contract_quote) * ann
+
+
+def reference_repricing_errors(quotes, target, discounting=None, companions=None):
+    """Fair-minus-quote per instrument, futures in rate space."""
+    out = np.empty(len(quotes))
+    for i, q in enumerate(quotes):
+        if q.kind is InstrumentKind.FUTURES:
+            out[i] = target.simple_forward(q.start, q.end, q.daycount) - q.implied_rate()
+        else:
+            out[i] = reference_fair_quote(q, target, discounting, companions) - q.quote
+    return out

@@ -66,8 +66,8 @@ def base_market():
 
 @pytest.fixture(scope="module", autouse=True)
 def _warm_kernels(base_market):
-    # touch every numeric kernel once so jit compilation never counts
-    # against a runtime budget
+    # touch every pricing path once so one-off first-call costs never
+    # count against a runtime budget
     _, _, curves = base_market
     disc, fwd = curves["discount"], curves["fwd_6M"]
     t1, t2 = add_months(REF, 12), add_months(REF, 18)

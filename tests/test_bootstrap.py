@@ -1,9 +1,15 @@
 import io
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import (
+    reference_fair_quote,
+    reference_instrument_pv,
+    reference_repricing_errors,
+)
 
 from multicurve import (
     BasisDirection,
@@ -278,6 +284,13 @@ class TestValidation:
                 InstrumentKind.BASIS_SWAP, 3, REF, add_months(REF, 24), 5e-4
             )
 
+    def test_basis_swap_legs_must_differ_in_tenor(self):
+        with pytest.raises(ValueError, match="tenor"):
+            InstrumentQuote(
+                InstrumentKind.BASIS_SWAP, 1, REF, add_months(REF, 12), 5e-4,
+                second_tenor=1,
+            )
+
     def test_infeasible_quote_fails_cleanly(self):
         # a deposit far beyond the discount-factor bracket cannot solve
         with pytest.raises(BootstrapError):
@@ -313,6 +326,65 @@ class TestFairQuoteAndPv:
         assert fair_quote(q, curve) == pytest.approx(
             curve.simple_forward(q.start, q.end, q.daycount), rel=1e-15
         )
+
+
+class TestQuotesMatchDateReference:
+    """``fair_quote``, ``instrument_pv`` and ``repricing_errors`` against
+    the leg-by-leg pricing on dates in ``oracles``: every kind, on one
+    curve and against a separate discounting curve, every scheme."""
+
+    PILLAR_MONTHS = (1, 3, 6, 9, 12, 18, 24, 36, 60, 84, 120, 180, 240, 360)
+
+    def _cases(self, scheme):
+        m = default_market()
+        dates = [add_months(REF, k) for k in self.PILLAR_MONTHS]
+
+        def curve(label, df, ref=REF):
+            return YieldCurve(ref, [(d, df(d)) for d in dates], scheme, tenor_label=label)
+
+        disc = curve("discount", m.discount_df)
+        # each curve reads dates on its own clock
+        disc_later = curve("discount", m.discount_df, REF.add_days(3))
+        fwd = {
+            months: curve(f"fwd_{months}M", lambda d, months=months: m.tenor_df(months, d))
+            for months in (1, 3, 6, 12)
+        }
+        sets = make_quote_sets()
+        sets["fwd_3M"] = [
+            replace(q, convexity=2.5e-4) if q.kind is InstrumentKind.FUTURES else q
+            for q in sets["fwd_3M"]
+        ]
+        cases = [
+            (sets["discount"], disc, None, None),
+            (sets["discount"], fwd[6], disc, None),
+            (sets["fwd_6M"], fwd[6], disc_later, None),
+        ]
+        for months in (6, 3, 1, 12):
+            companions = None if months == 6 else {6: fwd[6]}
+            quotes, target = sets[f"fwd_{months}M"], fwd[months]
+            cases += [(quotes, target, None, companions), (quotes, target, disc, companions)]
+        return cases
+
+    @pytest.mark.parametrize("scheme", list(InterpScheme))
+    def test_every_kind(self, scheme):
+        kinds = set()
+        for quotes, target, disc, companions in self._cases(scheme):
+            got = repricing_errors(quotes, target, disc, companions)
+            want = reference_repricing_errors(quotes, target, disc, companions)
+            assert got.tobytes() == want.tobytes()
+            for q in quotes:
+                kinds.add((q.kind, disc is None))
+                assert fair_quote(q, target, disc, companions) == reference_fair_quote(
+                    q, target, disc, companions
+                )
+                # struck 25bp off the market so the PV is far from zero
+                contract = bump_quote(q, 25e-4).quote
+                pv = instrument_pv(q, contract, target, disc, companions, notional=1e6)
+                ref = reference_instrument_pv(
+                    q, contract, target, disc, companions, notional=1e6
+                )
+                assert pv == pytest.approx(ref, rel=1e-14, abs=0.0)
+        assert kinds == {(k, single) for k in InstrumentKind for single in (True, False)}
 
 
 class TestCurveFromBasis:

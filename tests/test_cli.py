@@ -309,6 +309,24 @@ class TestErrorPaths:
         assert rc == 2
         capsys.readouterr()
 
+    def test_basis_swap_on_one_tenor_exits_input(self, workspace, tmp_path, capsys):
+        csv = tmp_path / "fwd_1M.csv"
+        csv.write_text(
+            "kind,underlying_tenor_months,start,end,quote,"
+            "fixed_freq_months,leg_daycount,second_tenor_months\n"
+            "DEPOSIT,1,2026-06-15,2026-07-15,0.02,12,ACT_360,\n"
+            "BASIS_SWAP,1,2026-06-15,2027-06-15,0.0005,12,ACT_360,1\n"
+        )
+        rc = main([
+            "bootstrap",
+            "--quotes", f"discount={workspace / 'discount.csv'}",
+            "--quotes", f"fwd_1M={csv}",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:input:" in err and "tenor" in err
+
     def test_unsolvable_quote_exits_numerical(self, tmp_path, capsys):
         csv = tmp_path / "quotes.csv"
         csv.write_text(

@@ -119,7 +119,7 @@ class TestLeanFormsMatchReference:
                 rng.uniform(0.0, ts[-1], 40), ts, ts[-1] + rng.uniform(0.0, 20.0, 5),
             ])
             rng.shuffle(t)
-            got = _kernels.np_eval_log_cubic(t, ts, dfs, ys, drv)
+            got = _kernels.eval_log_cubic(t, ts, dfs, ys, drv)
             want = reference_eval_log_cubic(t, ts, dfs, ys, drv)
             assert got.tobytes() == want.tobytes(), (ts, ys, t)
 
@@ -172,40 +172,3 @@ class TestLinearZeroKernel:
         f_end = zr[2] + 2.0 * slope
         got = _kernels.eval_linear_zero(np.array([3.0]), ts, dfs, zr)[0]
         assert got == pytest.approx(math.exp(-zr[2] * 2.0 - f_end * 1.0), rel=1e-14)
-
-
-@pytest.mark.skipif(_kernels.NUMBA_IMPLS is None, reason="numba backend disabled")
-class TestBackendParity:
-    """The jitted loops and the vectorised numpy path must agree."""
-
-    def _data(self):
-        rng = np.random.default_rng(99)
-        ts = np.insert(np.sort(rng.uniform(0.1, 30.0, size=12)), 0, 0.0)
-        lnp = np.insert(np.cumsum(rng.uniform(-0.08, 0.0, size=12)), 0, 0.0)
-        dfs = np.exp(lnp)
-        t = np.concatenate([rng.uniform(0.0, 35.0, size=2000), ts])
-        return ts, dfs, lnp, t
-
-    def test_cubic(self):
-        ts, dfs, lnp, t = self._data()
-        drv = monotone_cubic_slopes(ts, lnp)
-        a = _kernels.NUMBA_IMPLS["cubic"](t, ts, dfs, lnp, drv)
-        b = _kernels.NUMPY_IMPLS["cubic"](t, ts, dfs, lnp, drv)
-        np.testing.assert_allclose(a, b, rtol=1e-14, atol=0.0)
-        assert np.array_equal(a[-len(ts):], dfs)
-        assert np.array_equal(b[-len(ts):], dfs)
-
-    def test_loglinear(self):
-        ts, dfs, lnp, t = self._data()
-        a = _kernels.NUMBA_IMPLS["loglinear"](t, ts, dfs, lnp)
-        b = _kernels.NUMPY_IMPLS["loglinear"](t, ts, dfs, lnp)
-        np.testing.assert_allclose(a, b, rtol=1e-14, atol=0.0)
-        assert np.array_equal(a[-len(ts):], dfs)
-
-    def test_linzero(self):
-        ts, dfs, lnp, t = self._data()
-        zr = zero_rates_from_logdf(ts, lnp)
-        a = _kernels.NUMBA_IMPLS["linzero"](t, ts, dfs, zr)
-        b = _kernels.NUMPY_IMPLS["linzero"](t, ts, dfs, zr)
-        np.testing.assert_allclose(a, b, rtol=1e-14, atol=0.0)
-        assert np.array_equal(a[-len(ts):], dfs)
