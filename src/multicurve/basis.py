@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import YieldCurve
-from .timegrid import Date, DayCount, add_months, year_fraction
+from .timegrid import Date, add_months, year_fractions
 
 __all__ = [
     "ForwardBasisCurve",
@@ -84,28 +84,40 @@ def _check_interval(disc: YieldCurve, t1: Date, t2: Date) -> None:
         raise ValueError("basis interval needs T1 < T2")
 
 
+def _interval_basis(
+    fwd: YieldCurve, disc: YieldCurve, starts: list[Date], ends: list[Date]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Multiplicative basis, additive basis and discounting forward over
+    the intervals [starts[i], ends[i]]; the multiplicative basis is NaN
+    where the discounting forward is exactly zero."""
+    pf1, pf2 = fwd.discount(starts), fwd.discount(ends)
+    pd1, pd2 = disc.discount(starts), disc.discount(ends)
+    tau_d = year_fractions(starts, ends, disc.daycount)
+    denom = pd1 - pd2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mult = np.where(denom != 0.0, (pd2 / pf2) * (pf1 - pf2) / denom, np.nan)
+        add = (pf1 / pf2 - pd1 / pd2) / tau_d
+        fwd_d = denom / (tau_d * pd2)
+    return mult, add, fwd_d
+
+
 def multiplicative_basis(fwd: YieldCurve, disc: YieldCurve, t1: Date, t2: Date) -> float:
     """Multiplicative forward basis BA(t0; T1, T2) between two curves."""
     _check_pair(fwd, disc)
     _check_interval(disc, t1, t2)
-    pf = fwd.discount([t1, t2])
-    pd_ = disc.discount([t1, t2])
-    denom = pd_[0] - pd_[1]
-    if denom == 0.0:
+    mult = _interval_basis(fwd, disc, [t1], [t2])[0][0]
+    if np.isnan(mult):
         raise ZeroDivisionError(
             "multiplicative basis undefined: discounting forward rate is zero"
         )
-    return float((pd_[1] / pf[1]) * (pf[0] - pf[1]) / denom)
+    return float(mult)
 
 
 def additive_basis(fwd: YieldCurve, disc: YieldCurve, t1: Date, t2: Date) -> float:
     """Additive forward basis BA'(t0; T1, T2) in rate units."""
     _check_pair(fwd, disc)
     _check_interval(disc, t1, t2)
-    tau_d = year_fraction(t1, t2, disc.daycount)
-    pf = fwd.discount([t1, t2])
-    pd_ = disc.discount([t1, t2])
-    return float((pf[0] / pf[1] - pd_[0] / pd_[1]) / tau_d)
+    return float(_interval_basis(fwd, disc, [t1], [t2])[1][0])
 
 
 def forward_exchange_rate(fwd: YieldCurve, disc: YieldCurve, t: Date) -> float:
@@ -158,25 +170,7 @@ def basis_term_structure(
     starts = [Date(s) for s in range(ref.serial, anchor.serial + 1, stride_days)]
     ends = [add_months(d, tenor_months) for d in starts]
 
-    pf1 = np.atleast_1d(fwd.discount(starts))
-    pf2 = np.atleast_1d(fwd.discount(ends))
-    pd1 = np.atleast_1d(disc.discount(starts))
-    pd2 = np.atleast_1d(disc.discount(ends))
-    days = np.array([b.serial - a.serial for a, b in zip(starts, ends)], dtype=float)
-    if disc.daycount is DayCount.ACT_360:
-        tau_d = days / 360.0
-    elif disc.daycount is DayCount.ACT_365_FIXED:
-        tau_d = days / 365.0
-    else:
-        tau_d = np.array(
-            [year_fraction(a, b, disc.daycount) for a, b in zip(starts, ends)]
-        )
-
-    denom = pd1 - pd2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mult = np.where(denom != 0.0, (pd2 / pf2) * (pf1 - pf2) / denom, np.nan)
-    add = (pf1 / pf2 - pd1 / pd2) / tau_d
-    fwd_d = denom / (tau_d * pd2)
+    mult, add, fwd_d = _interval_basis(fwd, disc, starts, ends)
     return ForwardBasisCurve(
         forwarding_label=fwd.tenor_label,
         discounting_label=disc.tenor_label,
@@ -203,30 +197,22 @@ def pillar_interval_basis(
         raise ValueError("need at least one interval end date")
     ref = fwd.reference_date
     bounds = [ref] + sorted(dates)
-    t1s, t2s, mult, add, fdisc = [], [], [], [], []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        tau_d = year_fraction(a, b, disc.daycount)
-        pa_f, pb_f = (1.0, fwd.discount(b)) if a == ref else (fwd.discount(a), fwd.discount(b))
-        pa_d, pb_d = (1.0, disc.discount(b)) if a == ref else (disc.discount(a), disc.discount(b))
-        denom = pa_d - pb_d
-        if denom == 0.0:
+    t1s, t2s = bounds[:-1], bounds[1:]
+    mult, add, fdisc = _interval_basis(fwd, disc, t1s, t2s)
+    for a, b, m in zip(t1s, t2s, mult):
+        if np.isnan(m):
             raise ZeroDivisionError(
                 f"zero discounting forward over [{a.iso()}, {b.iso()}]"
             )
-        t1s.append(a)
-        t2s.append(b)
-        mult.append((pb_d / pb_f) * (pa_f - pb_f) / denom)
-        add.append((pa_f / pb_f - pa_d / pb_d) / tau_d)
-        fdisc.append(denom / (tau_d * pb_d))
     return ForwardBasisCurve(
         forwarding_label=fwd.tenor_label,
         discounting_label=disc.tenor_label,
         reference_date=ref,
         t1_dates=t1s,
         t2_dates=t2s,
-        mult=np.array(mult),
-        add=np.array(add),
-        fwd_disc=np.array(fdisc),
+        mult=mult,
+        add=add,
+        fwd_disc=fdisc,
         tenor_months=None,
     )
 

@@ -1,12 +1,13 @@
 """Curve construction from market quotes.
 
 Each quote pins the discount factor at its end date (the pillar).  The
-solver walks pillars in maturity order, root-finding each discount
-factor so the instrument reprices at its quote, then runs Gauss-Seidel
-sweeps over all pillars until the whole set reprices simultaneously.
-Sweeps matter because the monotone cubic is only semi-local: the slope
-stored at knot i reacts to pillars i-1 and i+1, so solving pillar n can
-disturb instruments that matured earlier.
+solver seeds every pillar (from a nearby curve, the discounting curve or
+the quotes' own rates), walks the pillars in maturity order root-finding
+each discount factor so its instrument reprices at its quote, then runs
+Gauss-Seidel sweeps over all pillars until the whole set reprices
+simultaneously.  Sweeps matter because the monotone cubic is only
+semi-local: the slope stored at knot i reacts to pillars i-1 and i+1, so
+solving pillar n can disturb instruments that matured earlier.
 
 Forwarding curves bootstrap against a fixed discounting curve; basis
 swap quotes against one tenor may also reference a companion forwarding
@@ -140,6 +141,11 @@ class BootstrapConfig:
     max_iterations: int = 100
     max_sweeps: int = 8
     df_bracket: tuple[float, float] = (1e-8, 2.0)
+
+    def __post_init__(self):
+        # the solver picks its kernel by identity, so a plain string
+        # ("cubic") must become the enum member the curve will use
+        object.__setattr__(self, "interpolation", InterpScheme(self.interpolation))
 
 
 def _compile_quote(
@@ -344,18 +350,17 @@ class _Workspace:
 
     The bootstrap mutates one discount factor per root-finding step;
     rebuilding a full curve object each time would dominate the run.
-    The log-discounts and the scheme's knot data refresh only when
-    marked stale, and ``active`` restricts evaluation to the pillars
-    solved so far during the first sequential pass.
+    Every pillar holds a value from the start (the seed), so the whole
+    array is always evaluated; the log-discounts and the scheme's knot
+    data refresh only when marked stale.
     """
 
-    __slots__ = ("ts", "dfs", "scheme", "active", "_stale", "_lnp", "_aux")
+    __slots__ = ("ts", "dfs", "scheme", "_stale", "_lnp", "_aux")
 
-    def __init__(self, ts: np.ndarray, scheme: InterpScheme):
+    def __init__(self, ts: np.ndarray, dfs: np.ndarray, scheme: InterpScheme):
         self.ts = ts
-        self.dfs = np.ones_like(ts)
+        self.dfs = dfs
         self.scheme = scheme
-        self.active = 0
         self._stale = True
         self._lnp = None
         self._aux = None
@@ -365,13 +370,13 @@ class _Workspace:
         self._stale = True
 
     def df(self, t: np.ndarray) -> np.ndarray:
-        m = self.active + 1
-        ts, dfs = self.ts[:m], self.dfs[:m]
         if self._stale:
-            self._lnp = np.log(dfs)
-            self._aux = _kernels.knot_data(self.scheme, ts, self._lnp)
+            self._lnp = np.log(self.dfs)
+            self._aux = _kernels.knot_data(self.scheme, self.ts, self._lnp)
             self._stale = False
-        return _kernels.evaluate(self.scheme, t, ts, dfs, self._lnp, self._aux)
+        return _kernels.evaluate(
+            self.scheme, t, self.ts, self.dfs, self._lnp, self._aux
+        )
 
 
 def bootstrap_curve(
@@ -392,14 +397,14 @@ def bootstrap_curve(
     basis swaps.  The reference date defaults to the earliest quote
     start.
 
-    ``start_curve`` seeds the solve with a nearby curve on the same
-    reference date, typically the unbumped one when a single quote has
-    moved.  Every pillar then starts from that curve's discount factor,
-    the sequential first pass is skipped, and each root search starts
-    from a narrow bracket around the current value that widens to
-    ``df_bracket`` only if the root lies outside it.  A seeded solve
-    that fails falls back to the cold one, so a seed changes the cost
-    of a build, never whether the quotes build.
+    Every solve starts from a seed: ``start_curve`` when given (a nearby
+    curve on the same reference date, typically the unbumped one when a
+    single quote has moved), else the discounting curve's discount
+    factors at the pillar dates, else a flat zero rate at each quote's
+    implied rate.  Each pillar's root search starts from a narrow
+    bracket around its current value and widens to ``df_bracket`` only
+    if the root lies outside it, so the seed changes the cost of a
+    build, not whether the quotes build.
     """
     if not quotes:
         raise BootstrapError("no quotes to bootstrap from")
@@ -414,18 +419,20 @@ def bootstrap_curve(
     if discount_curve is not None and discount_curve.reference_date != ref:
         raise BootstrapError("discounting curve has a different reference date")
 
-    args = (chosen, ref, cfg, discount_curve, companions, tenor_label)
-    if start_curve is not None:
-        seed = np.atleast_1d(start_curve.discount([q.end for q in chosen]))
-        try:
-            return _solve_curve(*args, seed)
-        except BootstrapError:
-            pass  # the cold solve below has the last word
-    return _solve_curve(*args, None)
+    pillar_dates = [q.end for q in chosen]
+    ts = np.array([0.0] + [(d.serial - ref.serial) / 365.0 for d in pillar_dates])
+    source = start_curve if start_curve is not None else discount_curve
+    if source is not None:
+        seed = source.discount(pillar_dates)
+    else:
+        seed = np.exp(-np.array([q.implied_rate() for q in chosen]) * ts[1:])
+    return _solve_curve(
+        chosen, ref, cfg, discount_curve, companions, tenor_label, ts, seed
+    )
 
 
-# Relative half-width of the first bracket a seeded pillar solve tries;
-# each bracket without a sign change is widened this many times over.
+# Relative half-width of the first bracket a pillar solve tries; each
+# bracket without a sign change is widened this many times over.
 _SEED_WIDTH = 1e-6
 _SEED_GROWTH = 64.0
 
@@ -437,14 +444,15 @@ def _solve_curve(
     discount_curve: YieldCurve | None,
     companions: dict[int, YieldCurve] | None,
     tenor_label: str,
-    seed: np.ndarray | None,
+    ts: np.ndarray,
+    seed: np.ndarray,
 ) -> YieldCurve:
+    """Solve the pillars from ``seed`` (``ts`` holds the anchor at 0 and
+    the pillar times): one pass, then up to ``max_sweeps`` Gauss-Seidel
+    sweeps while some quote still misses its rate by more than the
+    tolerance."""
     pillar_dates = [q.end for q in chosen]
-    n = len(chosen)
-    ts = np.empty(n + 1)
-    ts[0] = 0.0
-    ts[1:] = [(d.serial - ref.serial) / 365.0 for d in pillar_dates]
-    ws = _Workspace(ts, cfg.interpolation)
+    ws = _Workspace(ts, np.concatenate(([1.0], seed)), cfg.interpolation)
     fairs = [
         _compile_quote(q, ref, ws.df, discount_curve, companions)[0] for q in chosen
     ]
@@ -457,19 +465,17 @@ def _solve_curve(
             ws.set_df(i, df)
             return fairs[i]() - rates[i]
 
-        x = float(ws.dfs[i + 1])
-        width = _SEED_WIDTH if seed is not None and lo < x < hi else None
+        # a seed outside df_bracket starts from the nearer end of it
+        x = min(max(float(ws.dfs[i + 1]), lo), hi)
+        width = _SEED_WIDTH
         while True:
-            if width is None:
-                a, b = lo, hi
-            else:
-                a, b = max(lo, x * (1.0 - width)), min(hi, x * (1.0 + width))
+            a, b = max(lo, x * (1.0 - width)), min(hi, x * (1.0 + width))
             try:
                 root = brentq(f, a, b, xtol=1e-15, rtol=rtol,
                               maxiter=cfg.max_iterations)
                 break
             except (ValueError, ZeroDivisionError) as exc:
-                # a seeded bracket without a sign change widens and retries
+                # a bracket without a sign change widens and retries
                 if isinstance(exc, ValueError) and (a, b) != (lo, hi):
                     width *= _SEED_GROWTH
                     continue
@@ -478,19 +484,12 @@ def _solve_curve(
                 ) from exc
         ws.set_df(i, float(root))
 
-    if seed is None:
-        for i in range(n):
-            ws.active = i + 1
-            solve(i)
-    else:
-        ws.dfs[1:] = seed
-        ws.active = n
-
-    # Gauss-Seidel sweeps until every instrument reprices at once.
-    for _ in range(cfg.max_sweeps):
-        if max(abs(fair() - rate) for fair, rate in zip(fairs, rates)) <= cfg.tolerance:
+    for sweep in range(cfg.max_sweeps + 1):
+        if sweep and max(
+            abs(fair() - rate) for fair, rate in zip(fairs, rates)
+        ) <= cfg.tolerance:
             break
-        for i in range(n):
+        for i in range(len(chosen)):
             solve(i)
 
     curve = YieldCurve(

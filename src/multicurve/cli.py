@@ -56,12 +56,6 @@ from .timegrid import Date
 
 __all__ = ["main", "build_parser"]
 
-_INTERP_NAMES = {
-    "cubic": InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC,
-    "linzero": InterpScheme.LINEAR_ZERO,
-    "loglinear": InterpScheme.LOG_LINEAR_DISCOUNT,
-}
-
 QUANTO_CSV_HEADER = "rho,sigma_f,sigma_X,QA_mult,QA_add_bp"
 
 
@@ -141,7 +135,7 @@ def cmd_bootstrap(args) -> int:
     ref = min(q.start for quotes in sets.values() for q in quotes)
     if args.reference_date:
         ref = Date.parse(args.reference_date)
-    config = BootstrapConfig(interpolation=_INTERP_NAMES[args.interp])
+    config = BootstrapConfig(interpolation=args.interp)
     state = MarketState(ref, sets, config=config)
     curves = state.base_curves()
     os.makedirs(args.out, exist_ok=True)
@@ -322,7 +316,7 @@ def cmd_risk(args) -> int:
     ref = min(q.start for quotes in sets.values() for q in quotes)
     if args.reference_date:
         ref = Date.parse(args.reference_date)
-    config = BootstrapConfig(interpolation=_INTERP_NAMES[args.interp])
+    config = BootstrapConfig(interpolation=args.interp)
     state = MarketState(ref, sets, config=config)
     bump = args.bump_bp * 1e-4
 
@@ -389,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_interp(sp):
         sp.add_argument(
-            "--interp", choices=sorted(_INTERP_NAMES), default="cubic",
+            "--interp", choices=sorted(s.value for s in InterpScheme), default="cubic",
             help="interpolation scheme for bootstrapped curves",
         )
 

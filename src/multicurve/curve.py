@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .interp import InterpScheme
-from .timegrid import Date, DayCount, add_months, year_fraction
+from .timegrid import Date, DayCount, add_months, year_fraction, year_fractions
 
 __all__ = ["YieldCurve", "TENOR_LABELS", "tenor_months_from_label"]
 
@@ -192,12 +192,7 @@ class YieldCurve:
         t2 = self.times(ends)
         p1 = np.atleast_1d(self.discount_time(t1))
         p2 = np.atleast_1d(self.discount_time(t2))
-        if dc is DayCount.ACT_360:
-            taus = np.array([(b.serial - a.serial) for a, b in zip(starts, ends)]) / 360.0
-        elif dc is DayCount.ACT_365_FIXED:
-            taus = np.array([(b.serial - a.serial) for a, b in zip(starts, ends)]) / 365.0
-        else:
-            taus = np.array([year_fraction(a, b, dc) for a, b in zip(starts, ends)])
+        taus = year_fractions(starts, ends, dc)
         rates = (p1 - p2) / (taus * p2)
         return list(zip(starts, rates.tolist()))
 

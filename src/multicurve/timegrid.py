@@ -13,11 +13,14 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+import numpy as np
+
 __all__ = [
     "Date",
     "DayCount",
     "ScheduleSpec",
     "year_fraction",
+    "year_fractions",
     "add_months",
     "generate_schedule",
     "cached_schedule",
@@ -104,6 +107,18 @@ def year_fraction(start: Date, end: Date, daycount: DayCount) -> float:
             + (d2 - d1)
         ) / 360.0
     raise ValueError(f"unsupported day count {daycount!r}")
+
+
+def year_fractions(starts, ends, daycount: DayCount) -> np.ndarray:
+    """``year_fraction`` over paired start and end dates, as an array.
+
+    The ACT conventions divide whole day counts at once; THIRTY_360
+    goes date by date.
+    """
+    if daycount is DayCount.ACT_360 or daycount is DayCount.ACT_365_FIXED:
+        days = np.array([b.serial - a.serial for a, b in zip(starts, ends)], dtype=float)
+        return days / (360.0 if daycount is DayCount.ACT_360 else 365.0)
+    return np.array([year_fraction(a, b, daycount) for a, b in zip(starts, ends)])
 
 
 def add_months(date: Date, months: int) -> Date:

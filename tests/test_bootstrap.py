@@ -2,9 +2,12 @@ import io
 import logging
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     reference_fair_quote,
     reference_instrument_pv,
@@ -34,6 +37,7 @@ from multicurve import (
     write_quotes_csv,
     year_fraction,
 )
+from multicurve.risk import MarketState, pricing_curves
 from multicurve.synthetic import default_market, make_ois_quotes, make_quote_sets
 
 REF = Date.of(2026, 6, 15)
@@ -190,7 +194,8 @@ class TestSweeps:
 
 
 class TestSeededBuild:
-    """A rebuild seeded from a nearby curve closes like a cold build."""
+    """A rebuild seeded from a nearby curve closes like one seeded from
+    the discounting curve or the quotes' own rates."""
 
     def setup_method(self):
         self.sets = make_quote_sets()
@@ -235,6 +240,92 @@ class TestSeededBuild:
         base = bootstrap_curve([depo(6, 0.02)], reference_date=REF)
         with pytest.raises(BootstrapError):
             bootstrap_curve([depo(6, -3.0)], reference_date=REF, start_curve=base)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("scheme", list(InterpScheme))
+    def test_interpolation_name_builds_like_the_enum(self, scheme):
+        quotes = make_quote_sets()["discount"]
+        by_enum = bootstrap_curve(
+            quotes, BootstrapConfig(interpolation=scheme), reference_date=REF
+        )
+        by_name = bootstrap_curve(
+            quotes, BootstrapConfig(interpolation=scheme.value), reference_date=REF
+        )
+        assert BootstrapConfig(interpolation=scheme.value).interpolation is scheme
+        assert by_name.pillar_dfs.tobytes() == by_enum.pillar_dfs.tobytes()
+
+    def test_unknown_interpolation_name(self):
+        with pytest.raises(ValueError):
+            BootstrapConfig(interpolation="spline")
+
+
+@lru_cache(maxsize=None)
+def _base_state(scheme: InterpScheme) -> MarketState:
+    state = MarketState(REF, make_quote_sets(), BootstrapConfig(interpolation=scheme))
+    state.base_curves()
+    return state
+
+
+@st.composite
+def _bumped_set(draw):
+    """A scheme, a curve label of the default market and its quote set
+    with one to three quotes moved by 1 bp to 5% either way."""
+    scheme = draw(st.sampled_from(list(InterpScheme)))
+    sets = _base_state(scheme).quote_sets
+    label = draw(st.sampled_from(list(sets)))
+    quotes = list(sets[label])
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(quotes) - 1))
+        size = draw(st.floats(1e-4, 5e-2)) * draw(st.sampled_from((-1.0, 1.0)))
+        quotes[i] = bump_quote(quotes[i], size)
+    return scheme, label, quotes
+
+
+def _build(scheme, label, quotes, seeded):
+    state = _base_state(scheme)
+    base = state.base_curves()
+    disc, companions = pricing_curves(label, base)
+    curve = bootstrap_curve(
+        quotes, state.config_for(label), discount_curve=disc,
+        companions=companions, reference_date=REF,
+        start_curve=base[label] if seeded else None,
+    )
+    return curve, disc, companions
+
+
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
+
+
+class TestBumpedSetProperties:
+    """Whatever the seed, a bumped quote set builds a curve that closes
+    or fails loudly, and the seed does not change the answer."""
+
+    @_PROPERTY
+    @given(_bumped_set())
+    def test_closes_or_raises(self, case):
+        scheme, label, quotes = case
+        try:
+            curve, disc, companions = _build(scheme, label, quotes, seeded=False)
+        except BootstrapError:
+            return
+        assert np.all(np.isfinite(curve.pillar_dfs))
+        resid = repricing_errors(quotes, curve, disc, companions)
+        assert np.max(np.abs(resid)) <= 1e-12
+
+    @_PROPERTY
+    @given(_bumped_set())
+    def test_seed_does_not_change_the_build(self, case):
+        built = []
+        for seeded in (False, True):
+            try:
+                built.append(_build(*case, seeded=seeded)[0].pillar_dfs)
+            except BootstrapError:
+                built.append(None)
+        if built[0] is None or built[1] is None:
+            assert built[0] is None and built[1] is None
+            return
+        np.testing.assert_allclose(built[1], built[0], rtol=1e-10, atol=0.0)
 
 
 class TestPillarSelection:

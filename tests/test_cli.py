@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import multicurve
 from multicurve import YieldCurve, write_quotes_csv
 from multicurve.cli import QUANTO_CSV_HEADER, main
 from multicurve.synthetic import make_quote_sets
@@ -344,9 +347,12 @@ class TestErrorPaths:
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         out = tmp_path / "quanto.csv"
+        # the child imports the same package as this process, installed or not
+        src = str(Path(multicurve.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "multicurve.cli", "quanto", "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert out.read_text().startswith("# multicurve-pricer v")
