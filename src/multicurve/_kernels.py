@@ -3,7 +3,7 @@
 Every discount-factor lookup funnels through one of three vectorised
 numpy kernels, one per interpolation scheme.  ``knot_data`` builds the
 per-knot data a scheme's kernel needs and ``evaluate`` picks the
-kernel; ``YieldCurve`` and the bootstrap workspace both go through
+kernel; ``YieldCurve`` and the bootstrap residuals both go through
 these two, so no other module branches on the scheme to evaluate a
 curve.  ``evaluate`` looks the kernels up as module globals on every
 call, so a kernel replaced on this module is the one that runs.

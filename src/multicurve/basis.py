@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import YieldCurve
-from .timegrid import Date, add_months, year_fractions
+from .timegrid import Date, roll_months, year_fractions
 
 __all__ = [
     "ForwardBasisCurve",
@@ -47,29 +47,39 @@ BASIS_CSV_HEADER = "date,T1,T2,BA_mult,BA_add_bp"
 class ForwardBasisCurve:
     """A sampled basis term structure between two curves.
 
-    ``tenor_months`` is set for rolling fixed-tenor samples and None for
-    irregular interval grids (e.g. pillar-to-pillar).  ``fwd_disc`` holds
-    the simply compounded discounting-curve forward of each interval; it
-    is what links the additive and multiplicative representations.
+    ``t1``/``t2`` hold the interval start and end dates as int64 serial
+    days; ``t1_dates``, ``t2_dates`` and ``fixing_times`` are derived
+    from them on demand.  ``tenor_months`` is set for rolling
+    fixed-tenor samples and None for irregular interval grids (e.g.
+    pillar-to-pillar).  ``fwd_disc`` holds the simply compounded
+    discounting-curve forward of each interval; it is what links the
+    additive and multiplicative representations.
     """
 
     forwarding_label: str
     discounting_label: str
     reference_date: Date
-    t1_dates: list[Date]
-    t2_dates: list[Date]
+    t1: np.ndarray
+    t2: np.ndarray
     mult: np.ndarray
     add: np.ndarray
     fwd_disc: np.ndarray
     tenor_months: int | None = None
 
     def __len__(self) -> int:
-        return len(self.t1_dates)
+        return len(self.t1)
+
+    @property
+    def t1_dates(self) -> list[Date]:
+        return list(map(Date, self.t1.tolist()))
+
+    @property
+    def t2_dates(self) -> list[Date]:
+        return list(map(Date, self.t2.tolist()))
 
     def fixing_times(self) -> np.ndarray:
         """Interval start times on the internal clock (ACT/365F years)."""
-        ref = self.reference_date.serial
-        return np.array([(d.serial - ref) / 365.0 for d in self.t1_dates])
+        return (self.t1 - self.reference_date.serial) / 365.0
 
 
 def _check_pair(fwd: YieldCurve, disc: YieldCurve) -> None:
@@ -85,13 +95,16 @@ def _check_interval(disc: YieldCurve, t1: Date, t2: Date) -> None:
 
 
 def _interval_basis(
-    fwd: YieldCurve, disc: YieldCurve, starts: list[Date], ends: list[Date]
+    fwd: YieldCurve, disc: YieldCurve, starts: np.ndarray, ends: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Multiplicative basis, additive basis and discounting forward over
-    the intervals [starts[i], ends[i]]; the multiplicative basis is NaN
-    where the discounting forward is exactly zero."""
-    pf1, pf2 = fwd.discount(starts), fwd.discount(ends)
-    pd1, pd2 = disc.discount(starts), disc.discount(ends)
+    the intervals [starts[i], ends[i]] of serial days; the
+    multiplicative basis is NaN where the discounting forward is exactly
+    zero."""
+    ref = fwd.reference_date.serial
+    t1, t2 = (starts - ref) / 365.0, (ends - ref) / 365.0
+    pf1, pf2 = fwd.discount_time(t1), fwd.discount_time(t2)
+    pd1, pd2 = disc.discount_time(t1), disc.discount_time(t2)
     tau_d = year_fractions(starts, ends, disc.daycount)
     denom = pd1 - pd2
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -101,11 +114,17 @@ def _interval_basis(
     return mult, add, fwd_d
 
 
-def multiplicative_basis(fwd: YieldCurve, disc: YieldCurve, t1: Date, t2: Date) -> float:
-    """Multiplicative forward basis BA(t0; T1, T2) between two curves."""
+def _one_interval(fwd: YieldCurve, disc: YieldCurve, t1: Date, t2: Date):
     _check_pair(fwd, disc)
     _check_interval(disc, t1, t2)
-    mult = _interval_basis(fwd, disc, [t1], [t2])[0][0]
+    return _interval_basis(
+        fwd, disc, np.array([t1.serial]), np.array([t2.serial])
+    )
+
+
+def multiplicative_basis(fwd: YieldCurve, disc: YieldCurve, t1: Date, t2: Date) -> float:
+    """Multiplicative forward basis BA(t0; T1, T2) between two curves."""
+    mult = _one_interval(fwd, disc, t1, t2)[0][0]
     if np.isnan(mult):
         raise ZeroDivisionError(
             "multiplicative basis undefined: discounting forward rate is zero"
@@ -115,9 +134,7 @@ def multiplicative_basis(fwd: YieldCurve, disc: YieldCurve, t1: Date, t2: Date) 
 
 def additive_basis(fwd: YieldCurve, disc: YieldCurve, t1: Date, t2: Date) -> float:
     """Additive forward basis BA'(t0; T1, T2) in rate units."""
-    _check_pair(fwd, disc)
-    _check_interval(disc, t1, t2)
-    return float(_interval_basis(fwd, disc, [t1], [t2])[1][0])
+    return float(_one_interval(fwd, disc, t1, t2)[1][0])
 
 
 def forward_exchange_rate(fwd: YieldCurve, disc: YieldCurve, t: Date) -> float:
@@ -162,21 +179,21 @@ def basis_term_structure(
     _check_pair(fwd, disc)
     if tenor_months <= 0 or stride_days <= 0:
         raise ValueError("tenor and stride must be positive")
-    ref = fwd.reference_date
-    last = min(fwd.pillar_dates[-1], disc.pillar_dates[-1])
-    anchor = add_months(last, -tenor_months)
+    ref = fwd.reference_date.serial
+    last = min(fwd.pillar_dates[-1], disc.pillar_dates[-1]).serial
+    anchor = int(roll_months(last, -tenor_months))
     if anchor < ref:
         raise ValueError("curves too short for the requested tenor")
-    starts = [Date(s) for s in range(ref.serial, anchor.serial + 1, stride_days)]
-    ends = [add_months(d, tenor_months) for d in starts]
+    starts = np.arange(ref, anchor + 1, stride_days, dtype=np.int64)
+    ends = roll_months(starts, tenor_months)
 
     mult, add, fwd_d = _interval_basis(fwd, disc, starts, ends)
     return ForwardBasisCurve(
         forwarding_label=fwd.tenor_label,
         discounting_label=disc.tenor_label,
-        reference_date=ref,
-        t1_dates=starts,
-        t2_dates=ends,
+        reference_date=fwd.reference_date,
+        t1=starts,
+        t2=ends,
         mult=mult,
         add=add,
         fwd_disc=fwd_d,
@@ -196,20 +213,23 @@ def pillar_interval_basis(
     if not dates:
         raise ValueError("need at least one interval end date")
     ref = fwd.reference_date
-    bounds = [ref] + sorted(dates)
-    t1s, t2s = bounds[:-1], bounds[1:]
+    bounds = np.array([ref.serial] + sorted(d.serial for d in dates), dtype=np.int64)
+    # copies: the two arrays must not share memory
+    t1s, t2s = bounds[:-1].copy(), bounds[1:].copy()
     mult, add, fdisc = _interval_basis(fwd, disc, t1s, t2s)
-    for a, b, m in zip(t1s, t2s, mult):
-        if np.isnan(m):
-            raise ZeroDivisionError(
-                f"zero discounting forward over [{a.iso()}, {b.iso()}]"
-            )
+    bad = np.isnan(mult)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ZeroDivisionError(
+            f"zero discounting forward over "
+            f"[{Date(int(t1s[i])).iso()}, {Date(int(t2s[i])).iso()}]"
+        )
     return ForwardBasisCurve(
         forwarding_label=fwd.tenor_label,
         discounting_label=disc.tenor_label,
         reference_date=ref,
-        t1_dates=t1s,
-        t2_dates=t2s,
+        t1=t1s,
+        t2=t2s,
         mult=mult,
         add=add,
         fwd_disc=fdisc,

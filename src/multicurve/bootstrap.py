@@ -1,13 +1,16 @@
 """Curve construction from market quotes.
 
-Each quote pins the discount factor at its end date (the pillar).  The
-solver seeds every pillar (from a nearby curve, the discounting curve or
-the quotes' own rates), walks the pillars in maturity order root-finding
-each discount factor so its instrument reprices at its quote, then runs
-Gauss-Seidel sweeps over all pillars until the whole set reprices
-simultaneously.  Sweeps matter because the monotone cubic is only
-semi-local: the slope stored at knot i reacts to pillars i-1 and i+1, so
-solving pillar n can disturb instruments that matured earlier.
+Each quote pins the discount factor at its end date (the pillar).  A
+curve's pillar log-discounts ln p solve R(ln p) = 0, where R holds every
+quote's fair value minus its quote in rate space.  Each quote is
+compiled once (``_compile_quote`` is the only quote arithmetic), and R
+costs one knot-data build and one kernel call over all the times the
+quotes read.  Damped Newton solves all pillars of a curve together from
+a seed (a nearby curve, the discounting curve or the quotes' own rates),
+with the Jacobian taken by forward differences.  Solving them together
+matters because the monotone cubic is only semi-local: the slope stored
+at knot i reacts to pillars i-1 and i+1, so solving pillar n alone can
+disturb instruments that matured earlier.
 
 Forwarding curves bootstrap against a fixed discounting curve; basis
 swap quotes against one tenor may also reference a companion forwarding
@@ -24,7 +27,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import _kernels
 from .basis import ForwardBasisCurve
@@ -135,11 +137,17 @@ class InstrumentQuote:
 
 @dataclass(frozen=True)
 class BootstrapConfig:
+    """Curve scheme and solver settings.
+
+    ``tolerance`` bounds every quote's repricing residual in rate units;
+    ``max_iterations`` caps the Newton iterations; every solved pillar
+    discount factor must lie inside ``df_bracket``.
+    """
+
     interpolation: InterpScheme = InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC
     daycount: DayCount = DayCount.ACT_360
     tolerance: float = 1e-12
     max_iterations: int = 100
-    max_sweeps: int = 8
     df_bracket: tuple[float, float] = (1e-8, 2.0)
 
     def __post_init__(self):
@@ -159,8 +167,8 @@ def _compile_quote(
 
     ``df`` maps an array of times (ACT/365F years from ``ref``) to
     discount factors on the curve that projects the quote's own tenor:
-    the bootstrap workspace while solving, ``YieldCurve.discount_time``
-    on a finished curve.  Without ``discounting`` the same source
+    slices of the bootstrap's batched evaluation while solving,
+    ``YieldCurve.discount_time`` on a finished curve.  Without ``discounting`` the same source
     discounts.  Schedule dates convert to times once; legs living on
     curves that stay fixed (external discounting, basis companions)
     freeze to constant arrays, each read on its own curve's clock.
@@ -171,8 +179,8 @@ def _compile_quote(
     in that rate into PV per unit notional: P_d(end) * tau for
     money-market quotes, the fixed or spread leg annuity otherwise.
     The weight of a money-market quote reads the discount curve only
-    when called, so the solver, which never asks for it, makes one
-    kernel call per money-market residual.
+    when called; the solver never asks for it, so its times stay out of
+    the solver's batch.
     """
 
     def times(dates) -> np.ndarray:
@@ -345,38 +353,61 @@ def select_pillar_instruments(
     return [by_end[s] for s in sorted(by_end)]
 
 
-class _Workspace:
-    """Mutable pillar-df array evaluated through ``_kernels``.
+class _Residuals:
+    """Residual vector R(ln p) of a quote set on the curve being solved.
 
-    The bootstrap mutates one discount factor per root-finding step;
-    rebuilding a full curve object each time would dominate the run.
-    Every pillar holds a value from the start (the seed), so the whole
-    array is always evaluated; the log-discounts and the scheme's knot
-    data refresh only when marked stale.
+    Each quote is compiled once, with this object as the ``df`` source
+    of its closures.  A dry call on unit discount factors records every
+    time array the closures read, in call order; each evaluation then
+    builds the scheme's knot data once, evaluates all recorded times in
+    one kernel call and serves the closures consecutive slices of the
+    result.  The closures read their arrays in the same order on every
+    call, so the slices line up.  The pillar discount factors are
+    ``exp(ln p)`` and the kernel reads ``log`` of them, exactly as a
+    ``YieldCurve`` built from the same discount factors does.
     """
 
-    __slots__ = ("ts", "dfs", "scheme", "_stale", "_lnp", "_aux")
+    __slots__ = ("ts", "dfs", "scheme", "fairs", "rates",
+                 "_recorded", "_batch", "_p", "_at")
 
-    def __init__(self, ts: np.ndarray, dfs: np.ndarray, scheme: InterpScheme):
+    def __init__(self, chosen, ref, ts, scheme, discount_curve, companions):
         self.ts = ts
-        self.dfs = dfs
+        self.dfs = np.ones(ts.shape[0])
         self.scheme = scheme
-        self._stale = True
-        self._lnp = None
-        self._aux = None
+        self.fairs = [
+            _compile_quote(q, ref, self._df, discount_curve, companions)[0]
+            for q in chosen
+        ]
+        self.rates = np.array([q.implied_rate() for q in chosen])
+        self._recorded: list[np.ndarray] | None = []
+        for fair in self.fairs:
+            fair()
+        recorded, self._recorded = self._recorded, None
+        self._batch = np.concatenate(recorded) if recorded else np.empty(0)
 
-    def set_df(self, i: int, df: float) -> None:
-        self.dfs[i + 1] = df
-        self._stale = True
+    def _df(self, t: np.ndarray) -> np.ndarray:
+        if self._recorded is not None:
+            self._recorded.append(t)
+            return np.ones(t.shape[0])
+        i = self._at
+        self._at = i + t.shape[0]
+        return self._p[i:self._at]
 
-    def df(self, t: np.ndarray) -> np.ndarray:
-        if self._stale:
-            self._lnp = np.log(self.dfs)
-            self._aux = _kernels.knot_data(self.scheme, self.ts, self._lnp)
-            self._stale = False
-        return _kernels.evaluate(
-            self.scheme, t, self.ts, self.dfs, self._lnp, self._aux
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        self.dfs[1:] = np.exp(x)
+        lnp = np.log(self.dfs)
+        aux = _kernels.knot_data(self.scheme, self.ts, lnp)
+        self._p = _kernels.evaluate(
+            self.scheme, self._batch, self.ts, self.dfs, lnp, aux
         )
+        self._at = 0
+        try:
+            r = np.array([fair() for fair in self.fairs]) - self.rates
+        except ZeroDivisionError:
+            # an annuity that underflowed to zero: no finite residual here
+            return np.full(len(self.fairs), np.nan)
+        assert self._at == self._batch.shape[0]
+        return r
 
 
 def bootstrap_curve(
@@ -401,10 +432,7 @@ def bootstrap_curve(
     curve on the same reference date, typically the unbumped one when a
     single quote has moved), else the discounting curve's discount
     factors at the pillar dates, else a flat zero rate at each quote's
-    implied rate.  Each pillar's root search starts from a narrow
-    bracket around its current value and widens to ``df_bracket`` only
-    if the root lies outside it, so the seed changes the cost of a
-    build, not whether the quotes build.
+    implied rate.  A nearby seed closes in one or two Newton iterations.
     """
     if not quotes:
         raise BootstrapError("no quotes to bootstrap from")
@@ -431,10 +459,10 @@ def bootstrap_curve(
     )
 
 
-# Relative half-width of the first bracket a pillar solve tries; each
-# bracket without a sign change is widened this many times over.
-_SEED_WIDTH = 1e-6
-_SEED_GROWTH = 64.0
+# Step in ln DF of the forward-difference Jacobian columns.
+_FD_STEP = 1e-7
+# Halvings of one Newton step tried before the solve gives up.
+_MAX_HALVINGS = 40
 
 
 def _solve_curve(
@@ -447,67 +475,83 @@ def _solve_curve(
     ts: np.ndarray,
     seed: np.ndarray,
 ) -> YieldCurve:
-    """Solve the pillars from ``seed`` (``ts`` holds the anchor at 0 and
-    the pillar times): one pass, then up to ``max_sweeps`` Gauss-Seidel
-    sweeps while some quote still misses its rate by more than the
-    tolerance."""
-    pillar_dates = [q.end for q in chosen]
-    ws = _Workspace(ts, np.concatenate(([1.0], seed)), cfg.interpolation)
-    fairs = [
-        _compile_quote(q, ref, ws.df, discount_curve, companions)[0] for q in chosen
-    ]
-    rates = [q.implied_rate() for q in chosen]
+    """Solve R(ln p) = 0 for the pillar log-discounts by damped Newton
+    from ``seed`` (``ts`` holds the anchor at 0 and the pillar times).
+
+    The Jacobian comes from one forward difference per pillar; a step
+    is halved while the residual it reaches is non-finite or no smaller
+    (in the sum of squares) than the current one.
+    """
+    n = len(chosen)
     lo, hi = cfg.df_bracket
-    rtol = 4 * np.finfo(float).eps
+    it = 0
 
-    def solve(i: int) -> None:
-        def f(df: float) -> float:
-            ws.set_df(i, df)
-            return fairs[i]() - rates[i]
+    def fail(reason: str, r: np.ndarray) -> BootstrapError:
+        return BootstrapError(
+            f"{tenor_label} curve: {reason} after {it} Newton iterations, "
+            f"worst residual {np.max(np.abs(r)):.3e} "
+            f"(tolerance {cfg.tolerance:g})"
+        )
 
+    with np.errstate(all="ignore"):
+        residuals = _Residuals(
+            chosen, ref, ts, cfg.interpolation, discount_curve, companions
+        )
         # a seed outside df_bracket starts from the nearer end of it
-        x = min(max(float(ws.dfs[i + 1]), lo), hi)
-        width = _SEED_WIDTH
-        while True:
-            a, b = max(lo, x * (1.0 - width)), min(hi, x * (1.0 + width))
-            try:
-                root = brentq(f, a, b, xtol=1e-15, rtol=rtol,
-                              maxiter=cfg.max_iterations)
-                break
-            except (ValueError, ZeroDivisionError) as exc:
-                # a bracket without a sign change widens and retries
-                if isinstance(exc, ValueError) and (a, b) != (lo, hi):
-                    width *= _SEED_GROWTH
-                    continue
-                raise BootstrapError(
-                    f"pillar {pillar_dates[i].iso()} failed to solve: {exc}"
-                ) from exc
-        ws.set_df(i, float(root))
+        x = np.log(np.clip(seed, lo, hi))
+        r = residuals(x)
+        if not np.all(np.isfinite(r)):
+            raise fail("non-finite residual at the seed", r)
+        while np.max(np.abs(r)) > cfg.tolerance:
+            if it == cfg.max_iterations:
+                raise fail("no convergence", r)
+            it += 1
+            jac = np.empty((n, n))
+            for j in range(n):
+                xj = x.copy()
+                xj[j] += _FD_STEP
+                jac[:, j] = (residuals(xj) - r) / (xj[j] - x[j])
+            if not np.all(np.isfinite(jac)):
+                raise fail("non-finite Jacobian", r)
+            if np.linalg.cond(jac) > 1.0 / np.finfo(float).eps:
+                raise fail("singular Jacobian", r)
+            step = np.linalg.solve(jac, -r)
+            if not np.all(np.isfinite(step)):
+                raise fail("non-finite Newton step", r)
+            size = r @ r
+            for _ in range(_MAX_HALVINGS):
+                trial = x + step
+                r_trial = residuals(trial)
+                if np.all(np.isfinite(r_trial)) and r_trial @ r_trial < size:
+                    break
+                step *= 0.5
+            else:
+                raise fail("no step reduces the residual", r)
+            x, r = trial, r_trial
 
-    for sweep in range(cfg.max_sweeps + 1):
-        if sweep and max(
-            abs(fair() - rate) for fair, rate in zip(fairs, rates)
-        ) <= cfg.tolerance:
-            break
-        for i in range(len(chosen)):
-            solve(i)
-
+    dfs = np.exp(x)
+    if dfs.min() < lo or dfs.max() > hi:
+        raise fail(
+            f"solved discount factors [{dfs.min():.6g}, {dfs.max():.6g}] "
+            f"leave df_bracket {cfg.df_bracket}", r,
+        )
+    pillar_dates = [q.end for q in chosen]
     curve = YieldCurve(
         ref,
-        list(zip(pillar_dates, ws.dfs[1:].tolist())),
+        list(zip(pillar_dates, dfs.tolist())),
         cfg.interpolation,
         cfg.daycount,
         tenor_label,
     )
     # Closure check on the finished curve, whose interpolation data is
-    # rebuilt from the solved pillars rather than taken from the workspace.
+    # rebuilt from the solved pillars rather than taken from the solve.
     worst = np.max(np.abs(
         repricing_errors(chosen, curve, discount_curve, companions)
     ))
     if worst > cfg.tolerance:
         raise BootstrapError(
-            f"bootstrap failed to converge: residual {worst:.3e} above "
-            f"tolerance {cfg.tolerance:g} after {cfg.max_sweeps} sweeps"
+            f"{tenor_label} curve failed to converge: residual {worst:.3e} "
+            f"above tolerance {cfg.tolerance:g} after {it} Newton iterations"
         )
     return curve
 
@@ -541,15 +585,15 @@ def curve_from_basis(
     """
     if len(basis) == 0:
         raise BootstrapError("empty basis term structure")
-    if basis.t1_dates[0] != base.reference_date:
+    ref = base.reference_date
+    if basis.t1[0] != ref.serial:
         raise BootstrapError("basis intervals must start at the reference date")
-    for a, b in zip(basis.t2_dates[:-1], basis.t1_dates[1:]):
-        if a != b:
-            raise BootstrapError("basis intervals must chain end-to-start")
+    if np.any(basis.t2[:-1] != basis.t1[1:]):
+        raise BootstrapError("basis intervals must chain end-to-start")
     if not np.all(np.isfinite(basis.mult)):
         raise BootstrapError("basis contains non-finite multiplicative entries")
 
-    p_base = np.atleast_1d(base.discount(basis.t2_dates))
+    p_base = base.discount_time((basis.t2 - ref.serial) / 365.0)
     p_prev_base = 1.0
     p_prev = 1.0
     pillars = []
@@ -575,7 +619,7 @@ def curve_from_basis(
         else basis.discounting_label
     )
     return YieldCurve(
-        base.reference_date,
+        ref,
         pillars,
         interpolation or base.interpolation,
         daycount or base.daycount,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .interp import InterpScheme
-from .timegrid import Date, DayCount, add_months, year_fraction, year_fractions
+from .timegrid import Date, DayCount, roll_months, year_fraction, year_fractions
 
 __all__ = ["YieldCurve", "TENOR_LABELS", "tenor_months_from_label"]
 
@@ -178,23 +178,18 @@ class YieldCurve:
             raise ValueError("tenor must be positive")
         if stride_days <= 0:
             raise ValueError("stride must be positive")
-        last = self.pillar_dates[-1]
-        end_anchor = add_months(last, -tenor_months)
-        if end_anchor < self.reference_date:
+        ref = self.reference_date.serial
+        anchor = int(roll_months(self.pillar_dates[-1].serial, -tenor_months))
+        if anchor < ref:
             return []
         dc = daycount or self.daycount
-        starts = [
-            Date(s)
-            for s in range(self.reference_date.serial, end_anchor.serial + 1, stride_days)
-        ]
-        ends = [add_months(d, tenor_months) for d in starts]
-        t1 = self.times(starts)
-        t2 = self.times(ends)
-        p1 = np.atleast_1d(self.discount_time(t1))
-        p2 = np.atleast_1d(self.discount_time(t2))
+        starts = np.arange(ref, anchor + 1, stride_days, dtype=np.int64)
+        ends = roll_months(starts, tenor_months)
+        p1 = self.discount_time((starts - ref) / 365.0)
+        p2 = self.discount_time((ends - ref) / 365.0)
         taus = year_fractions(starts, ends, dc)
         rates = (p1 - p2) / (taus * p2)
-        return list(zip(starts, rates.tolist()))
+        return list(zip(map(Date, starts.tolist()), rates.tolist()))
 
     # -- serialization ------------------------------------------------------
 

@@ -7,7 +7,6 @@ date layer deterministic and easy to reason about.
 
 from __future__ import annotations
 
-import calendar
 import datetime as _dt
 from dataclasses import dataclass
 from enum import Enum
@@ -22,6 +21,7 @@ __all__ = [
     "year_fraction",
     "year_fractions",
     "add_months",
+    "roll_months",
     "generate_schedule",
     "cached_schedule",
     "cached_accruals",
@@ -110,27 +110,63 @@ def year_fraction(start: Date, end: Date, daycount: DayCount) -> float:
 
 
 def year_fractions(starts, ends, daycount: DayCount) -> np.ndarray:
-    """``year_fraction`` over paired start and end dates, as an array.
+    """``year_fraction`` over paired start and end serial days, as an array.
 
-    The ACT conventions divide whole day counts at once; THIRTY_360
-    goes date by date.
+    Same arithmetic as the scalar rule, so each entry is bit-identical
+    to ``year_fraction`` of the same two dates.
     """
-    if daycount is DayCount.ACT_360 or daycount is DayCount.ACT_365_FIXED:
-        days = np.array([b.serial - a.serial for a, b in zip(starts, ends)], dtype=float)
-        return days / (360.0 if daycount is DayCount.ACT_360 else 365.0)
-    return np.array([year_fraction(a, b, daycount) for a, b in zip(starts, ends)])
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    if daycount is DayCount.ACT_360:
+        return (ends - starts) / 360.0
+    if daycount is DayCount.ACT_365_FIXED:
+        return (ends - starts) / 365.0
+    if daycount is DayCount.THIRTY_360:
+        y1, m1, d1 = _ymd(starts)
+        y2, m2, d2 = _ymd(ends)
+        d1 = np.minimum(d1, 30)
+        d2 = np.where((d2 == 31) & (d1 == 30), 30, d2)
+        return (360 * (y2 - y1) + 30 * (m2 - m1) + (d2 - d1)) / 360.0
+    raise ValueError(f"unsupported day count {daycount!r}")
+
+
+# Serial of 1970-01-01, the epoch of numpy's datetime64.
+_EPOCH = _dt.date(1970, 1, 1).toordinal()
+
+
+def _months(serials) -> tuple[np.ndarray, np.ndarray]:
+    """Days since the datetime64 epoch and the calendar month they fall in."""
+    days = np.asarray(serials, dtype=np.int64) - _EPOCH
+    return days, days.astype("datetime64[D]").astype("datetime64[M]")
+
+
+def _ymd(serials) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Calendar year, month and day of serial days, as int64 arrays."""
+    days, month = _months(serials)
+    index = month.astype(np.int64)
+    day = days - month.astype("datetime64[D]").astype(np.int64) + 1
+    return index // 12 + 1970, index % 12 + 1, day
+
+
+def roll_months(serials, months) -> np.ndarray:
+    """Serial days shifted by whole months, clamped to the target month end.
+
+    ``serials`` and ``months`` broadcast against each other, so one call
+    rolls many dates by one shift or one date by many shifts.  Jan-31
+    plus one month gives Feb-28 (or Feb-29 in a leap year).
+    """
+    days, month = _months(serials)
+    day = days - month.astype("datetime64[D]").astype(np.int64)
+    target = month + np.asarray(months, dtype=np.int64)
+    first = target.astype("datetime64[D]").astype(np.int64)
+    after = (target + 1).astype("datetime64[D]").astype(np.int64)
+    return first + np.minimum(day, after - first - 1) + _EPOCH
 
 
 def add_months(date: Date, months: int) -> Date:
-    """Shift a date by whole months, clamping to the target month end.
-
-    Jan-31 plus one month gives Feb-28 (or Feb-29 in a leap year).
-    """
-    month_index = date.year * 12 + (date.month - 1) + months
-    year, month = divmod(month_index, 12)
-    month += 1
-    day = min(date.day, calendar.monthrange(year, month)[1])
-    return Date.of(year, month, day)
+    """``roll_months`` of one date: shift by whole months, clamping to
+    the target month end."""
+    return Date(int(roll_months(date.serial, months)))
 
 
 @dataclass(frozen=True)
@@ -171,17 +207,12 @@ def generate_schedule(start: Date, end: Date, frequency_months: int) -> list[Dat
         raise ValueError(
             f"schedule start {start.iso()} must precede end {end.iso()}"
         )
-    dates = [start]
-    i = 1
-    while True:
-        d = add_months(start, i * frequency_months)
-        if d < end:
-            dates.append(d)
-            i += 1
-        else:
-            break
-    dates.append(end)
-    return dates
+    # enough rolls that the last one lands past the end month
+    span = 12 * (end.year - start.year) + end.month - start.month
+    rolls = roll_months(
+        start.serial, frequency_months * np.arange(1, span // frequency_months + 2)
+    )
+    return [start, *map(Date, rolls[rolls < end.serial].tolist()), end]
 
 
 @lru_cache(maxsize=4096)

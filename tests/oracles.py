@@ -8,20 +8,28 @@ curve machinery).  Tests treat these as oracles and compare the engine
 against them.
 """
 
+import calendar
 import math
 import warnings
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import brentq
 
 from multicurve import (
+    BootstrapConfig,
     BootstrapError,
     Date,
     DayCount,
     InstrumentKind,
+    YieldCurve,
     generate_schedule,
+    repricing_errors,
+    select_pillar_instruments,
     year_fraction,
 )
+from multicurve import _kernels
+from multicurve.bootstrap import _compile_quote
 
 
 def norm_cdf_erfc(x: float) -> float:
@@ -376,3 +384,137 @@ def reference_repricing_errors(quotes, target, discounting=None, companions=None
         else:
             out[i] = reference_fair_quote(q, target, discounting, companions) - q.quote
     return out
+
+
+# ---------------------------------------------------------------------------
+# calendar arithmetic date by date: the reference for the array month
+# roll in multicurve.timegrid and the serial-day basis tables
+# ---------------------------------------------------------------------------
+
+def reference_add_months(date, months):
+    """Shift by whole months, clamping the day with ``calendar.monthrange``."""
+    month_index = date.year * 12 + (date.month - 1) + months
+    year, month = divmod(month_index, 12)
+    month += 1
+    day = min(date.day, calendar.monthrange(year, month)[1])
+    return Date.of(year, month, day)
+
+
+def reference_basis_term_structure(fwd, disc, tenor_months, stride_days=1):
+    """Rolling basis samples built date by date: (start dates, end dates,
+    multiplicative basis, additive basis, discounting forward)."""
+    ref = fwd.reference_date
+    last = min(fwd.pillar_dates[-1], disc.pillar_dates[-1])
+    anchor = reference_add_months(last, -tenor_months)
+    starts = [Date(s) for s in range(ref.serial, anchor.serial + 1, stride_days)]
+    ends = [reference_add_months(d, tenor_months) for d in starts]
+    pf1, pf2 = fwd.discount(starts), fwd.discount(ends)
+    pd1, pd2 = disc.discount(starts), disc.discount(ends)
+    if disc.daycount is DayCount.THIRTY_360:
+        tau_d = np.array([year_fraction(a, b, disc.daycount) for a, b in zip(starts, ends)])
+    else:
+        days = np.array([b.serial - a.serial for a, b in zip(starts, ends)], dtype=float)
+        tau_d = days / (360.0 if disc.daycount is DayCount.ACT_360 else 365.0)
+    denom = pd1 - pd2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mult = np.where(denom != 0.0, (pd2 / pf2) * (pf1 - pf2) / denom, np.nan)
+        add = (pf1 / pf2 - pd1 / pd2) / tau_d
+        fwd_d = denom / (tau_d * pd2)
+    return starts, ends, mult, add, fwd_d
+
+
+# ---------------------------------------------------------------------------
+# pillar-by-pillar bootstrap: the reference for the Newton solve
+# ---------------------------------------------------------------------------
+# Each pillar discount factor is root-found alone by brentq, from a
+# narrow bracket around its current value that widens 64-fold up to
+# df_bracket; Gauss-Seidel sweeps repeat the pass while some quote
+# misses by more than the tolerance.  Converges only linearly on the
+# semi-local monotone cubic, hence ``max_sweeps``.
+
+class _ReferenceWorkspace:
+    """Pillar discount factors evaluated through the package kernels,
+    knot data refreshed after each change."""
+
+    def __init__(self, ts, dfs, scheme):
+        self.ts, self.dfs, self.scheme = ts, dfs, scheme
+        self.stale = True
+
+    def set_df(self, i, df):
+        self.dfs[i + 1] = df
+        self.stale = True
+
+    def df(self, t):
+        if self.stale:
+            self.lnp = np.log(self.dfs)
+            self.aux = _kernels.knot_data(self.scheme, self.ts, self.lnp)
+            self.stale = False
+        return _kernels.evaluate(self.scheme, t, self.ts, self.dfs, self.lnp, self.aux)
+
+
+def reference_bootstrap_curve(quotes, config=None, discount_curve=None,
+                              companions=None, reference_date=None,
+                              tenor_label="custom", start_curve=None,
+                              max_sweeps=8):
+    """``bootstrap_curve`` by brentq per pillar and Gauss-Seidel sweeps,
+    seeded the same way; raises ``BootstrapError`` when a pillar has no
+    root in ``df_bracket`` or the quotes still miss after the sweeps."""
+    cfg = config or BootstrapConfig()
+    chosen = select_pillar_instruments(quotes)
+    ref = reference_date or min(q.start for q in chosen)
+    pillar_dates = [q.end for q in chosen]
+    ts = np.array([0.0] + [(d.serial - ref.serial) / 365.0 for d in pillar_dates])
+    source = start_curve if start_curve is not None else discount_curve
+    if source is not None:
+        seed = source.discount(pillar_dates)
+    else:
+        seed = np.exp(-np.array([q.implied_rate() for q in chosen]) * ts[1:])
+    ws = _ReferenceWorkspace(ts, np.concatenate(([1.0], seed)), cfg.interpolation)
+    fairs = [
+        _compile_quote(q, ref, ws.df, discount_curve, companions)[0] for q in chosen
+    ]
+    rates = [q.implied_rate() for q in chosen]
+    lo, hi = cfg.df_bracket
+    rtol = 4 * np.finfo(float).eps
+
+    def solve(i):
+        def f(df):
+            ws.set_df(i, df)
+            return fairs[i]() - rates[i]
+
+        x = min(max(float(ws.dfs[i + 1]), lo), hi)
+        width = 1e-6
+        while True:
+            a, b = max(lo, x * (1.0 - width)), min(hi, x * (1.0 + width))
+            try:
+                root = brentq(f, a, b, xtol=1e-15, rtol=rtol,
+                              maxiter=cfg.max_iterations)
+                break
+            except (ValueError, ZeroDivisionError) as exc:
+                if isinstance(exc, ValueError) and (a, b) != (lo, hi):
+                    width *= 64.0
+                    continue
+                raise BootstrapError(
+                    f"pillar {pillar_dates[i].iso()} failed to solve: {exc}"
+                ) from exc
+        ws.set_df(i, float(root))
+
+    for sweep in range(max_sweeps + 1):
+        if sweep and max(
+            abs(fair() - rate) for fair, rate in zip(fairs, rates)
+        ) <= cfg.tolerance:
+            break
+        for i in range(len(chosen)):
+            solve(i)
+
+    curve = YieldCurve(
+        ref, list(zip(pillar_dates, ws.dfs[1:].tolist())),
+        cfg.interpolation, cfg.daycount, tenor_label,
+    )
+    worst = np.max(np.abs(repricing_errors(chosen, curve, discount_curve, companions)))
+    if worst > cfg.tolerance:
+        raise BootstrapError(
+            f"residual {worst:.3e} above tolerance {cfg.tolerance:g} "
+            f"after {max_sweeps} sweeps"
+        )
+    return curve

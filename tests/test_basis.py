@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import reference_basis_term_structure
 
 from multicurve import (
     BASIS_CSV_HEADER,
@@ -22,7 +23,8 @@ from multicurve import (
     write_basis_csv,
     year_fraction,
 )
-from multicurve.synthetic import default_market, true_pillar_curve
+from multicurve.risk import MarketState
+from multicurve.synthetic import default_market, make_quote_sets, true_pillar_curve
 
 REF = Date.of(2026, 6, 15)
 
@@ -160,6 +162,31 @@ class TestTermStructure:
         ts = basis_term_structure(fwd, disc, tenor_months=6, stride_days=180)
         assert np.isnan(ts.mult).any()
         assert np.all(np.isfinite(ts.add))
+
+
+class TestSerialDayTables:
+    """Daily tables on serial-day arrays against the date-by-date
+    reference in ``oracles``, on the bootstrapped default market."""
+
+    @pytest.mark.parametrize("daycount", list(DayCount))
+    def test_bit_identical_to_date_by_date(self, daycount):
+        curves = MarketState(REF, make_quote_sets()).base_curves()
+        base = curves["discount"]
+        disc = YieldCurve(
+            REF, list(zip(base.pillar_dates, base.pillar_dfs)), base.interpolation,
+            daycount, "discount",
+        )
+        for months in (1, 3, 6, 12):
+            fwd = curves[f"fwd_{months}M"]
+            for stride in (1, 7):
+                got = basis_term_structure(fwd, disc, months, stride)
+                t1, t2, mult, add, fwd_disc = reference_basis_term_structure(
+                    fwd, disc, months, stride
+                )
+                assert got.t1_dates == t1 and got.t2_dates == t2
+                assert got.mult.tobytes() == mult.tobytes()
+                assert got.add.tobytes() == add.tobytes()
+                assert got.fwd_disc.tobytes() == fwd_disc.tobytes()
 
 
 class TestPillarIntervalBasis:

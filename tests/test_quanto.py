@@ -240,14 +240,13 @@ def synthetic_basis_from_vols(times, sigma_f, sigma_x, rho, f_f, f_d):
     """Build the basis curve a given vol path would fully explain."""
     ln_qa = np.cumsum(-sigma_f * sigma_x * rho * np.diff(np.concatenate(([0.0], times))))
     mult = 1.0 + (f_f / f_d) * (np.exp(ln_qa) - 1.0)
-    t1 = [REF.add_days(int(round(t * 365.0))) for t in times]
-    t2 = [d.add_days(182) for d in t1]
+    t1 = REF.serial + np.round(times * 365.0).astype(np.int64)
     return ForwardBasisCurve(
         forwarding_label="fwd_6M",
         discounting_label="discount",
         reference_date=REF,
-        t1_dates=t1,
-        t2_dates=t2,
+        t1=t1,
+        t2=t1 + 182,
         mult=mult,
         add=f_d * (mult - 1.0),
         fwd_disc=f_d.copy(),

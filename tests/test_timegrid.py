@@ -1,9 +1,13 @@
+import calendar
+import datetime
 import math
 
+import numpy as np
 import pytest
+from oracles import reference_add_months
 
 from multicurve import Date, DayCount, ScheduleSpec, add_months, generate_schedule, year_fraction
-from multicurve.timegrid import cached_accruals, cached_schedule
+from multicurve.timegrid import cached_accruals, cached_schedule, roll_months, year_fractions
 
 
 class TestDate:
@@ -109,6 +113,64 @@ class TestAddMonths:
 
     def test_year_rollover(self):
         assert add_months(Date.of(2023, 11, 30), 3) == Date.of(2024, 2, 29)
+
+
+class TestMonthRoll:
+    """The array roll against the ``calendar.monthrange`` rule on every
+    7th day from 1900 to 2200, shifted by -120 to +360 months."""
+
+    SHIFTS = range(-120, 361)
+
+    def setup_method(self):
+        self.starts = np.arange(Date.of(1900, 1, 1).serial, Date.of(2200, 12, 31).serial + 1, 7)
+        # every Jan-31 and leap Feb-29 in range, beside the weekly grid
+        extra = [Date.of(y, 1, 31).serial for y in range(1900, 2201)]
+        extra += [Date.of(y, 2, 29).serial for y in range(1900, 2201) if calendar.isleap(y)]
+        self.starts = np.concatenate((self.starts, extra))
+
+    def test_matches_monthrange_rule(self):
+        # the reference rule on arrays: first day and length of each
+        # target month from calendar.monthrange, the day clamped to it
+        first_year = 1890
+        years = range(first_year, 2232)
+        first = np.array([Date.of(y, m, 1).serial for y in years for m in range(1, 13)])
+        length = np.array([calendar.monthrange(y, m)[1] for y in years for m in range(1, 13)])
+        pydates = [datetime.date.fromordinal(int(s)) for s in self.starts]
+        month_index = np.array([12 * (d.year - first_year) + d.month - 1 for d in pydates])
+        day = np.array([d.day for d in pydates])
+        for k in self.SHIFTS:
+            idx = month_index + k
+            want = first[idx] + np.minimum(day, length[idx]) - 1
+            np.testing.assert_array_equal(roll_months(self.starts, k), want, err_msg=f"shift {k}")
+
+    def test_scalar_is_the_one_element_case(self):
+        # the scalar oracle date by date on a strided subsample, Jan-31
+        # and Feb-29 starts included
+        picks = np.concatenate((self.starts[::97], self.starts[-400:]))
+        for i, s in enumerate(picks.tolist()):
+            k = self.SHIFTS[(37 * i) % len(self.SHIFTS)]
+            want = reference_add_months(Date(s), k)
+            assert add_months(Date(s), k) == want
+            assert int(roll_months(s, k)) == want.serial
+
+    def test_schedule_rolls_from_the_anchor(self):
+        start = Date.of(2024, 1, 31)
+        dates = generate_schedule(start, Date.of(2034, 3, 15), 1)
+        assert dates[1:-1] == [reference_add_months(start, i) for i in range(1, len(dates) - 1)]
+        assert dates[-1] == Date.of(2034, 3, 15)
+
+
+class TestYearFractions:
+    @pytest.mark.parametrize("daycount", list(DayCount))
+    def test_bit_identical_to_scalar_rule(self, daycount):
+        starts = np.arange(Date.of(2023, 1, 1).serial, Date.of(2025, 12, 31).serial, 3)
+        ends = roll_months(starts, 7) + (starts % 5)
+        got = year_fractions(starts, ends, daycount)
+        want = np.array([
+            year_fraction(Date(a), Date(b), daycount)
+            for a, b in zip(starts.tolist(), ends.tolist())
+        ])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGenerateSchedule:
