@@ -3,7 +3,7 @@
 Separate forwarding curves per rate tenor, one discounting curve, and
 the machinery that connects them: bootstrapping, forward basis, vol/
 correlation adjustments for forwards fixed under a different curve's
-measure, pricing, and bump-and-reprice hedging.
+measure, pricing, and quote-delta hedging.
 """
 
 from .timegrid import Date, DayCount, ScheduleSpec, add_months, generate_schedule, year_fraction

@@ -318,7 +318,6 @@ def cmd_risk(args) -> int:
         ref = Date.parse(args.reference_date)
     config = BootstrapConfig(interpolation=args.interp)
     state = MarketState(ref, sets, config=config)
-    bump = args.bump_bp * 1e-4
 
     def pv_fn(curves):
         total = 0.0
@@ -335,14 +334,21 @@ def cmd_risk(args) -> int:
         return total
 
     paths = [args.portfolio] + [quote_paths[k] for k in sorted(quote_paths)]
-    entries = delta_ladder(state, pv_fn, bump)
+    entries = delta_ladder(state, pv_fn)
     with _open_out(args.out) as fh:
         write_ladder_csv(entries, fh, comment=_provenance("risk", paths))
+    # the hedge functions reuse the ladder's deltas: these are final
+    stats = state.risk_stats()
+    print(
+        f"info:risk:pillars={stats['pillars']}:"
+        f"book_valuations={stats['book_valuations']}:cond={stats['cond']:.6g}",
+        file=sys.stderr,
+    )
 
     if args.hedge_out is None:
         return 0
     locations = _resolve_hedges(state, args.hedge)
-    rows = hedge_ratios(state, pv_fn, locations, bump)
+    rows = hedge_ratios(state, pv_fn, locations)
     clean = [e for e in entries if e.error is None]
     hedge_times = sorted({state.time(r.quote.end) for r in rows})
     proj = project_deltas(
@@ -357,7 +363,7 @@ def cmd_risk(args) -> int:
         f"total_projected={proj.total_projected:.12g}",
         file=sys.stderr,
     )
-    residual_entries = hedged_residual_ladder(state, pv_fn, rows, bump)
+    residual_entries = hedged_residual_ladder(state, pv_fn, rows)
     lookup = {}
     for e in residual_entries:
         for loc in e.locations:
@@ -424,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--portfolio", required=True)
     sp.add_argument("--quotes", action="append", metavar="LABEL=PATH", required=True)
     sp.add_argument("--reference-date", default=None)
-    sp.add_argument("--bump-bp", type=float, default=1.0)
     sp.add_argument("--hedge", action="append", metavar="LABEL:DATE")
     sp.add_argument("--hedge-out", default=None)
     sp.add_argument("--volcorr", default=None)

@@ -1,22 +1,24 @@
-"""Bump-and-reprice sensitivities on a multi-curve market state.
+"""Quote sensitivities on a multi-curve market state.
 
 A ``MarketState`` owns the quote sets behind every curve and knows
 their dependency order (forwarding curves need the discounting curve;
-basis swap legs may need a companion forwarding curve).  Deltas come
-from central finite differences of full re-bootstraps: each market
-quote is shifted one basis point up and down, only the curves downwind
-of that quote are rebuilt, and the portfolio reprices on the bumped
-curve set.
+basis swap legs may need a companion forwarding curve).
 
-Each bumped curve set is built once per state: a rebuilt curve is
-seeded from the base curve's pillar discount factors, and the set (or
-the ``BootstrapError`` it raised) is kept for the life of the state.
-The book is likewise priced once per set and per ``pv_fn``, so
-``hedge_ratios`` and ``hedged_residual_ladder`` reuse the curve sets
-and book values that ``delta_ladder`` already produced.
+All pillar log-discounts ln p solve R(ln p; q) = 0, R holding each
+chosen quote's fair value minus the quote in rate space, so dR/dq = -I
+and a book's quote deltas w solve J^T w = g, where J = dR/d ln p and
+g = dPV/d ln p on the base curves: one adjoint solve, no rebuild.  J is
+block lower triangular in build order; a column moves one pillar by a
+forward difference and reprices that curve and the curves priced
+against it.  J depends on the quotes alone, and g (N + 1 book values
+for N pillars) is kept per book function.  A bootstrap instrument
+reprices exactly whatever the quotes, so as a hedge it moves with its
+own quote alone, by its PV weight.
 
-Quotes that appear in several quote sets (one rate feeding two curves)
-are detected by fingerprint, bumped together, and reported once.
+Quotes in several quote sets (one rate feeding two curves) share a
+fingerprint, move together and are reported once; quotes holding no
+pillar have zero delta.  A non-finite or singular J, or a non-finite g,
+gives NaN deltas with the error recorded.
 """
 
 from __future__ import annotations
@@ -32,9 +34,11 @@ from .bootstrap import (
     BootstrapError,
     InstrumentKind,
     InstrumentQuote,
+    _compile_quote,
     bootstrap_curve,
-    bump_quote,
     instrument_pv,
+    repricing_errors,
+    select_pillar_instruments,
 )
 from .curve import TENOR_LABELS, YieldCurve, tenor_months_from_label
 from .timegrid import Date
@@ -62,9 +66,9 @@ HEDGE_CSV_HEADER = "hedge_instrument,hedge_ratio,residual_delta_per_bp"
 
 Override = dict[tuple[str, int], InstrumentQuote]
 
-
-def _tenor_label(months: int) -> str:
-    return f"fwd_{months}M"
+# Step in ln DF of the forward-difference columns of J and g, near
+# sqrt(eps), where truncation (~h) and rounding (~eps/h) balance.
+_LN_DF_STEP = 1e-8
 
 
 def pricing_curves(
@@ -88,9 +92,9 @@ class MarketState:
 
     ``quote_sets`` maps labels from ``TENOR_LABELS`` to instrument
     lists; a ``discount`` set is required and always builds first.
-    Per-label configs fall back to the shared ``config``.  Built curve
-    sets are cached, so the quote sets must not change once the state
-    has built.
+    Per-label configs fall back to the shared ``config``.  The base
+    curves, the quote Jacobian and each book function's deltas are
+    kept, so the quote sets must not change once the state has built.
     """
 
     def __init__(
@@ -114,10 +118,9 @@ class MarketState:
         }
         self._order = self._topo_order()
         self._base: dict[str, YieldCurve] | None = None
-        # bumped curve sets (or their BootstrapError) and book values,
-        # keyed by the overrides that produced them
-        self._bumped: dict[frozenset, dict[str, YieldCurve] | BootstrapError] = {}
-        self._pvs: dict[tuple, float] = {}
+        self._jac: tuple | None = None
+        self._deltas: dict = {}
+        self._valuations = 0
 
     def _dependencies(self, label: str) -> set[str]:
         if label == "discount":
@@ -125,7 +128,7 @@ class MarketState:
         deps = {"discount"}
         for q in self.quote_sets[label]:
             if q.kind is InstrumentKind.BASIS_SWAP:
-                other = _tenor_label(q.second_tenor)
+                other = f"fwd_{q.second_tenor}M"
                 if other == label:
                     continue
                 if other not in self.quote_sets:
@@ -165,7 +168,7 @@ class MarketState:
 
     def base_curves(self) -> dict[str, YieldCurve]:
         if self._base is None:
-            self._base = self._build_all({})
+            self._base = self._build({})
         return self._base
 
     def build(self, overrides: Override | None = None) -> dict[str, YieldCurve]:
@@ -173,75 +176,117 @@ class MarketState:
 
         ``overrides`` maps (label, index into that quote set) to a
         replacement quote.  A label rebuilds when it carries an
-        override or depends on a label that rebuilt, starting from its
-        base curve.  The set is built once per distinct ``overrides``;
-        later calls return the same dict, or raise the same
-        ``BootstrapError`` again.
+        override or depends on a label that rebuilt, seeded from its
+        base curve.  Nothing is kept: each call builds afresh.
         """
-        if not overrides:
-            return self.base_curves()
-        key = frozenset(overrides.items())
-        if key not in self._bumped:
-            try:
-                self._bumped[key] = self._build_bumped(overrides)
-            except BootstrapError as exc:
-                self._bumped[key] = exc
-        built = self._bumped[key]
-        if isinstance(built, BootstrapError):
-            raise built
-        return built
+        return self._build(overrides or {}, self.base_curves())
 
-    def _build_bumped(self, overrides: Override) -> dict[str, YieldCurve]:
-        base = self.base_curves()
+    def _build(
+        self, overrides: Override, base: dict[str, YieldCurve] | None = None
+    ) -> dict[str, YieldCurve]:
+        # a label rebuilds when it or a curve it prices against is dirty
         dirty = {label for (label, _idx) in overrides}
         curves: dict[str, YieldCurve] = {}
-        rebuilt: set[str] = set()
         for label in self._order:
-            if label not in dirty and not (self._deps[label] & rebuilt):
+            if base is not None and not ({label} | self._deps[label]) & dirty:
                 curves[label] = base[label]
                 continue
-            curves[label] = self._build_one(label, curves, overrides, base[label])
-            rebuilt.add(label)
+            disc, companions = pricing_curves(label, curves)
+            curves[label] = bootstrap_curve(
+                [overrides.get((label, i), q)
+                 for i, q in enumerate(self.quote_sets[label])],
+                self.config_for(label),
+                discount_curve=disc,
+                companions=companions,
+                reference_date=self.reference_date,
+                tenor_label=label,
+                start_curve=None if base is None else base[label],
+            )
+            dirty.add(label)
         return curves
 
-    def _build_all(self, overrides: Override) -> dict[str, YieldCurve]:
-        curves: dict[str, YieldCurve] = {}
+    def _moved_sets(self):
+        """Per base pillar in build order: its label, the base set with
+        that pillar's ln DF moved up by ``_LN_DF_STEP``, and the step as
+        the moved curve's own logs see it."""
+        base = self.base_curves()
         for label in self._order:
-            curves[label] = self._build_one(label, curves, overrides)
-        return curves
+            c = base[label]
+            for j in range(len(c.pillar_dfs)):
+                dfs = c.pillar_dfs.copy()
+                dfs[j] *= math.exp(_LN_DF_STEP)
+                moved = YieldCurve(
+                    c.reference_date, list(zip(c.pillar_dates, dfs)),
+                    c.interpolation, c.daycount, c.tenor_label,
+                )
+                step = np.log(dfs[j]) - np.log(c.pillar_dfs[j])
+                yield label, {**base, label: moved}, step
 
-    def _build_one(
-        self,
-        label: str,
-        curves: dict[str, YieldCurve],
-        overrides: Override,
-        start_curve: YieldCurve | None = None,
-    ) -> YieldCurve:
-        quotes = [
-            overrides.get((label, i), q)
-            for i, q in enumerate(self.quote_sets[label])
-        ]
-        disc, companions = pricing_curves(label, curves)
-        return bootstrap_curve(
-            quotes,
-            self.config_for(label),
-            discount_curve=disc,
-            companions=companions,
-            reference_date=self.reference_date,
-            tenor_label=label,
-            start_curve=start_curve,
-        )
+    def _jacobian(self) -> tuple:
+        """(J, rows, cond(J), error): ``rows`` maps each quote location
+        (label, index) holding a pillar to its row of R, which is also
+        its pillar's column; ``error`` says why J cannot be solved."""
+        if self._jac is None:
+            base = self.base_curves()
+            chosen, span, rows, n = {}, {}, {}, 0
+            for label in self._order:
+                chosen[label] = select_pillar_instruments(self.quote_sets[label])
+                span[label] = slice(n, n + len(chosen[label]))
+                for i, q in enumerate(self.quote_sets[label]):
+                    if q in chosen[label]:
+                        rows[(label, i)] = n + chosen[label].index(q)
+                n = span[label].stop
 
-    def _book_pv(self, pv_fn, overrides: Override) -> float:
-        """``pv_fn`` on the bumped curve set, computed once per set.
+            def residuals(label: str, curves: dict[str, YieldCurve]) -> np.ndarray:
+                return repricing_errors(
+                    chosen[label], curves[label], *pricing_curves(label, curves)
+                )
 
-        ``pv_fn`` must depend on the curves alone: its value is kept
-        for the life of the state, keyed by the function itself.
-        """
-        key = (pv_fn, frozenset(overrides.items()))
-        if key not in self._pvs:
-            self._pvs[key] = pv_fn(self.build(overrides))
-        return self._pvs[key]
+            at_base = {label: residuals(label, base) for label in self._order}
+            matrix = np.zeros((n, n))
+            with np.errstate(all="ignore"):
+                for col, (label, curves, step) in enumerate(self._moved_sets()):
+                    for m in self._order:
+                        if m == label or label in self._deps[m]:
+                            moved = residuals(m, curves) - at_base[m]
+                            matrix[span[m], col] = moved / step
+            finite = np.all(np.isfinite(matrix))
+            cond = float(np.linalg.cond(matrix)) if finite else math.nan
+            error = None
+            if not cond <= 1.0 / np.finfo(float).eps:
+                error = f"singular or non-finite quote Jacobian (cond {cond:.3e})"
+            self._jac = (matrix, rows, cond, error)
+        return self._jac
+
+    def _quote_deltas(self, pv_fn) -> tuple[dict, str | None]:
+        """Book delta per bp at each quote location holding a pillar, and
+        the error that made them NaN.  ``pv_fn`` must depend on the curves
+        alone: its deltas are kept for the life of the state."""
+        if pv_fn not in self._deltas:
+            matrix, rows, _, error = self._jacobian()
+            w = np.full(len(matrix), math.nan)
+            if error is None:
+                pv0 = pv_fn(self.base_curves())
+                with np.errstate(all="ignore"):
+                    grad = np.array([
+                        (pv_fn(curves) - pv0) / step
+                        for _, curves, step in self._moved_sets()
+                    ])
+                self._valuations += len(grad) + 1
+                if np.all(np.isfinite(grad)):
+                    # dR/dq = -I in rate units, so dPV/dq = w
+                    w = np.linalg.solve(matrix.T, grad) * 1e-4
+                else:
+                    error = "non-finite book sensitivity to the pillars"
+            deltas = {loc: float(w[row]) for loc, row in rows.items()}
+            self._deltas[pv_fn] = (deltas, error)
+        return self._deltas[pv_fn]
+
+    def risk_stats(self) -> dict[str, float]:
+        """Pillars in J, cond(J) and the book valuations made so far."""
+        matrix, _, cond, _ = self._jacobian()
+        return {"pillars": len(matrix), "cond": cond,
+                "book_valuations": self._valuations}
 
 
 # ---------------------------------------------------------------------------
@@ -278,38 +323,31 @@ class DeltaEntry:
         return "+".join(sorted({label for label, _ in self.locations}))
 
 
-def delta_ladder(state: MarketState, pv_fn, bump: float = 1e-4) -> list[DeltaEntry]:
-    """Central-difference quote deltas of ``pv_fn`` over the whole state.
+def delta_ladder(state: MarketState, pv_fn) -> list[DeltaEntry]:
+    """Quote deltas of ``pv_fn`` over the whole state, per bp.
 
     ``pv_fn`` maps a curve dict to a book PV and must depend on the
-    curves alone, since its value on each bumped set is kept on the
-    state and reused by the hedging functions.  Shared quotes (same
-    fingerprint in several sets) shift together and produce a single
-    entry.  A bootstrap failure on a bumped state yields a NaN delta
-    with the error recorded rather than aborting the ladder.
+    curves alone, since its deltas are kept on the state and reused by
+    the hedging functions.  Shared quotes (same fingerprint in several
+    sets) move together and produce a single entry.  A Jacobian or book
+    gradient that cannot be solved yields NaN deltas with the error
+    recorded rather than aborting the ladder.
     """
-    return _ladder(state, lambda ov: state._book_pv(pv_fn, ov), bump)
+    return _ladder(state, *state._quote_deltas(pv_fn))
 
 
-def _ladder(state: MarketState, pv_at, bump: float) -> list[DeltaEntry]:
-    # ``pv_at`` values the book on the curve set built from overrides
+def _ladder(
+    state: MarketState, deltas: dict[tuple[str, int], float], error: str | None
+) -> list[DeltaEntry]:
     groups: dict[tuple, list[tuple[str, int]]] = {}
     for label in state._order:
         for i, q in enumerate(state.quote_sets[label]):
             groups.setdefault(quote_fingerprint(q), []).append((label, i))
-    scale = 1e-4 / (2.0 * bump)
     entries = []
     for locs in groups.values():
         label0, idx0 = locs[0]
         q = state.quote_sets[label0][idx0]
-        up = {loc: bump_quote(q, bump) for loc in locs}
-        down = {loc: bump_quote(q, -bump) for loc in locs}
-        err = None
-        try:
-            delta = (pv_at(up) - pv_at(down)) * scale
-        except BootstrapError as exc:
-            delta = math.nan
-            err = str(exc)
+        delta = sum(deltas.get(loc, 0.0) for loc in locs)
         entries.append(
             DeltaEntry(
                 locations=tuple(locs),
@@ -319,7 +357,7 @@ def _ladder(state: MarketState, pv_at, bump: float) -> list[DeltaEntry]:
                 market_rate=q.implied_rate(),
                 delta_per_bp=delta,
                 shared=len(locs) > 1,
-                error=err,
+                error=error if math.isnan(delta) else None,
             )
         )
     return entries
@@ -407,108 +445,69 @@ class HedgeRow:
         return f"{self.set_label}:{self.quote.kind.value}:{self.quote.end.iso()}"
 
 
-def _hedge_position_pv(
-    row_label: str, q: InstrumentQuote, curves: dict[str, YieldCurve]
-) -> float:
-    disc, companions = pricing_curves(row_label, curves)
-    return instrument_pv(q, q.quote, curves[row_label], disc, companions)
-
-
 def hedge_ratios(
-    state: MarketState,
-    pv_fn,
-    hedge_locations: list[tuple[str, int]],
-    bump: float = 1e-4,
+    state: MarketState, pv_fn, hedge_locations: list[tuple[str, int]]
 ) -> list[HedgeRow]:
     """Units of each hedge quote the book is long, by matched deltas.
 
-    Hedges are bootstrap instruments named by (set label, index).  For
-    each one the portfolio delta and the unit hedge's own delta come
-    from the same pair of bumped curve sets; their ratio is the
-    position to sell (hold the negated ratio) to flatten that quote.
-    Curve sets and book values already produced on ``state`` for the
-    same bump and ``pv_fn`` are reused.
+    Hedges are bootstrap instruments named by (set label, index); each
+    moves with its own quote alone, by its PV weight per bp.  The ratio
+    of the book's delta (kept on ``state`` per ``pv_fn``) to that own
+    delta is the position to sell (hold the negated ratio) to flatten
+    the quote.
     """
     if len(set(hedge_locations)) != len(hedge_locations):
         raise ValueError("duplicate hedge instruments")
-    scale = 1e-4 / (2.0 * bump)
+    deltas, error = state._quote_deltas(pv_fn)
+    curves = state.base_curves()
     rows = []
     for label, idx in hedge_locations:
         q = state.quote_sets[label][idx]
-        up_ov = {(label, idx): bump_quote(q, bump)}
-        down_ov = {(label, idx): bump_quote(q, -bump)}
-        up, down = state.build(up_ov), state.build(down_ov)
-        own = (
-            _hedge_position_pv(label, q, up) - _hedge_position_pv(label, q, down)
-        ) * scale
+        own = 0.0
+        if (label, idx) in deltas:
+            # PV per unit notional of a unit move in the fair value
+            _, weight = _compile_quote(
+                q, state.reference_date, curves[label].discount_time,
+                *pricing_curves(label, curves),
+            )
+            own = float(weight()) * 1e-4
         if own == 0.0:
             raise ValueError(
                 f"hedge {label}[{idx}] has no sensitivity to its own quote"
             )
-        book = (state._book_pv(pv_fn, up_ov) - state._book_pv(pv_fn, down_ov)) * scale
+        book = deltas[(label, idx)]
+        if math.isnan(book):
+            raise BootstrapError(f"no book delta for hedge {label}[{idx}]: {error}")
         rows.append(HedgeRow(label, idx, q, own, book, book / own))
     return rows
-
-
-def _hedge_curves(
-    row_label: str, q: InstrumentQuote, curves: dict[str, YieldCurve]
-) -> tuple[YieldCurve | None, ...]:
-    """The curve objects a hedge's PV reads: its own curve, the discount
-    curve, and for a basis swap the curve of its second tenor."""
-    read = [curves[row_label]]
-    if row_label != "discount":
-        read.append(curves["discount"])
-    if q.kind is InstrumentKind.BASIS_SWAP:
-        read.append(curves.get(_tenor_label(q.second_tenor)))
-    return tuple(read)
-
-
-def _net_of_hedges(
-    pv: float,
-    rows: list[HedgeRow],
-    curves: dict[str, YieldCurve],
-    unit_pv=_hedge_position_pv,
-) -> float:
-    for r in rows:
-        pv -= r.ratio * unit_pv(r.set_label, r.quote, curves)
-    return pv
 
 
 def hedged_pv_fn(pv_fn, rows: list[HedgeRow]):
     """Book PV net of the offsetting hedge positions."""
 
     def fn(curves: dict[str, YieldCurve]) -> float:
-        return _net_of_hedges(pv_fn(curves), rows, curves)
+        pv = pv_fn(curves)
+        for r in rows:
+            disc, companions = pricing_curves(r.set_label, curves)
+            pv -= r.ratio * instrument_pv(
+                r.quote, r.quote.quote, curves[r.set_label], disc, companions
+            )
+        return pv
 
     return fn
 
 
 def hedged_residual_ladder(
-    state: MarketState,
-    pv_fn,
-    rows: list[HedgeRow],
-    bump: float = 1e-4,
+    state: MarketState, pv_fn, rows: list[HedgeRow]
 ) -> list[DeltaEntry]:
-    """Quote deltas of ``hedged_pv_fn(pv_fn, rows)``, reusing the curve
-    sets and book values already produced on ``state``.
-
-    A bumped set holds the base curve object wherever it did not
-    rebuild, so each hedge is valued once per distinct tuple of curves
-    it reads rather than once per set.
-    """
-    unit_pvs: dict[tuple, float] = {}
-
-    def unit_pv(label: str, q: InstrumentQuote, curves: dict[str, YieldCurve]) -> float:
-        key = (label, q, *_hedge_curves(label, q, curves))
-        if key not in unit_pvs:
-            unit_pvs[key] = _hedge_position_pv(label, q, curves)
-        return unit_pvs[key]
-
-    def hedged_pv(overrides: Override) -> float:
-        curves = state.build(overrides)
-        return _net_of_hedges(state._book_pv(pv_fn, overrides), rows, curves, unit_pv)
-
-    return _ladder(state, hedged_pv, bump)
+    """Quote deltas of ``hedged_pv_fn(pv_fn, rows)``: the book's deltas
+    kept on ``state`` net of each hedge's own delta times its ratio,
+    with no further book or hedge valuation."""
+    deltas, error = state._quote_deltas(pv_fn)
+    net = dict(deltas)
+    for r in rows:
+        net[(r.set_label, r.index)] -= r.ratio * r.own_delta_per_bp
+    return _ladder(state, net, error)
 
 
 # ---------------------------------------------------------------------------

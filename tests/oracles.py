@@ -21,15 +21,22 @@ from multicurve import (
     BootstrapError,
     Date,
     DayCount,
+    DeltaEntry,
+    HedgeRow,
     InstrumentKind,
     YieldCurve,
+    bump_quote,
     generate_schedule,
+    hedged_pv_fn,
+    instrument_pv,
+    quote_fingerprint,
     repricing_errors,
     select_pillar_instruments,
     year_fraction,
 )
 from multicurve import _kernels
 from multicurve.bootstrap import _compile_quote
+from multicurve.risk import pricing_curves
 
 
 def norm_cdf_erfc(x: float) -> float:
@@ -518,3 +525,86 @@ def reference_bootstrap_curve(quotes, config=None, discount_curve=None,
             f"after {max_sweeps} sweeps"
         )
     return curve
+
+
+# ---------------------------------------------------------------------------
+# bump-and-rebuild quote risk
+# ---------------------------------------------------------------------------
+# Central differences of full rebuilds through the public
+# ``MarketState.build``: each quote moves up and down by ``bump`` in rate
+# space, the curves downwind of it re-bootstrap, and the book reprices.
+# A rebuild that fails gives a NaN delta with the error recorded.
+
+def memoised_build(state):
+    """``state.build`` that builds each distinct overrides set once and
+    raises the same ``BootstrapError`` again for a set that failed."""
+    built = {}
+
+    def build(overrides):
+        key = frozenset(overrides.items())
+        if key not in built:
+            try:
+                built[key] = state.build(overrides)
+            except BootstrapError as exc:
+                built[key] = exc
+        if isinstance(built[key], BootstrapError):
+            raise built[key]
+        return built[key]
+
+    return build
+
+
+def reference_delta_ladder(state, pv_fn, bump=1e-4, build=None):
+    """Quote deltas per bp of ``pv_fn``; quotes sharing a fingerprint
+    move together and give one entry, in ``delta_ladder``'s order."""
+    build = build or state.build
+    groups = {}
+    for label in state.build_order:
+        for i, q in enumerate(state.quote_sets[label]):
+            groups.setdefault(quote_fingerprint(q), []).append((label, i))
+    entries = []
+    for locs in groups.values():
+        label0, idx0 = locs[0]
+        q = state.quote_sets[label0][idx0]
+        err = None
+        try:
+            up = pv_fn(build({loc: bump_quote(q, bump) for loc in locs}))
+            down = pv_fn(build({loc: bump_quote(q, -bump) for loc in locs}))
+            delta = (up - down) * 1e-4 / (2.0 * bump)
+        except BootstrapError as exc:
+            delta = math.nan
+            err = str(exc)
+        entries.append(DeltaEntry(
+            locations=tuple(locs), quote=q, pillar_date=q.end,
+            time=state.time(q.end), market_rate=q.implied_rate(),
+            delta_per_bp=delta, shared=len(locs) > 1, error=err,
+        ))
+    return entries
+
+
+def reference_hedge_ratios(state, pv_fn, hedge_locations, bump=1e-4, build=None):
+    """Hedge rows whose own and book deltas both come from bumping the
+    hedge's quote alone and rebuilding."""
+    build = build or state.build
+    scale = 1e-4 / (2.0 * bump)
+    rows = []
+    for label, idx in hedge_locations:
+        q = state.quote_sets[label][idx]
+        up = build({(label, idx): bump_quote(q, bump)})
+        down = build({(label, idx): bump_quote(q, -bump)})
+
+        def unit(curves):
+            disc, companions = pricing_curves(label, curves)
+            return instrument_pv(q, q.quote, curves[label], disc, companions)
+
+        own = (unit(up) - unit(down)) * scale
+        if own == 0.0:
+            raise ValueError(f"hedge {label}[{idx}] has no sensitivity to its own quote")
+        book = (pv_fn(up) - pv_fn(down)) * scale
+        rows.append(HedgeRow(label, idx, q, own, book, book / own))
+    return rows
+
+
+def reference_hedged_residual_ladder(state, pv_fn, rows, bump=1e-4, build=None):
+    """Bump-and-rebuild ladder of the book net of its hedges."""
+    return reference_delta_ladder(state, hedged_pv_fn(pv_fn, rows), bump, build)

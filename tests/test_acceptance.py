@@ -312,6 +312,40 @@ def test_criterion_07_interpolation_artifact_contrast():
     assert jump_cubic < 2e-4 and jump_linzero > 20e-4
 
 
+# swap maturities of the criterion 08 book and its projection targets
+BOOK_YEARS = (2, 3, 5, 7, 10, 15, 20, 30)
+
+
+def criterion_08_positions():
+    """The seeded 50-position FRA and swap book over all four
+    forwarding curves that criterion 08 hedges."""
+    rng = np.random.default_rng(20260615)
+    years = BOOK_YEARS
+    labels = ("fwd_1M", "fwd_3M", "fwd_6M", "fwd_12M")
+    rows = []
+    for i in range(50):
+        label = labels[int(rng.integers(0, len(labels)))]
+        months = int(label.removeprefix("fwd_").removesuffix("M"))
+        notional = float(rng.uniform(1e5, 1e6) * rng.choice((-1.0, 1.0)))
+        if i % 3 == 0:
+            k = int(rng.integers(1, 20))
+            start_d = add_months(REF, months * k)
+            rows.append({
+                "kind": "fra", "forwarding": label,
+                "start": start_d.iso(), "end": add_months(start_d, months).iso(),
+                "strike": float(rng.uniform(0.01, 0.06)), "notional": notional,
+            })
+        else:
+            end = add_months(REF, 12 * years[int(rng.integers(0, len(years)))])
+            rows.append({
+                "kind": "swap", "forwarding": label,
+                "start": REF.iso(), "end": end.iso(),
+                "fixed_rate": float(rng.uniform(0.01, 0.06)),
+                "notional": notional, "float_tenor_months": months,
+            })
+    return parse_portfolio(rows)
+
+
 def test_criterion_08_risk_closure(base_market):
     start = time.perf_counter()
     sets, state, curves = base_market
@@ -337,31 +371,7 @@ def test_criterion_08_risk_closure(base_market):
 
     # a 50-position random vanilla book over all five curves, hedged
     # with the bootstrapping instruments themselves
-    rng = np.random.default_rng(20260615)
-    years = (2, 3, 5, 7, 10, 15, 20, 30)
-    labels = ("fwd_1M", "fwd_3M", "fwd_6M", "fwd_12M")
-    rows = []
-    for i in range(50):
-        label = labels[int(rng.integers(0, len(labels)))]
-        months = int(label.removeprefix("fwd_").removesuffix("M"))
-        notional = float(rng.uniform(1e5, 1e6) * rng.choice((-1.0, 1.0)))
-        if i % 3 == 0:
-            k = int(rng.integers(1, 20))
-            start_d = add_months(REF, months * k)
-            rows.append({
-                "kind": "fra", "forwarding": label,
-                "start": start_d.iso(), "end": add_months(start_d, months).iso(),
-                "strike": float(rng.uniform(0.01, 0.06)), "notional": notional,
-            })
-        else:
-            end = add_months(REF, 12 * years[int(rng.integers(0, len(years)))])
-            rows.append({
-                "kind": "swap", "forwarding": label,
-                "start": REF.iso(), "end": end.iso(),
-                "fixed_rate": float(rng.uniform(0.01, 0.06)),
-                "notional": notional, "float_tenor_months": months,
-            })
-    positions = parse_portfolio(rows)
+    positions = criterion_08_positions()
     assert len(positions) == 50
 
     def pv_fn(cv):
@@ -383,7 +393,7 @@ def test_criterion_08_risk_closure(base_market):
 
     # projection onto the standard maturities conserves the total
     # exactly, not approximately
-    targets = [state.time(add_months(REF, 12 * y)) for y in (1,) + years]
+    targets = [state.time(add_months(REF, 12 * y)) for y in (1,) + BOOK_YEARS]
     proj = project_deltas(
         [e.time for e in entries], [e.delta_per_bp for e in entries], targets
     )

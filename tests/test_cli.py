@@ -247,6 +247,14 @@ class TestRisk:
         assert rc == 0
         err = capsys.readouterr().err
         assert any(l.startswith("info:conservation:") for l in err.splitlines())
+        info = [l for l in err.splitlines() if l.startswith("info:risk:")]
+        assert len(info) == 1
+        fields = dict(f.split("=") for f in info[0].split(":")[2:])
+        # one pillar per quote: the book is valued once per pillar and
+        # once at the base, across ladder, hedge and residual
+        assert int(fields["pillars"]) == 12 + 11
+        assert int(fields["book_valuations"]) == 12 + 11 + 1
+        assert 1.0 <= float(fields["cond"]) < 1e8
         lad = ladder.read_text().splitlines()
         assert lad[1] == "curve,pillar_date,instrument_kind,market_rate,delta_per_bp"
         assert len(lad) == 2 + 12 + 11  # one row per quote in both sets

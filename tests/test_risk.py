@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multicurve import (
+    BootstrapConfig,
     BootstrapError,
     Date,
     DayCount,
@@ -18,6 +21,7 @@ from multicurve import (
     hedged_pv_fn,
     hedged_residual_ladder,
     instrument_pv,
+    price_position,
     project_deltas,
     quote_fingerprint,
     write_hedge_csv,
@@ -27,6 +31,13 @@ from multicurve import (
 from multicurve import risk
 from multicurve.risk import HEDGE_CSV_HEADER, LADDER_CSV_HEADER
 from multicurve.synthetic import default_market, make_ois_quotes, make_quote_sets
+from oracles import (
+    memoised_build,
+    reference_delta_ladder,
+    reference_hedge_ratios,
+    reference_hedged_residual_ladder,
+)
+from test_acceptance import criterion_08_positions
 
 REF = Date.of(2026, 6, 15)
 
@@ -120,99 +131,124 @@ class TestDeltaLadder:
         fp = quote_fingerprint(shared)
         assert quote_fingerprint(joint[0].quote) == fp
 
-    def test_failed_bump_yields_nan_not_abort(self):
-        # rate chosen so the pillar df sits just inside the solver
-        # bracket; the downward bump pushes it out and the solve fails
+    def test_unsolvable_gradient_yields_nan_not_abort(self):
+        state = MarketState(
+            REF, {"discount": [depo(6, 0.02), depo(24, 0.021)]}
+        )
+        base_df = state.base_curves()["discount"].discount_time(2.0)
+
+        def pv_fn(c):
+            # undefined once the 2Y discount factor rises above its base
+            with np.errstate(invalid="ignore"):
+                return float(np.sqrt(base_df - c["discount"].discount_time(2.0)))
+
+        entries = delta_ladder(state, pv_fn)
+        assert len(entries) == 2
+        for e in entries:
+            assert math.isnan(e.delta_per_bp)
+            assert "non-finite book sensitivity" in e.error
+        with pytest.raises(BootstrapError):
+            hedge_ratios(state, pv_fn, [("discount", 1)])
+
+    def test_singular_jacobian_yields_nan_not_abort(self, monkeypatch):
+        state = MarketState(
+            REF, {"discount": [depo(6, 0.02), depo(24, 0.021)]}
+        )
+        state.base_curves()
+        # residuals that ignore the pillars: J = 0
+        monkeypatch.setattr(
+            risk, "repricing_errors", lambda quotes, *a, **k: np.zeros(len(quotes))
+        )
+        entries = delta_ladder(state, lambda c: c["discount"].discount_time(1.0))
+        assert all(math.isnan(e.delta_per_bp) for e in entries)
+        assert all("singular or non-finite quote Jacobian" in e.error for e in entries)
+        assert state.risk_stats()["book_valuations"] == 0
+
+    def test_edge_of_bracket_market_has_finite_deltas(self):
+        # the 2Y pillar df sits just inside the solver bracket, so a
+        # bumped rebuild fails; the adjoint rebuilds nothing
         end = add_months(REF, 24)
         tau = year_fraction(REF, end, DayCount.ACT_360)
         evil_rate = (1.0 / 1.99995 - 1.0) / tau
         state = MarketState(
             REF, {"discount": [depo(6, 0.02), depo(24, evil_rate)]}
         )
-        entries = delta_ladder(state, lambda c: c["discount"].discount_time(1.0))
-        by_end = {e.pillar_date: e for e in entries}
-        bad = by_end[end]
-        assert math.isnan(bad.delta_per_bp)
-        assert bad.error is not None
-        good = by_end[add_months(REF, 6)]
-        assert math.isfinite(good.delta_per_bp)
-        assert good.error is None
-        # the failed set is remembered as a failure: hedging with the
-        # same quote raises again instead of finding a cached curve set
-        with pytest.raises(BootstrapError):
-            hedge_ratios(
-                state, lambda c: c["discount"].discount_time(1.0), [bad.locations[0]]
-            )
-
-
-class TestBuildOnce:
-    def test_risk_functions_build_and_price_each_bumped_set_once(self, monkeypatch):
-        sets = make_quote_sets()
-        state = MarketState(
-            REF, {"discount": sets["discount"], "fwd_6M": sets["fwd_6M"]}
+        pv_fn = lambda c: c["discount"].discount_time(1.0)
+        entries = delta_ladder(state, pv_fn)
+        assert all(math.isfinite(e.delta_per_bp) for e in entries)
+        assert all(e.error is None for e in entries)
+        oracle = {e.pillar_date: e for e in reference_delta_ladder(state, pv_fn)}
+        assert math.isnan(oracle[end].delta_per_bp)
+        # where the rebuilds succeed the two agree
+        six = add_months(REF, 6)
+        got = next(e for e in entries if e.pillar_date == six)
+        assert got.delta_per_bp == pytest.approx(
+            oracle[six].delta_per_bp, rel=1e-6
         )
+
+
+def _all_locations(state):
+    return [
+        (label, i)
+        for label in state.build_order
+        for i in range(len(state.quote_sets[label]))
+    ]
+
+
+def _two_curve_state_and_book(config=None):
+    sets = make_quote_sets()
+    state = MarketState(
+        REF, {"discount": sets["discount"], "fwd_6M": sets["fwd_6M"]},
+        config=config,
+    )
+    q = next(
+        q for q in sets["fwd_6M"]
+        if q.kind is InstrumentKind.SWAP and q.end == add_months(REF, 84)
+    )
+    fra_q = next(q for q in sets["fwd_6M"] if q.kind is InstrumentKind.FRA)
+
+    def pv_fn(curves):
+        return (
+            1e6 * instrument_pv(q, 0.031, curves["fwd_6M"], curves["discount"])
+            - 4e5 * instrument_pv(
+                fra_q, 0.02, curves["fwd_6M"], curves["discount"]
+            )
+        )
+
+    return state, pv_fn
+
+
+class TestWorkCounts:
+    def test_no_rebuild_and_n_plus_one_book_values(self, monkeypatch):
+        state, book = _two_curve_state_and_book()
         state.base_curves()
         built = []
         real_bootstrap = risk.bootstrap_curve
 
-        def counting_bootstrap(quotes, *args, **kwargs):
+        def counting_bootstrap(*args, **kwargs):
             built.append(kwargs["tenor_label"])
-            return real_bootstrap(quotes, *args, **kwargs)
+            return real_bootstrap(*args, **kwargs)
 
         monkeypatch.setattr(risk, "bootstrap_curve", counting_bootstrap)
-        q = next(
-            q for q in sets["fwd_6M"]
-            if q.kind is InstrumentKind.SWAP and q.end == add_months(REF, 84)
-        )
         priced = []
 
         def pv_fn(curves):
             priced.append(1)
-            return 1e6 * instrument_pv(q, q.quote, curves["fwd_6M"], curves["discount"])
-
-        n_disc, n_fwd = len(sets["discount"]), len(sets["fwd_6M"])
-        # up and down per quote; a discount bump rebuilds both curves,
-        # a 6M bump only the 6M curve
-        curve_builds = 2 * (2 * n_disc + n_fwd)
-        book_values = 2 * (n_disc + n_fwd)
+            return book(curves)
 
         entries = delta_ladder(state, pv_fn)
-        assert all(e.error is None for e in entries)
-        assert len(built) == curve_builds
-        assert len(priced) == book_values
-
-        locations = [
-            (label, i)
-            for label in state.build_order
-            for i in range(len(state.quote_sets[label]))
-        ]
-        rows = hedge_ratios(state, pv_fn, locations)
+        rows = hedge_ratios(state, pv_fn, _all_locations(state))
         hedged_residual_ladder(state, pv_fn, rows)
-        assert len(built) == curve_builds
-        assert len(priced) == book_values
-        assert built.count("discount") == 2 * n_disc
+        assert all(e.error is None for e in entries)
+        assert built == []
+        n = len(state.quote_sets["discount"]) + len(state.quote_sets["fwd_6M"])
+        assert state.risk_stats()["pillars"] == n
+        assert len(priced) == n + 1
+        assert state.risk_stats()["book_valuations"] == n + 1
 
-
-class TestResidualReusesHedgeValues:
-    def test_each_hedge_valued_once_per_distinct_curve_tuple(self, monkeypatch):
-        sets = make_quote_sets()
-        quote_sets = {"discount": sets["discount"], "fwd_6M": sets["fwd_6M"]}
-        state = MarketState(REF, quote_sets)
-        q = next(
-            q for q in sets["fwd_6M"]
-            if q.kind is InstrumentKind.SWAP and q.end == add_months(REF, 84)
-        )
-
-        def pv_fn(curves):
-            return 1e6 * instrument_pv(q, q.quote, curves["fwd_6M"], curves["discount"])
-
-        locations = [
-            (label, i)
-            for label in state.build_order
-            for i in range(len(state.quote_sets[label]))
-        ]
-        delta_ladder(state, pv_fn)
-        rows = hedge_ratios(state, pv_fn, locations)
+    def test_residual_ladder_values_no_hedge(self, monkeypatch):
+        state, pv_fn = _two_curve_state_and_book()
+        rows = hedge_ratios(state, pv_fn, _all_locations(state))
         valued = []
         real_pv = risk.instrument_pv
 
@@ -223,17 +259,146 @@ class TestResidualReusesHedgeValues:
         monkeypatch.setattr(risk, "instrument_pv", counting_pv)
         residual = hedged_residual_ladder(state, pv_fn, rows)
         monkeypatch.undo()
+        assert valued == []
 
-        # a discount hedge reads only the discount curve: one value per
-        # discount-bumped curve plus the base one every 6M bump keeps; a
-        # 6M hedge reads both curves, and every bumped set changes one
-        n_disc, n_fwd = len(sets["discount"]), len(sets["fwd_6M"])
-        assert len(valued) == n_disc * (2 * n_disc + 1) + n_fwd * 2 * (n_disc + n_fwd)
-
-        # bit for bit the ladder of the hedged book valued from scratch
-        fresh = MarketState(REF, quote_sets)
+        # the adjoint ladder of the hedged book valued in full, hedges
+        # and all, on a fresh state
+        fresh, _ = _two_curve_state_and_book()
         want = delta_ladder(fresh, hedged_pv_fn(pv_fn, rows))
-        assert [e.delta_per_bp for e in residual] == [e.delta_per_bp for e in want]
+        gross = sum(abs(e.delta_per_bp) for e in delta_ladder(state, pv_fn))
+        for got, ref in zip(residual, want):
+            assert abs(got.delta_per_bp - ref.delta_per_bp) <= 1e-6 * gross
+
+
+def _five_curve_state_and_book(config=None):
+    state = MarketState(REF, make_quote_sets(), config=config)
+    positions = criterion_08_positions()
+    return state, lambda cv: sum(price_position(p, cv)[0] for p in positions)
+
+
+# The oracle bumps by 0.1 bp: at 1 bp its own truncation error on the
+# cubic five-curve book is about 7e-7 of the largest hedge ratio.
+ORACLE_BUMP = 1e-5
+
+
+class TestJacobianMatchesBumpOracle:
+    def _compare(self, state, pv_fn):
+        build = memoised_build(state)
+        want = reference_delta_ladder(state, pv_fn, ORACLE_BUMP, build)
+        got = delta_ladder(state, pv_fn)
+        gross = sum(abs(e.delta_per_bp) for e in want)
+        assert gross > 0.0
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.error is None and w.error is None
+            assert (g.locations, g.quote, g.pillar_date, g.time,
+                    g.market_rate, g.shared) == (
+                w.locations, w.quote, w.pillar_date, w.time,
+                w.market_rate, w.shared)
+            assert abs(g.delta_per_bp - w.delta_per_bp) <= 1e-6 * gross
+        return got, want, gross, build
+
+    def _compare_hedges(self, state, pv_fn, locations):
+        _, _, gross, build = self._compare(state, pv_fn)
+        rows = hedge_ratios(state, pv_fn, locations)
+        ref_rows = reference_hedge_ratios(
+            state, pv_fn, locations, ORACLE_BUMP, build
+        )
+        largest = max(abs(r.ratio) for r in ref_rows)
+        for r, w in zip(rows, ref_rows):
+            assert (r.set_label, r.index) == (w.set_label, w.index)
+            assert abs(r.ratio - w.ratio) <= 1e-6 * largest
+        # the rebuilt ladder of the hedged book tests the ratios: the
+        # adjoint residual nets each hedge off by construction
+        want = reference_hedged_residual_ladder(
+            state, pv_fn, rows, ORACLE_BUMP, build
+        )
+        got = hedged_residual_ladder(state, pv_fn, rows)
+        return gross, sum(
+            abs(g.delta_per_bp - w.delta_per_bp) for g, w in zip(got, want)
+        ), sum(abs(e.delta_per_bp) for e in want)
+
+    @pytest.mark.parametrize("scheme", ["cubic", "loglinear", "linzero"])
+    @pytest.mark.parametrize("market", ["two_curve", "five_curve"])
+    def test_ladder_hedges_and_residual(self, market, scheme):
+        make = {
+            "two_curve": _two_curve_state_and_book,
+            "five_curve": _five_curve_state_and_book,
+        }[market]
+        state, pv_fn = make(BootstrapConfig(interpolation=scheme))
+        gross, mismatch, residual = self._compare_hedges(
+            state, pv_fn, _all_locations(state)
+        )
+        assert mismatch < 1e-6 * gross
+        assert residual < 1e-6 * gross
+
+    def test_shared_quote(self):
+        shared = depo(6, 0.02)
+        state = MarketState(
+            REF,
+            {
+                "discount": [shared, depo(12, 0.021), depo(24, 0.022)],
+                "fwd_6M": [shared, fra(6, 12, 0.025), fra(12, 18, 0.026)],
+            },
+        )
+
+        def pv_fn(c):
+            return 1e6 * (
+                c["fwd_6M"].discount_time(1.4) - 0.9 * c["discount"].discount_time(1.7)
+            )
+
+        got, _, _, _ = self._compare(state, pv_fn)
+        joint = next(e for e in got if e.shared)
+        assert set(joint.locations) == {("discount", 0), ("fwd_6M", 0)}
+        # partly hedged: the unhedged quotes keep their deltas
+        gross, mismatch, residual = self._compare_hedges(
+            state, pv_fn, [("discount", 0), ("fwd_6M", 0), ("fwd_6M", 1)]
+        )
+        assert mismatch < 1e-6 * gross
+        assert residual > 0.1 * gross
+
+    def test_dropped_quote_has_zero_delta(self):
+        # the 12M deposit loses its pillar to the 1Y swap
+        state = MarketState(
+            REF,
+            {
+                "discount": [
+                    depo(6, 0.02),
+                    depo(12, 0.021),
+                    InstrumentQuote(
+                        InstrumentKind.SWAP, 6, REF, add_months(REF, 12), 0.0205,
+                        daycount=DayCount.THIRTY_360,
+                    ),
+                ]
+            },
+        )
+        pv_fn = lambda c: 1e6 * c["discount"].discount_time(0.8)
+        got, want, _, _ = self._compare(state, pv_fn)
+        dropped = next(e for e in got if e.quote.kind is InstrumentKind.DEPOSIT
+                       and e.pillar_date == add_months(REF, 12))
+        assert dropped.delta_per_bp == 0.0
+        assert next(e for e in want if e.locations == dropped.locations).delta_per_bp == 0.0
+        assert state.risk_stats()["pillars"] == 2
+
+
+@st.composite
+def _projection_case(draw):
+    """Strictly increasing targets and (time, delta) pairs with times
+    on the knots, inside and outside the span, and deltas over many
+    orders of magnitude of either sign."""
+    knots = draw(st.lists(
+        st.floats(0.0, 40.0, allow_nan=False), min_size=1, max_size=12, unique=True
+    ))
+    tgt = sorted(knots)
+    times = draw(st.lists(
+        st.one_of(st.sampled_from(tgt), st.floats(0.0, 60.0, allow_nan=False)),
+        max_size=60,
+    ))
+    deltas = draw(st.lists(
+        st.floats(-1e12, 1e12, allow_nan=False),
+        min_size=len(times), max_size=len(times),
+    ))
+    return times, deltas, tgt
 
 
 class TestProjectDeltas:
@@ -261,6 +426,17 @@ class TestProjectDeltas:
             deltas = rng.normal(scale=10.0 ** rng.uniform(-6, 6, size=200))
             res = project_deltas(times, deltas, tgt)
             assert res.total_projected == res.total_input
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_projection_case())
+    def test_totals_conserved_bitwise_property(self, case):
+        times, deltas, tgt = case
+        res = project_deltas(times, deltas, tgt)
+        assert res.total_projected == res.total_input
+        assert np.all(np.isfinite(res.deltas))
+        # each entry alone: its two pieces recombine to it exactly
+        for t, d in zip(times, deltas):
+            assert project_deltas([t], [d], tgt).total_projected == d
 
     def test_validation(self):
         with pytest.raises(ValueError):
