@@ -8,7 +8,7 @@ measure, pricing, and quote-delta hedging.
 
 from .timegrid import Date, DayCount, ScheduleSpec, add_months, generate_schedule, year_fraction
 from .interp import InterpScheme
-from .curve import TENOR_LABELS, YieldCurve, tenor_months_from_label
+from .curve import TENOR_LABELS, LocatedQuery, YieldCurve, tenor_months_from_label
 from .basis import (
     BASIS_CSV_HEADER,
     ForwardBasisCurve,

@@ -1,23 +1,42 @@
 """Curve interpolation kernels and the choice between them.
 
-Every discount-factor lookup funnels through one of three vectorised
-numpy kernels, one per interpolation scheme.  ``knot_data`` builds the
-per-knot data a scheme's kernel needs and ``evaluate`` picks the
-kernel; ``YieldCurve`` and the bootstrap residuals both go through
-these two, so no other module branches on the scheme to evaluate a
-curve.  ``evaluate`` looks the kernels up as module globals on every
-call, so a kernel replaced on this module is the one that runs.
+Every discount-factor lookup is split in two steps:
+
+* ``locate`` reads only the query times and the knot times.  It does
+  the search, picks each query's segment and turns the query's place in
+  it into per-query weights (the cubic's four Hermite coefficients, or
+  the linear schemes' segment width and offset), and it records the
+  queries beyond the last knot and the queries that sit exactly on a
+  knot.  The result, a ``Located``, stays valid for as long as the
+  scheme and the knot times stay the same.
+* ``eval_log_cubic``/``eval_log_linear``/``eval_linear_zero`` read the
+  knot values: they gather the log-discounts (and the scheme's knot
+  data from ``knot_data``) at the located indices, combine them with
+  the stored weights, exponentiate and put the stored discount factors
+  back on exact knots.
+
+``evaluate`` is ``locate`` followed by ``apply``, the one place that
+picks a scheme's evaluate step, so an ad-hoc lookup and a located one
+run the same arithmetic.  ``YieldCurve`` and the bootstrap residuals
+both go through these, so no other module branches on the scheme to
+evaluate a curve.  ``apply`` looks the ``eval_*`` kernels up as module
+globals on every call, so a kernel replaced on this module is the one
+that runs.
 
 Kernel contract, shared by all schemes:
 
 * ``t`` are query times (years, ACT/365F from the curve reference),
-  all >= 0; the caller validates this.
+  all >= 0; the caller validates this.  Each ``eval_*`` takes the
+  query times first, then their ``Located``.
 * ``ts``/``dfs`` are knot times and discount factors with the implicit
   anchor ``ts[0] = 0, dfs[0] = 1`` already prepended.
 * A query that lands exactly on a knot returns the stored discount
   factor bit-for-bit (no exp/log round trip).
 * Queries beyond the last knot extrapolate at a frozen instantaneous
   forward, i.e. linearly in log-discount.
+* Splitting a lookup keeps the products and sums of the single-pass
+  kernels in their order, so located and ad-hoc values agree bit for
+  bit with each other and with the fused forms kept in the tests.
 """
 
 from __future__ import annotations
@@ -27,81 +46,147 @@ import numpy as np
 from .interp import InterpScheme, monotone_cubic_slopes, zero_rates_from_logdf
 
 __all__ = [
+    "Located",
+    "locate",
     "eval_log_cubic",
     "eval_log_linear",
     "eval_linear_zero",
+    "apply",
     "knot_data",
     "evaluate",
 ]
 
 
-def _locate(t, ts):
-    """Queries as a float array, the last knot at or below each query
-    (clamped to the first) and the segment each query evaluates on.
+class Located:
+    """Query times placed among one scheme's knot times.
 
-    One right-sided search gives both: a query sits exactly on a knot
-    iff it equals ``ts[lo]``, and the segment is ``lo`` capped at the
-    last interior segment.
+    ``j`` is each query's segment (knots ``j`` and ``j + 1``).  ``w``
+    holds the per-query weight arrays: for the cubic the four Hermite
+    coefficients of ``lnp[j]``, ``drv[j]``, ``lnp[j+1]``, ``drv[j+1]``,
+    with the rows past the last knot set to ``(0, 0, 1, t - ts[-1])``;
+    for the linear schemes the segment width ``h`` and the offset ``dt``
+    from the segment start (from the last knot past it).  ``ext`` lists
+    the rows past the last knot (linear schemes only) and ``hits`` the
+    (rows, knots) of exact knot hits; either is None when empty.
     """
-    t = np.ascontiguousarray(t, dtype=np.float64)
+
+    __slots__ = ("scheme", "ts", "j", "w", "ext", "hits")
+
+    def __init__(self, scheme, ts, j, w, ext, hits):
+        self.scheme = scheme
+        self.ts = ts
+        self.j = j
+        self.w = w
+        self.ext = ext
+        self.hits = hits
+
+
+def locate(scheme: InterpScheme, t: np.ndarray, ts: np.ndarray) -> Located:
+    """Where the float array ``t`` sits among the knot times ``ts``.
+
+    One right-sided search gives both the segment and the exact hits: a
+    query sits on a knot iff it equals ``ts[lo]``, ``lo`` being the last
+    knot at or below it (clamped to the first), and its segment is
+    ``lo`` capped at the last interior segment.
+    """
     lo = ts.searchsorted(t, side="right")
     lo -= 1
     np.maximum(lo, 0, out=lo)
-    return t, lo, np.minimum(lo, ts.shape[0] - 2)
-
-
-def _finish(y, t, ts, dfs, lo):
-    # exponentiate in place, then put the stored df back on exact knots
-    out = np.exp(y, out=y)
+    j = np.minimum(lo, ts.shape[0] - 2)
+    hits = ext = None
     hit = ts[lo] == t
     if hit.any():
-        out[hit] = dfs[lo[hit]]
+        rows = np.flatnonzero(hit)
+        hits = (rows, lo[rows])
+    past = t > ts[-1]
+    if past.any():
+        ext = np.flatnonzero(past)
+    tj = ts[j]
+    h = ts[j + 1] - tj
+    dt = t - tj
+    if scheme is not InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC:
+        if ext is not None:
+            dt[ext] = t[ext] - ts[-1]
+        return Located(scheme, ts, j, (h, dt), ext, hits)
+    # the Hermite coefficients (1+2s)u^2, h(su)u, s^2(3-2s), h s^2(s-1)
+    # of the fused kernel, product by product and in its order (up to the
+    # order of two operands), built in place to keep large batches lean
+    s = dt
+    s /= h
+    u = 1.0 - s
+    ss = s * s
+    c0 = 2.0 * s
+    c0 += 1.0
+    c0 *= u
+    c0 *= u
+    c1 = s * u
+    c1 *= u
+    c1 *= h
+    c2 = 2.0 * s
+    np.subtract(3.0, c2, out=c2)
+    c2 *= ss
+    c3 = s
+    c3 -= 1.0
+    c3 *= ss
+    c3 *= h
+    if ext is not None:
+        # lnp[-1] + drv[-1] * (t - ts[-1]) through the same four terms
+        c0[ext] = 0.0
+        c1[ext] = 0.0
+        c2[ext] = 1.0
+        c3[ext] = t[ext] - ts[-1]
+    return Located(scheme, ts, j, (c0, c1, c2, c3), None, hits)
+
+
+def _finish(y, dfs, hits):
+    # exponentiate in place, then put the stored df back on exact knots
+    out = np.exp(y, out=y)
+    if hits is not None:
+        out[hits[0]] = dfs[hits[1]]
     return out
 
 
-def eval_log_cubic(t, ts, dfs, lnp, drv):
-    t, lo, j = _locate(t, ts)
-    j1 = j + 1
-    tj = ts[j]
-    h = ts[j1] - tj
-    s = (t - tj) / h
-    u = 1.0 - s
-    su = s * u
-    ss = s * s
-    y = (1.0 + 2.0 * s) * u * u * lnp[j]
-    y += h * (su * u) * drv[j]
-    y += ss * (3.0 - 2.0 * s) * lnp[j1]
-    y += h * (ss * (s - 1.0)) * drv[j1]
-    ext = t > ts[-1]
-    if ext.any():
-        y[ext] = lnp[-1] + drv[-1] * (t[ext] - ts[-1])
-    return _finish(y, t, ts, dfs, lo)
+def eval_log_cubic(t, loc, dfs, lnp, drv):
+    j, (c0, c1, c2, c3) = loc.j, loc.w
+    y = c0 * lnp[j]
+    y += c1 * drv[j]
+    y += c2 * lnp[1:][j]
+    y += c3 * drv[1:][j]
+    return _finish(y, dfs, loc.hits)
 
 
-def eval_log_linear(t, ts, dfs, lnp):
-    t, lo, j = _locate(t, ts)
-    slope = (lnp[j + 1] - lnp[j]) / (ts[j + 1] - ts[j])
-    y = lnp[j] + slope * (t - ts[j])
+def eval_log_linear(t, loc, dfs, lnp):
+    j, (h, dt), ext = loc.j, loc.w, loc.ext
+    slope = (lnp[1:][j] - lnp[j]) / h
+    y = lnp[j] + slope * dt
     # the last interior segment slope doubles as the extrapolation forward
-    ext = t > ts[-1]
-    if ext.any():
-        slope_end = (lnp[-1] - lnp[-2]) / (ts[-1] - ts[-2])
-        y[ext] = lnp[-1] + slope_end * (t[ext] - ts[-1])
-    return _finish(y, t, ts, dfs, lo)
+    if ext is not None:
+        y[ext] = lnp[-1] + slope[ext] * dt[ext]
+    return _finish(y, dfs, loc.hits)
 
 
-def eval_linear_zero(t, ts, dfs, zr):
-    t, lo, j = _locate(t, ts)
-    slope = (zr[j + 1] - zr[j]) / (ts[j + 1] - ts[j])
-    z = zr[j] + slope * (t - ts[j])
+def eval_linear_zero(t, loc, dfs, zr):
+    j, (h, dt), ext = loc.j, loc.w, loc.ext
+    slope = (zr[1:][j] - zr[j]) / h
+    z = zr[j] + slope * dt
     y = -z * t
-    ext = t > ts[-1]
-    if ext.any():
+    if ext is not None:
         # continue at the instantaneous forward implied by the last segment
-        slope_end = (zr[-1] - zr[-2]) / (ts[-1] - ts[-2])
-        f_end = zr[-1] + ts[-1] * slope_end
-        y[ext] = -zr[-1] * ts[-1] - f_end * (t[ext] - ts[-1])
-    return _finish(y, t, ts, dfs, lo)
+        tn = loc.ts[-1]
+        f_end = zr[-1] + tn * slope[ext[0]]
+        y[ext] = -zr[-1] * tn - f_end * dt[ext]
+    return _finish(y, dfs, loc.hits)
+
+
+def apply(t, loc: Located, dfs, lnp, aux) -> np.ndarray:
+    """Discount factors at the located times ``t`` through the scheme's
+    evaluate step; ``aux`` is what ``knot_data`` built for the knots."""
+    scheme = loc.scheme
+    if scheme is InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC:
+        return eval_log_cubic(t, loc, dfs, lnp, aux)
+    if scheme is InterpScheme.LINEAR_ZERO:
+        return eval_linear_zero(t, loc, dfs, aux)
+    return eval_log_linear(t, loc, dfs, lnp)
 
 
 def knot_data(scheme: InterpScheme, ts: np.ndarray, lnp: np.ndarray):
@@ -115,10 +200,10 @@ def knot_data(scheme: InterpScheme, ts: np.ndarray, lnp: np.ndarray):
 
 
 def evaluate(scheme: InterpScheme, t, ts, dfs, lnp, aux) -> np.ndarray:
-    """Discount factors at times ``t`` through the scheme's kernel;
-    ``aux`` is what ``knot_data`` built for the same knots."""
-    if scheme is InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC:
-        return eval_log_cubic(t, ts, dfs, lnp, aux)
-    if scheme is InterpScheme.LINEAR_ZERO:
-        return eval_linear_zero(t, ts, dfs, aux)
-    return eval_log_linear(t, ts, dfs, lnp)
+    """Discount factors at times ``t``: locate, then the scheme's
+    evaluate step."""
+    t = np.ascontiguousarray(t, dtype=np.float64)
+    if t.ndim != 1:
+        flat = t.reshape(-1)
+        return apply(flat, locate(scheme, flat, ts), dfs, lnp, aux).reshape(t.shape)
+    return apply(t, locate(scheme, t, ts), dfs, lnp, aux)

@@ -358,17 +358,19 @@ class _Residuals:
 
     Each quote is compiled once, with this object as the ``df`` source
     of its closures.  A dry call on unit discount factors records every
-    time array the closures read, in call order; each evaluation then
-    builds the scheme's knot data once, evaluates all recorded times in
-    one kernel call and serves the closures consecutive slices of the
-    result.  The closures read their arrays in the same order on every
-    call, so the slices line up.  The pillar discount factors are
-    ``exp(ln p)`` and the kernel reads ``log`` of them, exactly as a
-    ``YieldCurve`` built from the same discount factors does.
+    time array the closures read, in call order, and locates them once
+    on the knot times, which stay fixed through the solve; each
+    evaluation then builds the scheme's knot data once, evaluates all
+    recorded times in one kernel call and serves the closures
+    consecutive slices of the result.  The closures read their arrays
+    in the same order on every call, so the slices line up.  The pillar
+    discount factors are ``exp(ln p)`` and the kernel reads ``log`` of
+    them, exactly as a ``YieldCurve`` built from the same discount
+    factors does.
     """
 
     __slots__ = ("ts", "dfs", "scheme", "fairs", "rates",
-                 "_recorded", "_batch", "_p", "_at")
+                 "_recorded", "_batch", "_loc", "_p", "_at")
 
     def __init__(self, chosen, ref, ts, scheme, discount_curve, companions):
         self.ts = ts
@@ -384,6 +386,7 @@ class _Residuals:
             fair()
         recorded, self._recorded = self._recorded, None
         self._batch = np.concatenate(recorded) if recorded else np.empty(0)
+        self._loc = _kernels.locate(scheme, self._batch, ts)
 
     def _df(self, t: np.ndarray) -> np.ndarray:
         if self._recorded is not None:
@@ -397,9 +400,7 @@ class _Residuals:
         self.dfs[1:] = np.exp(x)
         lnp = np.log(self.dfs)
         aux = _kernels.knot_data(self.scheme, self.ts, lnp)
-        self._p = _kernels.evaluate(
-            self.scheme, self._batch, self.ts, self.dfs, lnp, aux
-        )
+        self._p = _kernels.apply(self._batch, self._loc, self.dfs, lnp, aux)
         self._at = 0
         try:
             r = np.array([fair() for fair in self.fairs]) - self.rates

@@ -21,7 +21,7 @@ from . import _kernels
 from .interp import InterpScheme
 from .timegrid import Date, DayCount, roll_months, year_fraction, year_fractions
 
-__all__ = ["YieldCurve", "TENOR_LABELS", "tenor_months_from_label"]
+__all__ = ["YieldCurve", "LocatedQuery", "TENOR_LABELS", "tenor_months_from_label"]
 
 TENOR_LABELS = ("discount", "fwd_1M", "fwd_3M", "fwd_6M", "fwd_12M", "custom")
 
@@ -31,6 +31,37 @@ _LABEL_MONTHS = {"fwd_1M": 1, "fwd_3M": 3, "fwd_6M": 6, "fwd_12M": 12}
 def tenor_months_from_label(label: str) -> int | None:
     """Underlying rate tenor in months for a forwarding label, else None."""
     return _LABEL_MONTHS.get(label)
+
+
+class LocatedQuery:
+    """Query times whose place among a curve's knots is kept between lookups.
+
+    The times are on the internal clock of the curves that read the
+    query, and are checked to be >= 0 once, here.  The query keeps one
+    ``_kernels.Located`` for one (scheme, knot-time array) and locates
+    again only when a curve's scheme or knot times differ (compared by
+    identity first, then by value), so any number of curves sharing a
+    pillar grid, such as the curve sets of successive market snapshots
+    or of a Jacobian's bumped columns, read it at the cost of the
+    evaluate step alone.
+    """
+
+    __slots__ = ("t", "_loc")
+
+    def __init__(self, t):
+        t = np.ascontiguousarray(t, dtype=np.float64).reshape(-1)
+        if t.size and t.min() < 0.0:
+            raise ValueError("cannot discount before the reference date")
+        self.t = t
+        self._loc = None
+
+    def located(self, scheme: InterpScheme, ts: np.ndarray) -> _kernels.Located:
+        loc = self._loc
+        if loc is None or loc.scheme is not scheme or not (
+            loc.ts is ts or (loc.ts.shape == ts.shape and (loc.ts == ts).all())
+        ):
+            loc = self._loc = _kernels.locate(scheme, self.t, ts)
+        return loc
 
 
 class YieldCurve:
@@ -115,7 +146,15 @@ class YieldCurve:
         return (serials - self.reference_date.serial) / 365.0
 
     def discount_time(self, t) -> float | np.ndarray:
-        """Discount factor at internal-clock time(s) ``t`` >= 0."""
+        """Discount factor at internal-clock time(s) ``t`` >= 0.
+
+        ``t`` may also be a ``LocatedQuery``, which gives an array and
+        skips the search while this curve's knot times match the ones
+        the query was last located on.
+        """
+        if isinstance(t, LocatedQuery):
+            loc = t.located(self.interpolation, self._ts)
+            return _kernels.apply(t.t, loc, self._dfs, self._lnp, self._aux)
         arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
         if arr.size and arr.min() < 0.0:
             raise ValueError("cannot discount before the reference date")

@@ -15,11 +15,25 @@ the same correction twice; the engine therefore fixes mu = 0 and keeps
 the literal double-drift variant available behind ``paper_literal``
 flags for comparison.
 
-Legs and cap/floor periods are valued as arrays over their periods:
-one discount lookup per curve, one adjustment (and variance) integral
-per distinct vol/correlation spec, and one Black call per cap or
-floor.  A caplet is the one-period cap, and a swap values each of its
-legs once for both its PV and its par rate.
+Every instrument is compiled before it is valued.  Compiling turns its
+dates into ``LocatedQuery`` objects, one on the forwarding curve and
+one on the discounting curve (a swap's float and fixed payment dates
+share one), and computes its accruals, strikes, adjustments (QA),
+variances and drifts, checking the dates on the way.  Valuing reads the
+discount factors of each curve through its query, so a compiled
+position costs one kernel evaluation per curve it reads, some array
+arithmetic and at most one Black call.  A caplet is the one-period cap,
+and a swap values each of its legs once for both its PV and its par
+rate.
+
+``price_position`` keeps the compiled form on the ``Position`` itself,
+keyed on the discounting and forwarding reference dates, the
+forwarding day count and the pricing settings (vol/correlation specs,
+``single_curve``, ``paper_literal``), so it lives and dies with the
+position.  Nothing is keyed on curve identity or discount factors, which
+are read afresh on every call, and revaluing on curves with the same
+pillar dates skips even the search among the knots.  The ``price_*``
+functions compile and value in one go and keep nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import YieldCurve
+from .curve import LocatedQuery, YieldCurve
 from .quanto import SwapVolCorrSpec, VolCorrSpec, quanto_mult, swap_quanto_mult
 from .timegrid import Date, DayCount, cached_accruals, cached_schedule, year_fraction
 
@@ -184,6 +198,171 @@ class OptionSpec:
 
 
 # ---------------------------------------------------------------------------
+# compiled instruments
+# ---------------------------------------------------------------------------
+# Each ``_compile_*`` reads the dates, accruals and adjustments of one
+# instrument once and returns ``value(disc, fwd) -> (pv, fair)``, which
+# reads only discount factors: one located lookup per curve.  The
+# curves passed to ``value`` must share the compiling curves' reference
+# dates (and, where the spec leaves it open, the forwarding day count);
+# their pillar dates and DFs may differ.
+
+def _period_specs(volcorr, n: int) -> list[tuple[VolCorrSpec, slice | list[int]]]:
+    """(spec, period index) pairs covering every period that has a spec.
+
+    ``volcorr`` is None, one spec for all ``n`` periods, or a list with
+    one spec (or None) per period.  A list is grouped by spec object, so
+    each distinct spec is evaluated in one array call.
+    """
+    if not isinstance(volcorr, list):
+        return [] if volcorr is None else [(volcorr, slice(None))]
+    if len(volcorr) != n:
+        raise ValueError("need one vol/corr spec per period")
+    groups: dict[int, tuple[VolCorrSpec, list[int]]] = {}
+    for i, spec in enumerate(volcorr):
+        if spec is not None:
+            groups.setdefault(id(spec), (spec, []))[1].append(i)
+    return list(groups.values())
+
+
+def _query(curve: YieldCurve, dates) -> LocatedQuery:
+    return LocatedQuery(curve.times(dates))
+
+
+def _compile_fra(disc: YieldCurve, fwd: YieldCurve, spec: FraSpec, volcorr):
+    """PV of an FRA and its adjusted forward F * QA."""
+    if not spec.start < spec.end:
+        raise ValueError("simple forward needs T1 < T2")
+    tau = year_fraction(spec.start, spec.end, spec.daycount or fwd.daycount)
+    q_f = _query(fwd, (spec.start, spec.end))
+    q_d = _query(disc, (spec.end,))
+    qa = quanto_mult(volcorr, 0.0, disc.time(spec.start))
+    notional, strike = spec.notional, spec.strike
+
+    def value(disc: YieldCurve, fwd: YieldCurve) -> tuple[float, float]:
+        p = fwd.discount_time(q_f)
+        f_adj = float((p[0] - p[1]) / (tau * p[1])) * qa
+        p_d = float(disc.discount_time(q_d)[0])
+        return notional * p_d * tau * (f_adj - strike), f_adj
+
+    return value
+
+
+def _compile_legs(disc: YieldCurve, fwd: YieldCurve, spec: SwapSpec, volcorr):
+    """Adjusted floating-leg PV and fixed annuity, per unit notional.
+
+    The floating coupons tau * F * QA are the forwarding discount ratio
+    minus one, which telescopes exactly when projection and discounting
+    share a curve.  Both legs' payment dates form one discount query.
+    """
+    fdates = cached_schedule(spec.start, spec.end, spec.float_tenor_months)
+    xdates = cached_schedule(spec.start, spec.end, spec.fixed_frequency_months)
+    n = len(fdates) - 1
+    q_f = _query(fwd, fdates)
+    q_d = _query(disc, fdates[1:] + xdates[1:])
+    taus = np.array(cached_accruals(xdates, spec.daycount_fixed))
+    groups = _period_specs(volcorr, n)
+    qa = None
+    if groups:
+        fixings = q_f.t[:-1]
+        qa = np.ones(n)
+        for vc, idx in groups:
+            qa[idx] = np.exp(vc.drift_integral(0.0, fixings[idx]))
+
+    def legs(disc: YieldCurve, fwd: YieldCurve) -> tuple[float, float]:
+        p = fwd.discount_time(q_f)
+        coupons = p[:-1] / p[1:] - 1.0
+        if qa is not None:
+            coupons = coupons * qa
+        p_d = disc.discount_time(q_d)
+        return float(np.dot(p_d[:n], coupons)), float(np.dot(taus, p_d[n:]))
+
+    return legs
+
+
+def _compile_swap(disc: YieldCurve, fwd: YieldCurve, spec: SwapSpec, volcorr):
+    """PV of the swap and its par rate."""
+    legs = _compile_legs(disc, fwd, spec, volcorr)
+    sign = 1.0 if spec.payer else -1.0
+
+    def value(disc: YieldCurve, fwd: YieldCurve) -> tuple[float, float]:
+        float_pv, a_d = legs(disc, fwd)
+        pv = spec.notional * (float_pv - spec.fixed_rate * a_d)
+        return sign * pv, float_pv / a_d
+
+    return value
+
+
+def _compile_capfloor(
+    disc: YieldCurve,
+    fwd: YieldCurve,
+    schedule_dates,
+    strike,
+    omega: int,
+    notional: float,
+    volcorr,
+    daycount: DayCount | None,
+    paper_literal: bool,
+):
+    """Cap/floor PV over consecutive periods and its unit premium."""
+    dates = tuple(schedule_dates)
+    n = len(dates) - 1
+    if n < 1:
+        raise ValueError("cap/floor schedule needs at least one period")
+    strikes = np.broadcast_to(np.asarray(strike, dtype=float), (n,))
+    groups = _period_specs(volcorr, n)
+    t = disc.times(dates)
+    if (t[1:] <= t[:-1]).any():
+        raise ValueError("cap/floor periods need increasing dates")
+    taus = np.array(cached_accruals(dates, daycount or fwd.daycount))
+    q_f = _query(fwd, dates)
+    q_d = LocatedQuery(t[1:])
+    t_fix = t[:-1]
+    qa, variance, mu = np.ones(n), np.zeros(n), np.zeros(n)
+    for spec, idx in groups:
+        drift = spec.drift_integral(0.0, t_fix[idx])
+        qa[idx] = np.exp(drift)
+        variance[idx] = spec.variance_integral(0.0, t_fix[idx])
+        if paper_literal:
+            mu[idx] = drift
+
+    def value(disc: YieldCurve, fwd: YieldCurve) -> tuple[float, float]:
+        p_f = fwd.discount_time(q_f)
+        forwards = (p_f[:-1] - p_f[1:]) / (taus * p_f[1:])
+        kernel = black(forwards * qa, strikes, mu, variance, omega)
+        pv = float(np.sum(notional * disc.discount_time(q_d) * taus * kernel))
+        return pv, pv / notional
+
+    return value
+
+
+def _compile_swaption(
+    disc: YieldCurve,
+    fwd: YieldCurve,
+    swap: SwapSpec,
+    volcorr: SwapVolCorrSpec | None,
+    paper_literal: bool,
+):
+    """Swaption PV and its unit premium."""
+    t_exp = disc.time(swap.start)
+    if t_exp <= 0.0:
+        raise ValueError("swaption expiry must lie after the reference date")
+    legs = _compile_legs(disc, fwd, swap, None)
+    qa = swap_quanto_mult(volcorr, 0.0, t_exp)
+    variance = volcorr.variance_integral(0.0, t_exp) if volcorr else 0.0
+    mu = volcorr.drift_integral(0.0, t_exp) if (paper_literal and volcorr) else 0.0
+    omega = 1 if swap.payer else -1
+
+    def value(disc: YieldCurve, fwd: YieldCurve) -> tuple[float, float]:
+        float_pv, a_d = legs(disc, fwd)
+        kernel = black(float_pv / a_d * qa, swap.fixed_rate, mu, variance, omega)
+        pv = swap.notional * a_d * kernel
+        return pv, pv / swap.notional
+
+    return value
+
+
+# ---------------------------------------------------------------------------
 # linear instruments
 # ---------------------------------------------------------------------------
 
@@ -205,38 +384,6 @@ def price_float_zcb(
     return notional * p_d * (1.0 / p_f - 1.0)
 
 
-def _period_specs(volcorr, n: int) -> list[tuple[VolCorrSpec, slice | list[int]]]:
-    """(spec, period index) pairs covering every period that has a spec.
-
-    ``volcorr`` is None, one spec for all ``n`` periods, or a list with
-    one spec (or None) per period.  A list is grouped by spec object, so
-    each distinct spec is evaluated in one array call.
-    """
-    if not isinstance(volcorr, list):
-        return [] if volcorr is None else [(volcorr, slice(None))]
-    if len(volcorr) != n:
-        raise ValueError("need one vol/corr spec per period")
-    groups: dict[int, tuple[VolCorrSpec, list[int]]] = {}
-    for i, spec in enumerate(volcorr):
-        if spec is not None:
-            groups.setdefault(id(spec), (spec, []))[1].append(i)
-    return list(groups.values())
-
-
-def _fra_value(
-    disc: YieldCurve,
-    fwd: YieldCurve,
-    spec: FraSpec,
-    volcorr: VolCorrSpec | None,
-) -> tuple[float, float]:
-    """PV of an FRA and its adjusted forward F * QA."""
-    dc = spec.daycount or fwd.daycount
-    tau = year_fraction(spec.start, spec.end, dc)
-    f = fwd.simple_forward(spec.start, spec.end, dc)
-    f_adj = f * quanto_mult(volcorr, 0.0, disc.time(spec.start))
-    return spec.notional * disc.discount(spec.end) * tau * (f_adj - spec.strike), f_adj
-
-
 def price_fra(
     disc: YieldCurve,
     fwd: YieldCurve,
@@ -244,48 +391,7 @@ def price_fra(
     volcorr: VolCorrSpec | None = None,
 ) -> float:
     """PV of a forward rate agreement paying tau * (L - K) at the end date."""
-    return _fra_value(disc, fwd, spec, volcorr)[0]
-
-
-def _float_leg_coupons(
-    fwd: YieldCurve,
-    dates: list[Date],
-    volcorr: VolCorrSpec | list[VolCorrSpec] | None,
-) -> np.ndarray:
-    """Per-period accrual-rate products tau_f * F_f * QA as one array.
-
-    tau * F is computed directly as the discount-factor ratio minus one,
-    which telescopes exactly when projection and discounting share a
-    curve.
-    """
-    p = np.atleast_1d(fwd.discount(dates))
-    coupons = p[:-1] / p[1:] - 1.0
-    groups = _period_specs(volcorr, len(coupons))
-    if groups:
-        fixings = fwd.times(dates[:-1])
-        qa = np.ones_like(coupons)
-        for spec, idx in groups:
-            qa[idx] = np.exp(spec.drift_integral(0.0, fixings[idx]))
-        coupons = coupons * qa
-    return coupons
-
-
-def _swap_legs(
-    disc: YieldCurve,
-    fwd: YieldCurve,
-    spec: SwapSpec,
-    volcorr: VolCorrSpec | list[VolCorrSpec] | None,
-) -> tuple[float, float]:
-    """Adjusted floating-leg PV and fixed annuity, per unit notional."""
-    fdates = spec.float_schedule()
-    coupons = _float_leg_coupons(fwd, fdates, volcorr)
-    float_pv = float(np.dot(disc.discount(fdates[1:]), coupons))
-    return float_pv, annuity(disc, spec.fixed_schedule(), spec.daycount_fixed)
-
-
-def _swap_pv(spec: SwapSpec, float_pv: float, a_d: float) -> float:
-    pv = spec.notional * (float_pv - spec.fixed_rate * a_d)
-    return pv if spec.payer else -pv
+    return _compile_fra(disc, fwd, spec, volcorr)(disc, fwd)[0]
 
 
 def fair_swap_rate(
@@ -295,8 +401,7 @@ def fair_swap_rate(
     volcorr: VolCorrSpec | list[VolCorrSpec] | None = None,
 ) -> float:
     """Par fixed rate: adjusted floating leg over the fixed annuity."""
-    float_pv, a_d = _swap_legs(disc, fwd, spec, volcorr)
-    return float_pv / a_d
+    return _compile_swap(disc, fwd, spec, volcorr)(disc, fwd)[1]
 
 
 def price_swap(
@@ -306,7 +411,7 @@ def price_swap(
     volcorr: VolCorrSpec | list[VolCorrSpec] | None = None,
 ) -> float:
     """PV of the swap; positive when the payer side is in the money."""
-    return _swap_pv(spec, *_swap_legs(disc, fwd, spec, volcorr))
+    return _compile_swap(disc, fwd, spec, volcorr)(disc, fwd)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -350,29 +455,11 @@ def price_capfloor(
     arrays: one discount lookup per curve, one adjustment and variance
     call per distinct spec and one Black call.
     """
-    dates = tuple(schedule_dates)
-    n = len(dates) - 1
-    if n < 1:
-        raise ValueError("cap/floor schedule needs at least one period")
-    strikes = np.broadcast_to(np.asarray(strike, dtype=float), (n,))
-    groups = _period_specs(volcorr, n)
-    t = disc.times(dates)
-    if (t[1:] <= t[:-1]).any():
-        raise ValueError("cap/floor periods need increasing dates")
-    taus = np.array(cached_accruals(dates, daycount or fwd.daycount))
-    p_f = fwd.discount(dates)
-    p_d = disc.discount_time(t[1:])
-    forwards = (p_f[:-1] - p_f[1:]) / (taus * p_f[1:])
-    t_fix = t[:-1]
-    qa, variance, mu = np.ones(n), np.zeros(n), np.zeros(n)
-    for spec, idx in groups:
-        drift = spec.drift_integral(0.0, t_fix[idx])
-        qa[idx] = np.exp(drift)
-        variance[idx] = spec.variance_integral(0.0, t_fix[idx])
-        if paper_literal:
-            mu[idx] = drift
-    kernel = black(forwards * qa, strikes, mu, variance, omega)
-    return float(np.sum(notional * p_d * taus * kernel))
+    value = _compile_capfloor(
+        disc, fwd, schedule_dates, strike, omega, notional, volcorr, daycount,
+        paper_literal,
+    )
+    return value(disc, fwd)[0]
 
 
 def price_swaption(
@@ -387,16 +474,7 @@ def price_swaption(
     The adjusted forward swap rate S * QA prices against the strike in
     the Black kernel; a payer swaption is a call (omega +1).
     """
-    t_exp = disc.time(swap.start)
-    if t_exp <= 0.0:
-        raise ValueError("swaption expiry must lie after the reference date")
-    float_pv, a_d = _swap_legs(disc, fwd, swap, None)
-    qa = swap_quanto_mult(volcorr, 0.0, t_exp)
-    variance = volcorr.variance_integral(0.0, t_exp) if volcorr else 0.0
-    mu = volcorr.drift_integral(0.0, t_exp) if (paper_literal and volcorr) else 0.0
-    omega = 1 if swap.payer else -1
-    kernel = black(float_pv / a_d * qa, swap.fixed_rate, mu, variance, omega)
-    return swap.notional * a_d * kernel
+    return _compile_swaption(disc, fwd, swap, volcorr, paper_literal)(disc, fwd)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +488,12 @@ _POSITION_KINDS = ("fra", "swap", "caplet", "floorlet", "cap", "floor", "swaptio
 
 @dataclass(frozen=True)
 class Position:
-    """One portfolio line: an instrument spec plus curve assignment."""
+    """One portfolio line: an instrument spec plus curve assignment.
+
+    ``price_position`` keeps the position's compiled form in
+    ``_compiled`` together with the settings it was compiled for; it is
+    not part of the position's value, equality or hash.
+    """
 
     id: str
     kind: str
@@ -418,10 +501,16 @@ class Position:
     spec: object
     quantity: float = 1.0
     tenor_months: int | None = None  # cap/floor period roll
+    _compiled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _POSITION_KINDS:
             raise ValueError(f"unknown position kind {self.kind!r}")
+
+    def __getstate__(self):
+        # the compiled form holds closures, which do not pickle; a copy
+        # compiles afresh on its first valuation
+        return dict(self.__dict__, _compiled=None)
 
 
 def _parse_one(i: int, row: dict) -> Position:
@@ -488,31 +577,44 @@ def price_position(
     single_curve: bool = False,
     paper_literal: bool = False,
 ) -> tuple[float, float]:
-    """Value one position; returns (pv, fair rate or unit premium)."""
+    """Value one position; returns (pv, fair rate or unit premium).
+
+    The position is compiled on its first valuation and again only when
+    the reference dates, the forwarding day count or the pricing
+    settings change; otherwise the curves are read through the compiled
+    queries alone.
+    """
     disc = curves["discount"]
     fwd = disc if single_curve else curves[pos.forwarding]
-    if pos.kind == "fra":
-        pv, fair = _fra_value(disc, fwd, pos.spec, volcorr)
-    elif pos.kind == "swap":
-        float_pv, a_d = _swap_legs(disc, fwd, pos.spec, volcorr)
-        pv = _swap_pv(pos.spec, float_pv, a_d)
-        fair = float_pv / a_d
-    elif pos.kind in ("caplet", "floorlet"):
-        pv = price_caplet_floorlet(disc, fwd, pos.spec, volcorr, paper_literal)
-        fair = pv / pos.spec.notional
-    elif pos.kind in ("cap", "floor"):
-        dates = cached_schedule(pos.spec.start, pos.spec.end, pos.tenor_months)
-        pv = price_capfloor(
-            disc, fwd, dates, pos.spec.strike, pos.spec.omega,
-            pos.spec.notional, volcorr, pos.spec.daycount, paper_literal,
-        )
-        fair = pv / pos.spec.notional
-    elif pos.kind == "swaption":
-        pv = price_swaption(disc, fwd, pos.spec, swap_volcorr, paper_literal)
-        fair = pv / pos.spec.notional
-    else:  # pragma: no cover - guarded in the constructor
-        raise ValueError(f"unknown position kind {pos.kind!r}")
+    key = (
+        disc.reference_date, fwd.reference_date, fwd.daycount,
+        tuple(volcorr) if isinstance(volcorr, list) else volcorr,
+        swap_volcorr, single_curve, paper_literal,
+    )
+    held = pos._compiled
+    if held is None or held[0] != key:
+        held = (key, _compile_position(pos, disc, fwd, volcorr, swap_volcorr, paper_literal))
+        object.__setattr__(pos, "_compiled", held)
+    pv, fair = held[1](disc, fwd)
     return pos.quantity * pv, fair
+
+
+def _compile_position(pos, disc, fwd, volcorr, swap_volcorr, paper_literal):
+    spec = pos.spec
+    if pos.kind == "fra":
+        return _compile_fra(disc, fwd, spec, volcorr)
+    if pos.kind == "swap":
+        return _compile_swap(disc, fwd, spec, volcorr)
+    if pos.kind == "swaption":
+        return _compile_swaption(disc, fwd, spec, swap_volcorr, paper_literal)
+    if pos.kind in ("cap", "floor"):
+        dates = cached_schedule(spec.start, spec.end, pos.tenor_months)
+    else:
+        dates = (spec.start, spec.end)
+    return _compile_capfloor(
+        disc, fwd, dates, spec.strike, spec.omega, spec.notional, volcorr,
+        spec.daycount, paper_literal,
+    )
 
 
 def price_portfolio(

@@ -151,11 +151,12 @@ def flat_curve(reference: Date, rate: float, years: int = 40):
 
 
 # ---------------------------------------------------------------------------
-# reference forms of the cubic kernel and its slopes
+# reference forms of the kernels and the cubic slopes
 # ---------------------------------------------------------------------------
 # The package evaluates these on every discount-factor lookup and every
-# bootstrap residual, so it carries leaner forms that must agree bit for
-# bit.  These are the plain transcriptions kept as the yardstick.
+# bootstrap residual, so it carries leaner forms, split into a locate
+# and an evaluate step, that must agree bit for bit.  These are the
+# plain single-pass transcriptions kept as the yardstick.
 
 def reference_eval_log_cubic(t, ts, dfs, lnp, drv):
     """Cubic Hermite on log-discount, knots returned exactly, flat-forward
@@ -183,6 +184,47 @@ def reference_eval_log_cubic(t, ts, dfs, lnp, drv):
     if np.any(hit):
         out[hit] = dfs[kc[hit]]
     return out
+
+
+def _reference_locate(t, ts):
+    t = np.ascontiguousarray(t, dtype=np.float64)
+    lo = np.maximum(np.searchsorted(ts, t, side="right") - 1, 0)
+    return t, lo, np.minimum(lo, ts.shape[0] - 2)
+
+
+def _reference_finish(y, t, ts, dfs, lo):
+    out = np.exp(y)
+    hit = ts[lo] == t
+    if hit.any():
+        out[hit] = dfs[lo[hit]]
+    return out
+
+
+def reference_eval_log_linear(t, ts, dfs, lnp):
+    """Linear in log-discount; the last segment's slope extrapolates."""
+    t, lo, j = _reference_locate(t, ts)
+    slope = (lnp[j + 1] - lnp[j]) / (ts[j + 1] - ts[j])
+    y = lnp[j] + slope * (t - ts[j])
+    ext = t > ts[-1]
+    if ext.any():
+        slope_end = (lnp[-1] - lnp[-2]) / (ts[-1] - ts[-2])
+        y[ext] = lnp[-1] + slope_end * (t[ext] - ts[-1])
+    return _reference_finish(y, t, ts, dfs, lo)
+
+
+def reference_eval_linear_zero(t, ts, dfs, zr):
+    """Linear in zero rate; past the last knot the instantaneous forward
+    of the last segment is frozen."""
+    t, lo, j = _reference_locate(t, ts)
+    slope = (zr[j + 1] - zr[j]) / (ts[j + 1] - ts[j])
+    z = zr[j] + slope * (t - ts[j])
+    y = -z * t
+    ext = t > ts[-1]
+    if ext.any():
+        slope_end = (zr[-1] - zr[-2]) / (ts[-1] - ts[-2])
+        f_end = zr[-1] + ts[-1] * slope_end
+        y[ext] = -zr[-1] * ts[-1] - f_end * (t[ext] - ts[-1])
+    return _reference_finish(y, t, ts, dfs, lo)
 
 
 def _reference_edge_slope(h0, h1, m0, m1):
@@ -297,6 +339,118 @@ def reference_capfloor(disc, fwd, dates, strikes, omega, notional, specs,
         kernel = black(f * qa, strike, mu, variance, omega)
         total += notional * disc.discount(d1) * tau * kernel
     return total
+
+
+# ---------------------------------------------------------------------------
+# the pricer on dates: the reference for compiled positions
+# ---------------------------------------------------------------------------
+# multicurve.pricer compiles each position once onto located curve
+# queries.  This is the former pricer, which converted every date and
+# took every adjustment afresh on each valuation, kept as the yardstick.
+
+def _reference_period_specs(volcorr, n):
+    if not isinstance(volcorr, list):
+        return [] if volcorr is None else [(volcorr, slice(None))]
+    if len(volcorr) != n:
+        raise ValueError("need one vol/corr spec per period")
+    groups = {}
+    for i, spec in enumerate(volcorr):
+        if spec is not None:
+            groups.setdefault(id(spec), (spec, []))[1].append(i)
+    return list(groups.values())
+
+
+def _reference_swap_legs(disc, fwd, spec, volcorr):
+    """Adjusted floating-leg PV and fixed annuity, per unit notional."""
+    from multicurve import annuity
+
+    fdates = spec.float_schedule()
+    p = np.atleast_1d(fwd.discount(fdates))
+    coupons = p[:-1] / p[1:] - 1.0
+    groups = _reference_period_specs(volcorr, len(coupons))
+    if groups:
+        fixings = fwd.times(fdates[:-1])
+        qa = np.ones_like(coupons)
+        for vc, idx in groups:
+            qa[idx] = np.exp(vc.drift_integral(0.0, fixings[idx]))
+        coupons = coupons * qa
+    float_pv = float(np.dot(disc.discount(fdates[1:]), coupons))
+    return float_pv, annuity(disc, spec.fixed_schedule(), spec.daycount_fixed)
+
+
+def _reference_array_capfloor(disc, fwd, dates, strike, omega, notional,
+                              volcorr, daycount, paper_literal):
+    """Cap/floor periods as arrays, every date looked up on the call."""
+    from multicurve import black
+
+    dates = tuple(dates)
+    n = len(dates) - 1
+    if n < 1:
+        raise ValueError("cap/floor schedule needs at least one period")
+    strikes = np.broadcast_to(np.asarray(strike, dtype=float), (n,))
+    groups = _reference_period_specs(volcorr, n)
+    t = disc.times(dates)
+    if (t[1:] <= t[:-1]).any():
+        raise ValueError("cap/floor periods need increasing dates")
+    dc = daycount or fwd.daycount
+    taus = np.array([year_fraction(a, b, dc) for a, b in zip(dates[:-1], dates[1:])])
+    p_f = fwd.discount(dates)
+    p_d = disc.discount_time(t[1:])
+    forwards = (p_f[:-1] - p_f[1:]) / (taus * p_f[1:])
+    qa, variance, mu = np.ones(n), np.zeros(n), np.zeros(n)
+    for spec, idx in groups:
+        drift = spec.drift_integral(0.0, t[:-1][idx])
+        qa[idx] = np.exp(drift)
+        variance[idx] = spec.variance_integral(0.0, t[:-1][idx])
+        if paper_literal:
+            mu[idx] = drift
+    kernel = black(forwards * qa, strikes, mu, variance, omega)
+    return float(np.sum(notional * p_d * taus * kernel))
+
+
+def reference_price_position(pos, curves, volcorr=None, swap_volcorr=None,
+                             single_curve=False, paper_literal=False):
+    """(pv, fair rate or unit premium) of one position, from its dates."""
+    from multicurve import black, quanto_mult, swap_quanto_mult
+
+    disc = curves["discount"]
+    fwd = disc if single_curve else curves[pos.forwarding]
+    s = pos.spec
+    if pos.kind == "fra":
+        dc = s.daycount or fwd.daycount
+        tau = year_fraction(s.start, s.end, dc)
+        fair = fwd.simple_forward(s.start, s.end, dc) * quanto_mult(
+            volcorr, 0.0, disc.time(s.start)
+        )
+        pv = s.notional * disc.discount(s.end) * tau * (fair - s.strike)
+    elif pos.kind == "swap":
+        float_pv, a_d = _reference_swap_legs(disc, fwd, s, volcorr)
+        pv = s.notional * (float_pv - s.fixed_rate * a_d)
+        pv = pv if s.payer else -pv
+        fair = float_pv / a_d
+    elif pos.kind == "swaption":
+        t_exp = disc.time(s.start)
+        if t_exp <= 0.0:
+            raise ValueError("swaption expiry must lie after the reference date")
+        float_pv, a_d = _reference_swap_legs(disc, fwd, s, None)
+        vc = swap_volcorr
+        qa = swap_quanto_mult(vc, 0.0, t_exp)
+        variance = vc.variance_integral(0.0, t_exp) if vc else 0.0
+        mu = vc.drift_integral(0.0, t_exp) if (paper_literal and vc) else 0.0
+        omega = 1 if s.payer else -1
+        pv = s.notional * a_d * black(float_pv / a_d * qa, s.fixed_rate, mu, variance, omega)
+        fair = pv / s.notional
+    else:
+        if pos.kind in ("cap", "floor"):
+            dates = generate_schedule(s.start, s.end, pos.tenor_months)
+        else:
+            dates = [s.start, s.end]
+        pv = _reference_array_capfloor(
+            disc, fwd, dates, s.strike, s.omega, s.notional, volcorr,
+            s.daycount, paper_literal,
+        )
+        fair = pv / s.notional
+    return pos.quantity * pv, fair
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     reference_bootstrap_curve,
+    reference_eval_linear_zero,
+    reference_eval_log_cubic,
+    reference_eval_log_linear,
     reference_fair_quote,
     reference_instrument_pv,
     reference_repricing_errors,
@@ -38,6 +41,7 @@ from multicurve import (
     write_quotes_csv,
     year_fraction,
 )
+from multicurve import _kernels
 from multicurve.risk import MarketState, pricing_curves
 from multicurve.synthetic import (
     SyntheticMarket,
@@ -414,6 +418,36 @@ class TestNewtonAgainstGaussSeidel:
             resid = repricing_errors(state.quote_sets[label], newton[label], disc, companions)
             assert np.max(np.abs(resid)) <= 1e-12, label
         _assert_close_dfs(newton, _reference_curves(sets, cfg, max_sweeps=30), rtol=1e-9)
+
+
+class TestSplitKernelsInTheSolve:
+    """The residuals locate their batch once and evaluate it on every
+    Newton step; the fused single-pass kernels in ``oracles`` build the
+    same pillars."""
+
+    FUSED = {
+        "eval_log_cubic": reference_eval_log_cubic,
+        "eval_log_linear": reference_eval_log_linear,
+        "eval_linear_zero": reference_eval_linear_zero,
+    }
+
+    @pytest.mark.parametrize("scheme", list(InterpScheme))
+    def test_five_curve_pillars_bit_for_bit(self, scheme, monkeypatch):
+        cfg = BootstrapConfig(interpolation=scheme)
+        sets = make_quote_sets()
+        split = MarketState(REF, sets, cfg).base_curves()
+        calls = []
+        for name, fused in self.FUSED.items():
+            def on_knots(t, loc, dfs, *knots, fused=fused):
+                calls.append(1)
+                return fused(t, loc.ts, dfs, *knots)
+
+            monkeypatch.setattr(_kernels, name, on_knots)
+        again = MarketState(REF, sets, cfg).base_curves()
+        assert calls
+        assert set(again) == set(split)
+        for label, curve in split.items():
+            assert np.array_equal(curve.pillar_dfs, again[label].pillar_dfs), label
 
 
 class TestPillarSelection:

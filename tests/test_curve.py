@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from multicurve import Date, DayCount, InterpScheme, YieldCurve, add_months
+from multicurve import Date, DayCount, InterpScheme, LocatedQuery, YieldCurve, add_months
+from multicurve import _kernels
 
 REF = Date.of(2023, 6, 15)
 
@@ -108,6 +109,40 @@ class TestEvaluation:
         for u in (2.0, 5.0, 9.0):
             expected = p_last * math.exp(-f * u)
             assert c.discount_time(t_last + u) == pytest.approx(expected, rel=1e-12)
+
+
+class TestLocatedQuery:
+    T = np.array([0.0, 0.1, 90 / 365, 1.7, 10.0, 12.5])
+
+    def test_matches_ad_hoc_lookups_bit_for_bit(self):
+        q = LocatedQuery(self.T)
+        for scheme in ALL_SCHEMES:
+            c = make_curve(scheme)
+            assert c.discount_time(q).tobytes() == c.discount_time(self.T).tobytes()
+
+    def test_locates_once_per_scheme_and_knot_grid(self, monkeypatch):
+        c = make_curve()
+        # the same knot times in another array, with other DFs on them
+        moved = YieldCurve(REF, list(zip(c.pillar_dates, c.pillar_dfs**1.1)))
+        # another scheme, and other knot times
+        other = make_curve(InterpScheme.LINEAR_ZERO)
+        shifted = YieldCurve(REF, [(d.add_days(1), p) for d, p in zip(c.pillar_dates, c.pillar_dfs)])
+        curves = (c, c, moved, other, shifted)
+        want = [curve.discount_time(self.T).tobytes() for curve in curves]
+        calls = []
+        real = _kernels.locate
+        monkeypatch.setattr(_kernels, "locate", lambda *a: calls.append(1) or real(*a))
+        q = LocatedQuery(self.T)
+        got = [curve.discount_time(q).tobytes() for curve in curves]
+        assert got == want
+        assert len(calls) == 3
+
+    def test_rejects_negative_times(self):
+        with pytest.raises(ValueError, match="before the reference date"):
+            LocatedQuery([0.5, -1e-9])
+
+    def test_empty_query(self):
+        assert make_curve().discount_time(LocatedQuery([])).shape == (0,)
 
 
 class TestRates:

@@ -2,11 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from oracles import reference_eval_log_cubic, reference_monotone_cubic_slopes
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import (
+    reference_eval_linear_zero,
+    reference_eval_log_cubic,
+    reference_eval_log_linear,
+    reference_monotone_cubic_slopes,
+)
 from scipy.interpolate import PchipInterpolator
 
 from multicurve import _kernels
-from multicurve.interp import monotone_cubic_slopes, zero_rates_from_logdf
+from multicurve.interp import InterpScheme, monotone_cubic_slopes, zero_rates_from_logdf
+
+CUBIC = InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC
+LOGLIN = InterpScheme.LOG_LINEAR_DISCOUNT
+LINZERO = InterpScheme.LINEAR_ZERO
 
 
 def _curve_arrays(dfs, ts):
@@ -56,19 +67,22 @@ class TestCubicKernel:
     def test_matches_scipy_pchip_between_knots(self):
         ref = PchipInterpolator(self.ts, self.lnp)
         t = np.linspace(0.01, 9.99, 777)
-        mine = _kernels.eval_log_cubic(t, self.ts, self.dfs, self.lnp, self.drv)
+        loc = _kernels.locate(CUBIC, t, self.ts)
+        mine = _kernels.eval_log_cubic(t, loc, self.dfs, self.lnp, self.drv)
         np.testing.assert_allclose(mine, np.exp(ref(t)), rtol=1e-13)
 
     def test_exact_at_knots_bit_for_bit(self):
-        out = _kernels.eval_log_cubic(self.ts, self.ts, self.dfs, self.lnp, self.drv)
+        loc = _kernels.locate(CUBIC, self.ts, self.ts)
+        out = _kernels.eval_log_cubic(self.ts, loc, self.dfs, self.lnp, self.drv)
         assert np.array_equal(out, self.dfs)
 
     def test_flat_forward_extrapolation(self):
         # beyond the last knot log-discount continues linearly at the
         # terminal slope
         for u in (0.5, 2.0, 10.0):
+            t = np.array([10.0 + u])
             got = _kernels.eval_log_cubic(
-                np.array([10.0 + u]), self.ts, self.dfs, self.lnp, self.drv
+                t, _kernels.locate(CUBIC, t, self.ts), self.dfs, self.lnp, self.drv
             )[0]
             expected = self.dfs[-1] * math.exp(self.drv[-1] * u)
             assert got == pytest.approx(expected, rel=1e-14)
@@ -78,7 +92,8 @@ class TestCubicKernel:
         for k in range(1, len(self.ts) - 1):
             t0 = self.ts[k]
             grid = np.array([t0 - 2 * eps, t0 - eps, t0 + eps, t0 + 2 * eps])
-            p = _kernels.eval_log_cubic(grid, self.ts, self.dfs, self.lnp, self.drv)
+            loc = _kernels.locate(CUBIC, grid, self.ts)
+            p = _kernels.eval_log_cubic(grid, loc, self.dfs, self.lnp, self.drv)
             left = (math.log(p[1]) - math.log(p[0])) / eps
             right = (math.log(p[3]) - math.log(p[2])) / eps
             assert left == pytest.approx(right, abs=5e-6)
@@ -119,7 +134,7 @@ class TestLeanFormsMatchReference:
                 rng.uniform(0.0, ts[-1], 40), ts, ts[-1] + rng.uniform(0.0, 20.0, 5),
             ])
             rng.shuffle(t)
-            got = _kernels.eval_log_cubic(t, ts, dfs, ys, drv)
+            got = _kernels.eval_log_cubic(t, _kernels.locate(CUBIC, t, ts), dfs, ys, drv)
             want = reference_eval_log_cubic(t, ts, dfs, ys, drv)
             assert got.tobytes() == want.tobytes(), (ts, ys, t)
 
@@ -129,19 +144,21 @@ class TestLogLinearKernel:
         # between (1y, 0.98) and (2y, 0.95) the log-linear midpoint is
         # sqrt(0.98 * 0.95)
         ts, dfs, lnp = _curve_arrays([1.0, 0.98, 0.95], [0.0, 1.0, 2.0])
-        got = _kernels.eval_log_linear(np.array([1.5]), ts, dfs, lnp)[0]
+        t = np.array([1.5])
+        got = _kernels.eval_log_linear(t, _kernels.locate(LOGLIN, t, ts), dfs, lnp)[0]
         assert got == pytest.approx(math.sqrt(0.98 * 0.95), rel=1e-15)
         assert got == pytest.approx(0.9648834126, abs=1e-9)
 
     def test_exact_at_knots(self):
         ts, dfs, lnp = _curve_arrays([1.0, 0.97, 0.92, 0.84], [0.0, 1.0, 3.0, 7.0])
-        out = _kernels.eval_log_linear(ts, ts, dfs, lnp)
+        out = _kernels.eval_log_linear(ts, _kernels.locate(LOGLIN, ts, ts), dfs, lnp)
         assert np.array_equal(out, dfs)
 
     def test_extrapolation_continues_last_segment(self):
         ts, dfs, lnp = _curve_arrays([1.0, 0.98, 0.95], [0.0, 1.0, 2.0])
         slope = (lnp[2] - lnp[1]) / 1.0
-        got = _kernels.eval_log_linear(np.array([3.5]), ts, dfs, lnp)[0]
+        t = np.array([3.5])
+        got = _kernels.eval_log_linear(t, _kernels.locate(LOGLIN, t, ts), dfs, lnp)[0]
         assert got == pytest.approx(0.95 * math.exp(slope * 1.5), rel=1e-14)
 
 
@@ -150,19 +167,21 @@ class TestLinearZeroKernel:
         ts, dfs, lnp = _curve_arrays([1.0, 0.98, 0.95], [0.0, 1.0, 2.0])
         zr = zero_rates_from_logdf(ts, lnp)
         z_mid = 0.5 * (zr[1] + zr[2])
-        got = _kernels.eval_linear_zero(np.array([1.5]), ts, dfs, zr)[0]
+        t = np.array([1.5])
+        got = _kernels.eval_linear_zero(t, _kernels.locate(LINZERO, t, ts), dfs, zr)[0]
         assert got == pytest.approx(math.exp(-z_mid * 1.5), rel=1e-14)
 
     def test_short_end_flat_zero(self):
         ts, dfs, lnp = _curve_arrays([1.0, 0.98, 0.95], [0.0, 1.0, 2.0])
         zr = zero_rates_from_logdf(ts, lnp)
-        got = _kernels.eval_linear_zero(np.array([0.25]), ts, dfs, zr)[0]
+        t = np.array([0.25])
+        got = _kernels.eval_linear_zero(t, _kernels.locate(LINZERO, t, ts), dfs, zr)[0]
         assert got == pytest.approx(math.exp(-zr[1] * 0.25), rel=1e-14)
 
     def test_exact_at_knots(self):
         ts, dfs, lnp = _curve_arrays([1.0, 0.99, 0.96, 0.9], [0.0, 0.7, 2.3, 6.1])
         zr = zero_rates_from_logdf(ts, lnp)
-        out = _kernels.eval_linear_zero(ts, ts, dfs, zr)
+        out = _kernels.eval_linear_zero(ts, _kernels.locate(LINZERO, ts, ts), dfs, zr)
         assert np.array_equal(out, dfs)
 
     def test_extrapolation_freezes_instantaneous_forward(self):
@@ -170,5 +189,49 @@ class TestLinearZeroKernel:
         zr = zero_rates_from_logdf(ts, lnp)
         slope = (zr[2] - zr[1]) / 1.0
         f_end = zr[2] + 2.0 * slope
-        got = _kernels.eval_linear_zero(np.array([3.0]), ts, dfs, zr)[0]
+        t = np.array([3.0])
+        got = _kernels.eval_linear_zero(t, _kernels.locate(LINZERO, t, ts), dfs, zr)[0]
         assert got == pytest.approx(math.exp(-zr[2] * 2.0 - f_end * 1.0), rel=1e-14)
+
+
+@st.composite
+def _knots_and_queries(draw):
+    """One to twelve pillars after the t = 0 anchor, and up to 40 query
+    times: knots (t = 0 among them), points between them and points up
+    to ten years past the last one, in any order; possibly none."""
+    n = draw(st.integers(1, 12))
+    gaps = draw(st.lists(st.floats(0.01, 5.0), min_size=n, max_size=n))
+    ts = np.concatenate(([0.0], np.cumsum(gaps)))
+    steps = draw(st.lists(st.floats(-0.2, 0.05), min_size=n, max_size=n))
+    dfs = np.exp(np.concatenate(([0.0], np.cumsum(steps))))
+    t = draw(st.lists(
+        st.one_of(st.sampled_from(ts.tolist()), st.floats(0.0, float(ts[-1]) + 10.0)),
+        max_size=40,
+    ))
+    return ts, dfs, np.array(t, dtype=float)
+
+
+class TestLocatedEvaluationMatchesFusedReference:
+    """Locate-then-evaluate against the single-pass kernels in ``oracles``."""
+
+    FUSED = {
+        CUBIC: lambda t, ts, dfs, lnp, aux: reference_eval_log_cubic(t, ts, dfs, lnp, aux),
+        LOGLIN: lambda t, ts, dfs, lnp, aux: reference_eval_log_linear(t, ts, dfs, lnp),
+        LINZERO: lambda t, ts, dfs, lnp, aux: reference_eval_linear_zero(t, ts, dfs, aux),
+    }
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_knots_and_queries())
+    # a single pillar: t = 0, the knot, between and past it; then no query
+    @example((np.array([0.0, 2.0]), np.array([1.0, 0.95]), np.array([0.0, 2.0, 0.7, 3.5])))
+    @example((np.array([0.0, 1.0, 3.0]), np.array([1.0, 0.98, 0.9]), np.empty(0)))
+    def test_bit_for_bit_property(self, case):
+        ts, dfs, t = case
+        lnp = np.log(dfs)
+        for scheme, fused in self.FUSED.items():
+            aux = _kernels.knot_data(scheme, ts, lnp)
+            want = fused(t, ts, dfs, lnp, aux)
+            located = _kernels.apply(t, _kernels.locate(scheme, t, ts), dfs, lnp, aux)
+            assert located.tobytes() == want.tobytes(), (scheme, ts, dfs, t)
+            ad_hoc = _kernels.evaluate(scheme, t, ts, dfs, lnp, aux)
+            assert ad_hoc.tobytes() == want.tobytes(), (scheme, ts, dfs, t)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from multicurve import (
     Date,
     DayCount,
+    InterpScheme,
+    YieldCurve,
     FraSpec,
     OptionSpec,
     SwapSpec,
@@ -29,6 +32,7 @@ from multicurve import (
     price_swaption,
     year_fraction,
 )
+from multicurve import _kernels
 from multicurve.synthetic import default_market, true_pillar_curve
 from multicurve.timegrid import cached_schedule
 
@@ -486,8 +490,8 @@ class TestWorkPerPosition:
     ROWS = [
         ({"kind": "fra", "start": "2027-06-15", "end": "2027-12-15", "strike": 0.027}, 2),
         ({"kind": "caplet", "start": "2027-06-15", "end": "2027-12-15", "strike": 0.03}, 2),
-        ({"kind": "swap", "start": "2026-06-15", "end": "2056-06-15", "fixed_rate": 0.03}, 3),
-        ({"kind": "swaption", "start": "2028-06-15", "end": "2038-06-15", "strike": 0.03}, 3),
+        ({"kind": "swap", "start": "2026-06-15", "end": "2056-06-15", "fixed_rate": 0.03}, 2),
+        ({"kind": "swaption", "start": "2028-06-15", "end": "2038-06-15", "strike": 0.03}, 2),
         ({"kind": "cap", "start": "2026-07-15", "end": "2029-07-15", "strike": 0.03,
           "tenor_months": 1}, 2),
     ]
@@ -633,3 +637,199 @@ class TestPortfolio:
                 pos, {"discount": DISC, "fwd_6M": DISC}
             )
             assert pv == pv_direct
+
+
+def _recurve(curve, scheme, dates=None, scale=None):
+    """``curve`` under ``scheme``, optionally sampled on other pillar
+    dates or with its discount factors raised to the power ``scale``."""
+    dates = curve.pillar_dates if dates is None else dates
+    dfs = curve.discount(dates)
+    if scale is not None:
+        dfs = dfs**scale
+    return YieldCurve(
+        curve.reference_date, list(zip(dates, dfs)), scheme, curve.daycount,
+        curve.tenor_label,
+    )
+
+
+class TestCompiledPositions:
+    """``price_position`` compiles each position once onto located curve
+    queries; checked against the date-based pricer in ``oracles``."""
+
+    ROWS = [
+        {"kind": "fra", "start": "2027-06-15", "end": "2027-12-15", "strike": 0.027},
+        {"kind": "fra", "start": "2027-03-15", "end": "2027-09-15", "strike": 0.029,
+         "daycount": "ACT_365_FIXED", "quantity": -1.5},
+        {"kind": "swap", "start": "2026-06-15", "end": "2056-06-15", "fixed_rate": 0.03},
+        {"kind": "swap", "start": "2027-06-15", "end": "2036-09-15", "fixed_rate": 0.028,
+         "payer": False, "float_tenor_months": 3, "quantity": 2.0},
+        {"kind": "caplet", "start": "2027-06-15", "end": "2027-12-15", "strike": 0.03},
+        {"kind": "floorlet", "start": "2028-06-15", "end": "2028-12-15", "strike": 0.035},
+        {"kind": "cap", "start": "2026-07-15", "end": "2031-07-15", "strike": 0.03,
+         "tenor_months": 3},
+        {"kind": "floor", "start": "2026-12-15", "end": "2036-12-15", "strike": 0.04},
+        {"kind": "swaption", "start": "2028-06-15", "end": "2038-06-15", "strike": 0.03},
+        {"kind": "swaption", "start": "2031-06-15", "end": "2061-06-15", "strike": 0.033,
+         "payer": False},
+    ]
+    SPECS = [
+        (None, None),
+        (VolCorrSpec.flat(0.25, 0.12, -0.3), SwapVolCorrSpec.flat(0.22, 0.08, -0.25)),
+        (
+            VolCorrSpec((1.0, 4.0), (0.3, 0.25, 0.2), (0.1, 0.15, 0.12), (0.4, -0.2, 0.6)),
+            SwapVolCorrSpec((2.0, 6.0), (0.2, 0.25, 0.18), (0.05, 0.1, 0.07), (-0.5, 0.3, 0.2)),
+        ),
+    ]
+
+    def positions(self):
+        return parse_portfolio(
+            [dict(row, forwarding="fwd_6M", notional=1e6) for row in self.ROWS]
+        )
+
+    @staticmethod
+    def curves(scheme, **kw):
+        return {
+            "discount": _recurve(DISC, scheme, **kw),
+            "fwd_6M": _recurve(FWD, scheme, **kw),
+        }
+
+    @staticmethod
+    def assert_matches_reference(pos, curves, **kw):
+        pv, fair = price_position(pos, curves, **kw)
+        want_pv, want_fair = oracles.reference_price_position(pos, curves, **kw)
+        assert abs(pv - want_pv) <= 1e-14 * pos.spec.notional, (pos.kind, pv, want_pv)
+        assert abs(fair - want_fair) <= 1e-14, (pos.kind, fair, want_fair)
+
+    @pytest.mark.parametrize("scheme", list(InterpScheme))
+    def test_parity_with_the_date_based_pricer(self, scheme):
+        curves = self.curves(scheme)
+        positions = self.positions()
+        for vc, svc in self.SPECS:
+            for single_curve in (False, True):
+                for paper_literal in (False, True):
+                    for pos in positions:
+                        self.assert_matches_reference(
+                            pos, curves, volcorr=vc, swap_volcorr=svc,
+                            single_curve=single_curve, paper_literal=paper_literal,
+                        )
+
+    def test_revaluation_reads_each_curve_once(self, monkeypatch):
+        from multicurve import quanto
+
+        vc, svc = self.SPECS[2]
+        positions = self.positions()
+        for pos in positions:
+            price_position(pos, self.curves(InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC),
+                           volcorr=vc, swap_volcorr=svc)
+        moved = self.curves(InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC, scale=1.1)
+        calls = {"lookups": 0, "locates": 0, "integrals": 0}
+        real_lookup, real_locate = YieldCurve.discount_time, _kernels.locate
+
+        def counting_lookup(self, t):
+            calls["lookups"] += 1
+            return real_lookup(self, t)
+
+        def counting_locate(*args):
+            calls["locates"] += 1
+            return real_locate(*args)
+
+        monkeypatch.setattr(YieldCurve, "discount_time", counting_lookup)
+        monkeypatch.setattr(_kernels, "locate", counting_locate)
+        for cls in (quanto.VolCorrSpec, quanto.SwapVolCorrSpec):
+            for name in ("drift_integral", "variance_integral"):
+                real = getattr(cls, name)
+
+                def counting(self, a, b, real=real):
+                    calls["integrals"] += 1
+                    return real(self, a, b)
+
+                monkeypatch.setattr(cls, name, counting)
+        for pos in positions:
+            calls["lookups"] = 0
+            price_position(pos, moved, volcorr=vc, swap_volcorr=svc)
+            assert calls["lookups"] == 2, pos.kind
+        assert calls["locates"] == 0
+        assert calls["integrals"] == 0
+
+    @pytest.mark.parametrize("scheme", list(InterpScheme))
+    def test_new_curves_are_read_afresh(self, scheme, monkeypatch):
+        vc, svc = self.SPECS[1]
+        positions = self.positions()
+        base = self.curves(scheme)
+        for pos in positions:
+            price_position(pos, base, volcorr=vc, swap_volcorr=svc)
+        # the same pillar dates with other discount factors
+        moved = self.curves(scheme, scale=0.8)
+        for pos in positions:
+            self.assert_matches_reference(pos, moved, volcorr=vc, swap_volcorr=svc)
+        # other pillar dates, and another scheme on the same dates: both relocate
+        locates = []
+        real_locate = _kernels.locate
+        monkeypatch.setattr(
+            _kernels, "locate", lambda *args: locates.append(1) or real_locate(*args)
+        )
+        quarterly = [add_months(REF, 3 * k) for k in range(1, 121)]
+        other = next(s for s in InterpScheme if s is not scheme)
+        for curves in (self.curves(scheme, dates=quarterly), self.curves(other)):
+            for pos in positions:
+                locates.clear()
+                price_position(pos, curves, volcorr=vc, swap_volcorr=svc)
+                assert len(locates) == 2, pos.kind
+                self.assert_matches_reference(pos, curves, volcorr=vc, swap_volcorr=svc)
+
+    def test_compiled_form_is_not_part_of_the_position(self):
+        (pos,) = parse_portfolio([dict(self.ROWS[2], forwarding="fwd_6M")])
+        (fresh,) = parse_portfolio([dict(self.ROWS[2], forwarding="fwd_6M")])
+        price_position(pos, {"discount": DISC, "fwd_6M": FWD})
+        assert pos._compiled is not None
+        assert pos == fresh and hash(pos) == hash(fresh)
+        assert dataclasses.replace(pos, quantity=3.0)._compiled is None
+        copied = pickle.loads(pickle.dumps(pos))
+        assert copied == pos and copied._compiled is None
+        assert price_position(copied, {"discount": DISC, "fwd_6M": FWD}) == price_position(
+            pos, {"discount": DISC, "fwd_6M": FWD}
+        )
+
+    def test_swaption_expiry_checked_when_compiled(self):
+        curves = {"discount": DISC, "fwd_6M": FWD}
+        for start in ("2026-06-15", "2026-03-15"):
+            (pos,) = parse_portfolio([{
+                "kind": "swaption", "forwarding": "fwd_6M", "start": start,
+                "end": "2031-06-15", "strike": 0.03,
+            }])
+            with pytest.raises(ValueError, match="expiry"):
+                price_position(pos, curves, swap_volcorr=self.SPECS[1][1])
+            assert pos._compiled is None
+
+    def test_non_increasing_cap_dates_rejected(self):
+        dates = [add_months(REF, 12), add_months(REF, 18), add_months(REF, 18)]
+        with pytest.raises(ValueError, match="increasing"):
+            price_capfloor(DISC, FWD, dates, 0.03, 1, 1e6, self.SPECS[1][0])
+        with pytest.raises(ValueError, match="increasing"):
+            price_capfloor(DISC, FWD, dates[::-1], 0.03)
+        (pos,) = parse_portfolio([{
+            "kind": "caplet", "forwarding": "fwd_6M", "start": "2027-06-15",
+            "end": "2027-06-15", "strike": 0.03,
+        }])
+        with pytest.raises(ValueError, match="increasing"):
+            price_position(pos, {"discount": DISC, "fwd_6M": FWD})
+
+    def test_dates_before_the_reference_rejected(self):
+        (pos,) = parse_portfolio([{
+            "kind": "fra", "forwarding": "fwd_6M", "start": "2026-03-15",
+            "end": "2026-09-15", "strike": 0.03,
+        }])
+        with pytest.raises(ValueError, match="before the reference date"):
+            price_position(pos, {"discount": DISC, "fwd_6M": FWD})
+
+    def test_non_positive_forward_raises_when_valued(self):
+        vc, svc = self.SPECS[1]
+        positions = [p for p in self.positions() if p.kind in ("caplet", "cap", "swaption")]
+        curves = {"discount": DISC, "fwd_6M": FWD}
+        for pos in positions:
+            price_position(pos, curves, volcorr=vc, swap_volcorr=svc)
+        # discount factors rising with maturity: every forward is negative
+        inverted = {"discount": DISC, "fwd_6M": _recurve(FWD, FWD.interpolation, scale=-1.0)}
+        for pos in positions:
+            with pytest.raises(ValueError, match="positive forward"):
+                price_position(pos, inverted, volcorr=vc, swap_volcorr=svc)
