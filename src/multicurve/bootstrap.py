@@ -2,12 +2,19 @@
 
 Each quote pins the discount factor at its end date (the pillar).  A
 curve's pillar log-discounts ln p solve R(ln p) = 0, where R holds every
-quote's fair value minus its quote in rate space.  Each quote is
-compiled once (``_compile_quote`` is the only quote arithmetic), and R
-costs one knot-data build and one kernel call over all the times the
-quotes read.  Damped Newton solves all pillars of a curve together from
-a seed (a nearby curve, the discounting curve or the quotes' own rates),
-with the Jacobian taken by forward differences.  Solving them together
+quote's fair value minus its quote in rate space.  A build compiles
+each quote once (``_compile_quote`` is the only quote arithmetic) into
+one residual object, ``_Residuals``, which records the times the
+quotes read on every curve, each on that curve's own clock, as one
+located query per curve.  While solving, R costs one knot-data build
+and one kernel call over the solved curve's times; the fixed curves
+(discounting, basis companions) are read once each.  The same object
+then runs the closure check on the finished curve, and ``risk`` keeps
+it to evaluate the columns of its quote Jacobian.
+
+Damped Newton solves all pillars of a curve together from a seed (a
+nearby curve, the discounting curve or the quotes' own rates), with
+the Jacobian taken by forward differences.  Solving them together
 matters because the monotone cubic is only semi-local: the slope stored
 at knot i reacts to pillars i-1 and i+1, so solving pillar n alone can
 disturb instruments that matured earlier.
@@ -23,6 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -30,7 +38,7 @@ import numpy as np
 
 from . import _kernels
 from .basis import ForwardBasisCurve
-from .curve import YieldCurve
+from .curve import LocatedQuery, YieldCurve
 from .interp import InterpScheme
 from .timegrid import Date, DayCount, year_fraction
 from .timegrid import cached_accruals as _taus
@@ -55,6 +63,10 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# A curve read by time: the reference date its times count from, and the
+# map from an array of those times to discount factors.
+_DFSource = tuple[Date, Callable[[np.ndarray], np.ndarray]]
 
 QUOTES_CSV_HEADER = (
     "kind,underlying_tenor_months,start,end,quote,"
@@ -160,18 +172,21 @@ def _compile_quote(
     q: InstrumentQuote,
     ref: Date,
     df,
-    discounting: YieldCurve | None,
-    companions: dict[int, YieldCurve] | None,
+    discounting: _DFSource | None,
+    companions: dict[int, _DFSource] | None,
 ):
     """The quote's rate-space fair value and PV weight, as two closures.
 
     ``df`` maps an array of times (ACT/365F years from ``ref``) to
-    discount factors on the curve that projects the quote's own tenor:
-    slices of the bootstrap's batched evaluation while solving,
-    ``YieldCurve.discount_time`` on a finished curve.  Without ``discounting`` the same source
-    discounts.  Schedule dates convert to times once; legs living on
-    curves that stay fixed (external discounting, basis companions)
-    freeze to constant arrays, each read on its own curve's clock.
+    discount factors on the curve that projects the quote's own tenor.
+    ``discounting`` and each of ``companions`` (keyed by tenor months)
+    are such sources for the curves that stay fixed, each paired with
+    the reference date its times count from, so every curve is read on
+    its own clock.  Without ``discounting`` the own source discounts.
+    Schedule dates convert to times once; the closures read every
+    source on every call: ``YieldCurve.discount_time`` when pricing on
+    finished curves, one batch per curve read when a compiled quote set
+    evaluates (``_Residuals``).
 
     The fair value is the forward rate of a money-market quote (futures
     before convexity), the par rate of a swap or overnight index swap
@@ -179,19 +194,18 @@ def _compile_quote(
     in that rate into PV per unit notional: P_d(end) * tau for
     money-market quotes, the fixed or spread leg annuity otherwise.
     The weight of a money-market quote reads the discount curve only
-    when called; the solver never asks for it, so its times stay out of
-    the solver's batch.
+    when called; a residual set never asks for it, so its times stay
+    out of the batches.
     """
 
-    def times(dates) -> np.ndarray:
-        return np.array([(d.serial - ref.serial) / 365.0 for d in dates])
+    def times(clock: Date, dates) -> np.ndarray:
+        return np.array([(d.serial - clock.serial) / 365.0 for d in dates])
+
+    disc_ref, disc_df = (ref, df) if discounting is None else discounting
 
     def disc_getter(dates):
-        if discounting is not None:
-            const = discounting.discount(dates)
-            return lambda: const
-        t = times(dates)
-        return lambda: df(t)
+        t = times(disc_ref, dates)
+        return lambda: disc_df(t)
 
     def annuity(dates, dc: DayCount):
         taus = np.array(_taus(dates, dc))
@@ -205,34 +219,33 @@ def _compile_quote(
         dates = _sched(q.start, q.end, months)
         get_pd = disc_getter(dates[1:])
         if months == q.underlying_tenor:
-            t_leg = times(dates)
-
-            def pv() -> float:
-                p = df(t_leg)
-                return float(np.dot(get_pd(), p[:-1] / p[1:] - 1.0))
-
-            return pv
-        if not companions or months not in companions:
+            proj_ref, proj_df = ref, df
+        elif companions and months in companions:
+            proj_ref, proj_df = companions[months]
+        else:
             raise BootstrapError(
                 f"basis swap leg needs a companion curve for the {months}M tenor"
             )
-        p = companions[months].discount(dates)
-        ratio = p[:-1] / p[1:] - 1.0
-        return lambda: float(np.dot(get_pd(), ratio))
+        t_leg = times(proj_ref, dates)
+
+        def pv() -> float:
+            p = proj_df(t_leg)
+            return float(np.dot(get_pd(), p[:-1] / p[1:] - 1.0))
+
+        return pv
 
     k = q.kind
     if k in (InstrumentKind.DEPOSIT, InstrumentKind.FRA, InstrumentKind.FUTURES):
-        t_pair = times([q.start, q.end])
+        t_pair = times(ref, [q.start, q.end])
         tau = year_fraction(q.start, q.end, q.daycount)
+        get_pd_end = disc_getter([q.end])
 
         def fair():
             p = df(t_pair)
             return (p[0] - p[1]) / (tau * p[1])
 
         def weight():
-            if discounting is None:
-                return df(t_pair[1:])[0] * tau
-            return discounting.discount(q.end) * tau
+            return get_pd_end()[0] * tau
 
         return fair, weight
 
@@ -260,6 +273,11 @@ def _compile_quote(
     raise BootstrapError(f"unknown instrument kind {k!r}")
 
 
+def _source(curve: YieldCurve) -> _DFSource:
+    """A finished curve as a time->DF source on its own clock."""
+    return curve.reference_date, curve.discount_time
+
+
 def _on_curves(
     q: InstrumentQuote,
     target: YieldCurve,
@@ -267,7 +285,9 @@ def _on_curves(
     companions: dict[int, YieldCurve] | None,
 ):
     return _compile_quote(
-        q, target.reference_date, target.discount_time, discounting, companions
+        q, *_source(target),
+        None if discounting is None else _source(discounting),
+        companions and {m: _source(c) for m, c in companions.items()},
     )
 
 
@@ -318,11 +338,9 @@ def repricing_errors(
     companions: dict[int, YieldCurve] | None = None,
 ) -> np.ndarray:
     """Fair-minus-quote residual per instrument, futures in rate space."""
-    out = np.empty(len(quotes))
-    for i, q in enumerate(quotes):
-        fair, _ = _on_curves(q, target, discounting, companions)
-        out[i] = fair() - q.implied_rate()
-    return out
+    return _Residuals(
+        quotes, target.reference_date, discounting, companions
+    ).on_curves(target, discounting, companions)
 
 
 def select_pillar_instruments(
@@ -353,61 +371,151 @@ def select_pillar_instruments(
     return [by_end[s] for s in sorted(by_end)]
 
 
-class _Residuals:
-    """Residual vector R(ln p) of a quote set on the curve being solved.
+class _Reads:
+    """The times a compiled quote set reads on one curve, as one batch.
 
-    Each quote is compiled once, with this object as the ``df`` source
-    of its closures.  A dry call on unit discount factors records every
-    time array the closures read, in call order, and locates them once
-    on the knot times, which stay fixed through the solve; each
-    evaluation then builds the scheme's knot data once, evaluates all
-    recorded times in one kernel call and serves the closures
-    consecutive slices of the result.  The closures read their arrays
-    in the same order on every call, so the slices line up.  The pillar
-    discount factors are ``exp(ln p)`` and the kernel reads ``log`` of
-    them, exactly as a ``YieldCurve`` built from the same discount
-    factors does.
+    It is the source ``_compile_quote`` hands the closures for that
+    curve.  While recording it keeps every time array asked for and
+    returns unit discount factors; once sealed into one
+    ``LocatedQuery`` it serves consecutive slices of the curve's
+    discount factors at all those times.  The closures read their
+    arrays in the same order on every call, so the slices line up.
     """
 
-    __slots__ = ("ts", "dfs", "scheme", "fairs", "rates",
-                 "_recorded", "_batch", "_loc", "_p", "_at")
+    __slots__ = ("recorded", "query", "p", "at", "curve")
 
-    def __init__(self, chosen, ref, ts, scheme, discount_curve, companions):
-        self.ts = ts
-        self.dfs = np.ones(ts.shape[0])
-        self.scheme = scheme
+    def __init__(self):
+        self.recorded: list[np.ndarray] | None = []
+        self.query: LocatedQuery | None = None
+        self.p: np.ndarray | None = None
+        self.at = 0
+        self.curve: YieldCurve | None = None
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        if self.recorded is not None:
+            self.recorded.append(t)
+            return np.ones(t.shape[0])
+        i = self.at
+        self.at = i + t.shape[0]
+        return self.p[i:self.at]
+
+    def seal(self) -> None:
+        recorded, self.recorded = self.recorded, None
+        self.query = LocatedQuery(
+            np.concatenate(recorded) if recorded else np.empty(0)
+        )
+
+    def load(self, curve: YieldCurve) -> None:
+        """Read ``curve`` at every recorded time, unless it is the curve
+        read last."""
+        if curve is not self.curve:
+            self.p = curve.discount_time(self.query)
+            self.curve = curve
+
+
+class _Residuals:
+    """Residual vector R of a quote set: each quote's fair value minus its
+    rate, futures in rate space, compiled once per build.
+
+    Each quote is compiled once by ``_compile_quote``, with one
+    ``_Reads`` as the source of every curve the set reads: the curve
+    being solved, the discounting curve and each basis companion.  A
+    dry call on unit discount factors records the times every closure
+    reads, each on its curve's own clock, and each curve's times become
+    one ``LocatedQuery``.  An evaluation reads each curve once, in one
+    batch, and serves the closures slices of it:
+
+    * ``on_pillars``, while solving, evaluates the solved curve's batch
+      on its pillar log-discounts through the kernels, exactly as a
+      ``YieldCurve`` built from the same discount factors does, and
+      reads the fixed curves as last bound by ``bind``;
+    * ``on_curves`` reads finished curves through
+      ``YieldCurve.discount_time``: the closure check on the solved
+      curve, whose interpolation data is rebuilt from its pillars, and
+      the columns of the quote Jacobian in ``risk``.
+
+    A curve is read again only when another curve object takes its
+    place.  An annuity that underflows to zero gives NaN residuals.
+    """
+
+    __slots__ = ("quotes", "rates", "fairs", "own", "disc", "companions", "_reads")
+
+    def __init__(
+        self,
+        quotes: list[InstrumentQuote],
+        ref: Date,
+        discounting: YieldCurve | None = None,
+        companions: dict[int, YieldCurve] | None = None,
+    ):
+        self.quotes = list(quotes)
+        self.rates = np.array([q.implied_rate() for q in quotes])
+        self.own = _Reads()
+        self.disc = disc_source = None
+        if discounting is not None:
+            self.disc = _Reads()
+            disc_source = (discounting.reference_date, self.disc)
+        companions = companions or {}
+        comps = {m: _Reads() for m in companions}
+        sources = {m: (c.reference_date, comps[m]) for m, c in companions.items()}
         self.fairs = [
-            _compile_quote(q, ref, self._df, discount_curve, companions)[0]
-            for q in chosen
+            _compile_quote(q, ref, self.own, disc_source, sources)[0]
+            for q in quotes
         ]
-        self.rates = np.array([q.implied_rate() for q in chosen])
-        self._recorded: list[np.ndarray] | None = []
         for fair in self.fairs:
             fair()
-        recorded, self._recorded = self._recorded, None
-        self._batch = np.concatenate(recorded) if recorded else np.empty(0)
-        self._loc = _kernels.locate(scheme, self._batch, ts)
+        # a fixed curve no quote reads is never read
+        if self.disc is not None and not self.disc.recorded:
+            self.disc = None
+        self.companions = {m: r for m, r in comps.items() if r.recorded}
+        self._reads = [
+            r for r in (self.own, self.disc, *self.companions.values()) if r is not None
+        ]
+        for reads in self._reads:
+            reads.seal()
 
-    def _df(self, t: np.ndarray) -> np.ndarray:
-        if self._recorded is not None:
-            self._recorded.append(t)
-            return np.ones(t.shape[0])
-        i = self._at
-        self._at = i + t.shape[0]
-        return self._p[i:self._at]
+    def bind(
+        self,
+        discounting: YieldCurve | None,
+        companions: dict[int, YieldCurve] | None,
+    ) -> None:
+        """Read the fixed curves the quotes price against."""
+        if self.disc is not None:
+            self.disc.load(discounting)
+        for months, reads in self.companions.items():
+            reads.load(companions[months])
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        self.dfs[1:] = np.exp(x)
-        lnp = np.log(self.dfs)
-        aux = _kernels.knot_data(self.scheme, self.ts, lnp)
-        self._p = _kernels.apply(self._batch, self._loc, self.dfs, lnp, aux)
-        self._at = 0
+    def on_curves(
+        self,
+        target: YieldCurve,
+        discounting: YieldCurve | None = None,
+        companions: dict[int, YieldCurve] | None = None,
+    ) -> np.ndarray:
+        """R with ``target`` projecting the quotes' own tenor."""
+        self.bind(discounting, companions)
+        self.own.load(target)
+        return self._evaluate()
+
+    def on_pillars(
+        self, scheme: InterpScheme, ts: np.ndarray, dfs: np.ndarray
+    ) -> np.ndarray:
+        """R with the solved curve given by its knot times ``ts`` and
+        discount factors ``dfs``, anchor included."""
+        lnp = np.log(dfs)
+        aux = _kernels.knot_data(scheme, ts, lnp)
+        q = self.own.query
+        self.own.p = _kernels.apply(q.t, q.located(scheme, ts), dfs, lnp, aux)
+        self.own.curve = None
+        return self._evaluate()
+
+    def _evaluate(self) -> np.ndarray:
+        for reads in self._reads:
+            reads.at = 0
         try:
             r = np.array([fair() for fair in self.fairs]) - self.rates
         except ZeroDivisionError:
             # an annuity that underflowed to zero: no finite residual here
             return np.full(len(self.fairs), np.nan)
-        assert self._at == self._batch.shape[0]
+        assert all(reads.at == reads.query.t.shape[0] for reads in self._reads)
         return r
 
 
@@ -435,6 +543,23 @@ def bootstrap_curve(
     factors at the pillar dates, else a flat zero rate at each quote's
     implied rate.  A nearby seed closes in one or two Newton iterations.
     """
+    return _bootstrap(
+        quotes, config, discount_curve, companions, reference_date,
+        tenor_label, start_curve,
+    )[0]
+
+
+def _bootstrap(
+    quotes: list[InstrumentQuote],
+    config: BootstrapConfig | None,
+    discount_curve: YieldCurve | None,
+    companions: dict[int, YieldCurve] | None,
+    reference_date: Date | None,
+    tenor_label: str,
+    start_curve: YieldCurve | None,
+) -> tuple[YieldCurve, _Residuals]:
+    """``bootstrap_curve``, also giving the compiled residuals of the
+    chosen quotes, which the closure check evaluated on the result."""
     if not quotes:
         raise BootstrapError("no quotes to bootstrap from")
     cfg = config or BootstrapConfig()
@@ -475,7 +600,7 @@ def _solve_curve(
     tenor_label: str,
     ts: np.ndarray,
     seed: np.ndarray,
-) -> YieldCurve:
+) -> tuple[YieldCurve, _Residuals]:
     """Solve R(ln p) = 0 for the pillar log-discounts by damped Newton
     from ``seed`` (``ts`` holds the anchor at 0 and the pillar times).
 
@@ -495,12 +620,17 @@ def _solve_curve(
         )
 
     with np.errstate(all="ignore"):
-        residuals = _Residuals(
-            chosen, ref, ts, cfg.interpolation, discount_curve, companions
-        )
+        residuals = _Residuals(chosen, ref, discount_curve, companions)
+        residuals.bind(discount_curve, companions)
+        scheme, knot_dfs = cfg.interpolation, np.ones(n + 1)
+
+        def at(x: np.ndarray) -> np.ndarray:
+            knot_dfs[1:] = np.exp(x)
+            return residuals.on_pillars(scheme, ts, knot_dfs)
+
         # a seed outside df_bracket starts from the nearer end of it
         x = np.log(np.clip(seed, lo, hi))
-        r = residuals(x)
+        r = at(x)
         if not np.all(np.isfinite(r)):
             raise fail("non-finite residual at the seed", r)
         while np.max(np.abs(r)) > cfg.tolerance:
@@ -511,7 +641,7 @@ def _solve_curve(
             for j in range(n):
                 xj = x.copy()
                 xj[j] += _FD_STEP
-                jac[:, j] = (residuals(xj) - r) / (xj[j] - x[j])
+                jac[:, j] = (at(xj) - r) / (xj[j] - x[j])
             if not np.all(np.isfinite(jac)):
                 raise fail("non-finite Jacobian", r)
             if np.linalg.cond(jac) > 1.0 / np.finfo(float).eps:
@@ -522,7 +652,7 @@ def _solve_curve(
             size = r @ r
             for _ in range(_MAX_HALVINGS):
                 trial = x + step
-                r_trial = residuals(trial)
+                r_trial = at(trial)
                 if np.all(np.isfinite(r_trial)) and r_trial @ r_trial < size:
                     break
                 step *= 0.5
@@ -547,14 +677,14 @@ def _solve_curve(
     # Closure check on the finished curve, whose interpolation data is
     # rebuilt from the solved pillars rather than taken from the solve.
     worst = np.max(np.abs(
-        repricing_errors(chosen, curve, discount_curve, companions)
+        residuals.on_curves(curve, discount_curve, companions)
     ))
     if worst > cfg.tolerance:
         raise BootstrapError(
             f"{tenor_label} curve failed to converge: residual {worst:.3e} "
             f"above tolerance {cfg.tolerance:g} after {it} Newton iterations"
         )
-    return curve
+    return curve, residuals
 
 
 # ---------------------------------------------------------------------------

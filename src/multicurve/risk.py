@@ -9,8 +9,10 @@ chosen quote's fair value minus the quote in rate space, so dR/dq = -I
 and a book's quote deltas w solve J^T w = g, where J = dR/d ln p and
 g = dPV/d ln p on the base curves: one adjoint solve, no rebuild.  J is
 block lower triangular in build order; a column moves one pillar by a
-forward difference and reprices that curve and the curves priced
-against it.  J depends on the quotes alone, and g (N + 1 book values
+forward difference and evaluates the residuals the base build compiled
+for that curve and for the curves priced against it, so no quote is
+compiled again and each curve a column moves is read in one batch per
+quote set.  J depends on the quotes alone, and g (N + 1 book values
 for N pillars) is kept per book function.  A bootstrap instrument
 reprices exactly whatever the quotes, so as a hedge it moves with its
 own quote alone, by its PV weight.
@@ -34,11 +36,10 @@ from .bootstrap import (
     BootstrapError,
     InstrumentKind,
     InstrumentQuote,
-    _compile_quote,
+    _bootstrap,
+    _on_curves,
     bootstrap_curve,
     instrument_pv,
-    repricing_errors,
-    select_pillar_instruments,
 )
 from .curve import TENOR_LABELS, YieldCurve, tenor_months_from_label
 from .timegrid import Date
@@ -93,8 +94,9 @@ class MarketState:
     ``quote_sets`` maps labels from ``TENOR_LABELS`` to instrument
     lists; a ``discount`` set is required and always builds first.
     Per-label configs fall back to the shared ``config``.  The base
-    curves, the quote Jacobian and each book function's deltas are
-    kept, so the quote sets must not change once the state has built.
+    curves with their compiled residuals, the quote Jacobian and each
+    book function's deltas are kept, so the quote sets must not change
+    once the state has built.
     """
 
     def __init__(
@@ -118,6 +120,7 @@ class MarketState:
         }
         self._order = self._topo_order()
         self._base: dict[str, YieldCurve] | None = None
+        self._sets: dict = {}
         self._jac: tuple | None = None
         self._deltas: dict = {}
         self._valuations = 0
@@ -191,17 +194,19 @@ class MarketState:
             if base is not None and not ({label} | self._deps[label]) & dirty:
                 curves[label] = base[label]
                 continue
-            disc, companions = pricing_curves(label, curves)
-            curves[label] = bootstrap_curve(
+            args = (
                 [overrides.get((label, i), q)
                  for i, q in enumerate(self.quote_sets[label])],
                 self.config_for(label),
-                discount_curve=disc,
-                companions=companions,
-                reference_date=self.reference_date,
-                tenor_label=label,
-                start_curve=None if base is None else base[label],
+                *pricing_curves(label, curves),
+                self.reference_date,
+                label,
             )
+            if base is None:
+                # the base build keeps each label's compiled residuals
+                curves[label], self._sets[label] = _bootstrap(*args, None)
+            else:
+                curves[label] = bootstrap_curve(*args, base[label])
             dirty.add(label)
         return curves
 
@@ -225,21 +230,25 @@ class MarketState:
     def _jacobian(self) -> tuple:
         """(J, rows, cond(J), error): ``rows`` maps each quote location
         (label, index) holding a pillar to its row of R, which is also
-        its pillar's column; ``error`` says why J cannot be solved."""
+        its pillar's column; ``error`` says why J cannot be solved.
+
+        Each column evaluates the residuals compiled by the base build,
+        those of the moved curve and of the curves priced against it."""
         if self._jac is None:
             base = self.base_curves()
-            chosen, span, rows, n = {}, {}, {}, 0
+            sets = self._sets
+            span, rows, n = {}, {}, 0
             for label in self._order:
-                chosen[label] = select_pillar_instruments(self.quote_sets[label])
-                span[label] = slice(n, n + len(chosen[label]))
+                chosen = sets[label].quotes
+                span[label] = slice(n, n + len(chosen))
                 for i, q in enumerate(self.quote_sets[label]):
-                    if q in chosen[label]:
-                        rows[(label, i)] = n + chosen[label].index(q)
+                    if q in chosen:
+                        rows[(label, i)] = n + chosen.index(q)
                 n = span[label].stop
 
             def residuals(label: str, curves: dict[str, YieldCurve]) -> np.ndarray:
-                return repricing_errors(
-                    chosen[label], curves[label], *pricing_curves(label, curves)
+                return sets[label].on_curves(
+                    curves[label], *pricing_curves(label, curves)
                 )
 
             at_base = {label: residuals(label, base) for label in self._order}
@@ -466,9 +475,8 @@ def hedge_ratios(
         own = 0.0
         if (label, idx) in deltas:
             # PV per unit notional of a unit move in the fair value
-            _, weight = _compile_quote(
-                q, state.reference_date, curves[label].discount_time,
-                *pricing_curves(label, curves),
+            _, weight = _on_curves(
+                q, curves[label], *pricing_curves(label, curves)
             )
             own = float(weight()) * 1e-4
         if own == 0.0:

@@ -631,8 +631,15 @@ def reference_bootstrap_curve(quotes, config=None, discount_curve=None,
     else:
         seed = np.exp(-np.array([q.implied_rate() for q in chosen]) * ts[1:])
     ws = _ReferenceWorkspace(ts, np.concatenate(([1.0], seed)), cfg.interpolation)
+    disc_source = None
+    if discount_curve is not None:
+        disc_source = (discount_curve.reference_date, discount_curve.discount_time)
+    companion_sources = {
+        m: (c.reference_date, c.discount_time) for m, c in (companions or {}).items()
+    }
     fairs = [
-        _compile_quote(q, ref, ws.df, discount_curve, companions)[0] for q in chosen
+        _compile_quote(q, ref, ws.df, disc_source, companion_sources)[0]
+        for q in chosen
     ]
     rates = [q.implied_rate() for q in chosen]
     lo, hi = cfg.df_bracket
@@ -679,6 +686,38 @@ def reference_bootstrap_curve(quotes, config=None, discount_curve=None,
             f"after {max_sweeps} sweeps"
         )
     return curve
+
+
+# ---------------------------------------------------------------------------
+# quote Jacobian column by column through ``repricing_errors``
+# ---------------------------------------------------------------------------
+
+def reference_quote_jacobian(state):
+    """J = dR/d ln p of ``state`` with every column recompiling the quotes
+    of the moved curve and of the curves priced against it, through the
+    public ``repricing_errors``; same steps and arithmetic as
+    ``MarketState``, so the two agree bit for bit."""
+    base = state.base_curves()
+    chosen, span, n = {}, {}, 0
+    for label in state.build_order:
+        chosen[label] = select_pillar_instruments(state.quote_sets[label])
+        span[label] = slice(n, n + len(chosen[label]))
+        n = span[label].stop
+
+    def residuals(label, curves):
+        return repricing_errors(
+            chosen[label], curves[label], *pricing_curves(label, curves)
+        )
+
+    at_base = {label: residuals(label, base) for label in state.build_order}
+    matrix = np.zeros((n, n))
+    with np.errstate(all="ignore"):
+        for col, (label, curves, step) in enumerate(state._moved_sets()):
+            for m in state.build_order:
+                if m == label or label in state._deps[m]:
+                    moved = residuals(m, curves) - at_base[m]
+                    matrix[span[m], col] = moved / step
+    return matrix
 
 
 # ---------------------------------------------------------------------------

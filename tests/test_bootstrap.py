@@ -41,7 +41,7 @@ from multicurve import (
     write_quotes_csv,
     year_fraction,
 )
-from multicurve import _kernels
+from multicurve import _kernels, bootstrap
 from multicurve.risk import MarketState, pricing_curves
 from multicurve.synthetic import (
     SyntheticMarket,
@@ -539,6 +539,42 @@ class TestFairQuoteAndPv:
         assert fair_quote(q, curve) == pytest.approx(
             curve.simple_forward(q.start, q.end, q.daycount), rel=1e-15
         )
+
+
+class TestQuoteSetCompiledOnce:
+    """One forwarding build compiles each chosen quote once, for the solve
+    and the closure check together, and reads every curve in one batch."""
+
+    def test_forwarding_build(self, monkeypatch):
+        sets = make_quote_sets()
+        disc = bootstrap_curve(sets["discount"], reference_date=REF, tenor_label="discount")
+        fwd6 = bootstrap_curve(
+            sets["fwd_6M"], discount_curve=disc, reference_date=REF, tenor_label="fwd_6M"
+        )
+        quotes = sets["fwd_3M"]
+        kw = dict(discount_curve=disc, companions={6: fwd6}, reference_date=REF,
+                  tenor_label="fwd_3M")
+        seed = bootstrap_curve(quotes, **kw)
+        compiled, reads = [], []
+        real_compile, real_lookup = bootstrap._compile_quote, YieldCurve.discount_time
+
+        def counting_compile(q, *args):
+            compiled.append(q)
+            return real_compile(q, *args)
+
+        def counting_lookup(curve, t):
+            reads.append(curve)
+            return real_lookup(curve, t)
+
+        monkeypatch.setattr(bootstrap, "_compile_quote", counting_compile)
+        monkeypatch.setattr(YieldCurve, "discount_time", counting_lookup)
+        built = bootstrap_curve(quotes, start_curve=seed, **kw)
+        monkeypatch.undo()
+        assert compiled == select_pillar_instruments(quotes)
+        # one read each of the seed, the two fixed curves and (closure
+        # check) the finished curve
+        assert [sum(r is c for r in reads) for c in (seed, disc, fwd6, built)] == [1] * 4
+        assert len(reads) == 4
 
 
 class TestQuotesMatchDateReference:

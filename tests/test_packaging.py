@@ -29,3 +29,15 @@ def test_package_runs_without_scipy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "True"
+
+
+def test_benchmark_self_test_passes():
+    # every workload's output check still rejects its broken answers on
+    # this source tree
+    root = os.path.dirname(SRC)
+    out = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "run.py"), "--self-test"],
+        capture_output=True, text=True, cwd=root, timeout=300,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "self-test: 0 check(s) misjudged" in out.stdout

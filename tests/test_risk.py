@@ -28,7 +28,7 @@ from multicurve import (
     write_ladder_csv,
     year_fraction,
 )
-from multicurve import risk
+from multicurve import bootstrap, risk
 from multicurve.risk import HEDGE_CSV_HEADER, LADDER_CSV_HEADER
 from multicurve.synthetic import default_market, make_ois_quotes, make_quote_sets
 from oracles import (
@@ -36,6 +36,7 @@ from oracles import (
     reference_delta_ladder,
     reference_hedge_ratios,
     reference_hedged_residual_ladder,
+    reference_quote_jacobian,
 )
 from test_acceptance import criterion_08_positions
 
@@ -155,9 +156,10 @@ class TestDeltaLadder:
             REF, {"discount": [depo(6, 0.02), depo(24, 0.021)]}
         )
         state.base_curves()
-        # residuals that ignore the pillars: J = 0
+        # compiled residuals that ignore the pillars: J = 0
         monkeypatch.setattr(
-            risk, "repricing_errors", lambda quotes, *a, **k: np.zeros(len(quotes))
+            bootstrap._Residuals, "on_curves",
+            lambda self, *a, **k: np.zeros(len(self.quotes)),
         )
         entries = delta_ladder(state, lambda c: c["discount"].discount_time(1.0))
         assert all(math.isnan(e.delta_per_bp) for e in entries)
@@ -246,6 +248,34 @@ class TestWorkCounts:
         assert len(priced) == n + 1
         assert state.risk_stats()["book_valuations"] == n + 1
 
+    def test_ladder_compiles_no_quote(self, monkeypatch):
+        # J evaluates the residuals compiled by the base build
+        state = MarketState(REF, make_quote_sets())
+        state.base_curves()
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(
+            bootstrap, "_compile_quote", counting("compile", bootstrap._compile_quote)
+        )
+        for module in (bootstrap, risk):
+            if hasattr(module, "repricing_errors"):
+                monkeypatch.setattr(
+                    module, "repricing_errors",
+                    counting("repricing_errors", module.repricing_errors),
+                )
+        def pv_fn(c):
+            return c["fwd_3M"].discount_time(4.0) - c["discount"].discount_time(2.0)
+
+        entries = delta_ladder(state, pv_fn)
+        assert all(e.error is None for e in entries)
+        assert calls == []
+
     def test_residual_ladder_values_no_hedge(self, monkeypatch):
         state, pv_fn = _two_curve_state_and_book()
         rows = hedge_ratios(state, pv_fn, _all_locations(state))
@@ -279,6 +309,27 @@ def _five_curve_state_and_book(config=None):
 # The oracle bumps by 0.1 bp: at 1 bp its own truncation error on the
 # cubic five-curve book is about 7e-7 of the largest hedge ratio.
 ORACLE_BUMP = 1e-5
+
+
+class TestJacobianMatchesReference:
+    """J from the compiled residuals against the column-by-column
+    recompile through ``repricing_errors`` on the five-curve market,
+    basis swaps against their companion included."""
+
+    @pytest.mark.parametrize("scheme", ["cubic", "loglinear", "linzero"])
+    def test_bit_for_bit(self, scheme):
+        config = BootstrapConfig(interpolation=scheme)
+        state, pv_fn = _five_curve_state_and_book(config)
+        matrix, rows, cond, error = state._jacobian()
+        want = reference_quote_jacobian(state)
+        assert error is None
+        assert np.array_equal(matrix, want)
+        # the ladder solved on the reference J
+        on_reference, _ = _five_curve_state_and_book(config)
+        on_reference._jac = (want, rows, cond, error)
+        got = [e.delta_per_bp for e in delta_ladder(state, pv_fn)]
+        ref = [e.delta_per_bp for e in delta_ladder(on_reference, pv_fn)]
+        assert np.array_equal(got, ref)
 
 
 class TestJacobianMatchesBumpOracle:
