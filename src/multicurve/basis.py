@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _cashflows
 from .curve import YieldCurve
 from .timegrid import Date, roll_months, year_fractions
 
@@ -110,7 +111,7 @@ def _interval_basis(
     with np.errstate(divide="ignore", invalid="ignore"):
         mult = np.where(denom != 0.0, (pd2 / pf2) * (pf1 - pf2) / denom, np.nan)
         add = (pf1 / pf2 - pd1 / pd2) / tau_d
-        fwd_d = denom / (tau_d * pd2)
+        fwd_d = _cashflows.simple_forward(pd1, pd2, tau_d)
     return mult, add, fwd_d
 
 

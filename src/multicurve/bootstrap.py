@@ -3,14 +3,19 @@
 Each quote pins the discount factor at its end date (the pillar).  A
 curve's pillar log-discounts ln p solve R(ln p) = 0, where R holds every
 quote's fair value minus its quote in rate space.  A build compiles
-each quote once (``_compile_quote`` is the only quote arithmetic) into
-one residual object, ``_Residuals``, which records the times the
-quotes read on every curve, each on that curve's own clock, as one
-located query per curve.  While solving, R costs one knot-data build
-and one kernel call over the solved curve's times; the fixed curves
-(discounting, basis companions) are read once each.  The same object
-then runs the closure check on the finished curve, and ``risk`` keeps
-it to evaluate the columns of its quote Jacobian.
+each quote once (``_compile_quote``) into one residual object,
+``_Residuals``.  Compiling registers the dates each quote reads with a
+``_Reads``, curve by curve and each on that curve's own clock, and
+gets back the slices of that curve's batch they occupy; the batches
+become one located query per curve, and every fair value and PV weight
+is the leg arithmetic of ``_cashflows`` on those slices.  While
+solving, R costs one knot-data build and one kernel call over the
+solved curve's times; the fixed curves (discounting, basis companions)
+are read once each.  The same object then runs the closure check on
+the finished curve, and ``risk`` keeps it to evaluate the columns of
+its quote Jacobian and the PV weights of its hedges.  A quote that
+reads nothing on the curve being built cannot pin it, and the build
+fails naming it.
 
 Damped Newton solves all pillars of a curve together from a seed (a
 nearby curve, the discounting curve or the quotes' own rates), with
@@ -30,13 +35,12 @@ from __future__ import annotations
 import csv
 import io
 import logging
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from . import _kernels
+from . import _cashflows, _kernels
 from .basis import ForwardBasisCurve
 from .curve import LocatedQuery, YieldCurve
 from .interp import InterpScheme
@@ -63,10 +67,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-# A curve read by time: the reference date its times count from, and the
-# map from an array of those times to discount factors.
-_DFSource = tuple[Date, Callable[[np.ndarray], np.ndarray]]
 
 QUOTES_CSV_HEADER = (
     "kind,underlying_tenor_months,start,end,quote,"
@@ -168,99 +168,128 @@ class BootstrapConfig:
         object.__setattr__(self, "interpolation", InterpScheme(self.interpolation))
 
 
-def _compile_quote(
-    q: InstrumentQuote,
-    ref: Date,
-    df,
-    discounting: _DFSource | None,
-    companions: dict[int, _DFSource] | None,
-):
-    """The quote's rate-space fair value and PV weight, as two closures.
+# Keys of the curves a quote set reads: the curve projecting the quotes'
+# own tenor, the discounting curve, and each basis companion by its tenor
+# months.
+_OWN, _DISC = "own", "disc"
 
-    ``df`` maps an array of times (ACT/365F years from ``ref``) to
-    discount factors on the curve that projects the quote's own tenor.
-    ``discounting`` and each of ``companions`` (keyed by tenor months)
-    are such sources for the curves that stay fixed, each paired with
-    the reference date its times count from, so every curve is read on
-    its own clock.  Without ``discounting`` the own source discounts.
-    Schedule dates convert to times once; the closures read every
-    source on every call: ``YieldCurve.discount_time`` when pricing on
-    finished curves, one batch per curve read when a compiled quote set
-    evaluates (``_Residuals``).
+
+class _Reads:
+    """The times a compiled quote set reads, batched per curve.
+
+    Each curve has a key (``_OWN``, ``_DISC`` or a companion's tenor
+    months) and the reference date its times count from, so every curve
+    is read on its own clock; ``disc`` is the key discounting reads go
+    to, ``_OWN`` when the set discounts on its own curve.  ``add`` puts
+    dates on one curve's batch and returns their slice of it.  ``seal``
+    makes each batch one ``LocatedQuery`` (a curve no quote reads gets
+    none and is never read) and reads the fixed curves given here.
+    ``load`` puts a curve's discount factors at its batch into ``p``,
+    keyed like the batches, unless that curve object is the one read
+    there last.
+    """
+
+    __slots__ = ("clocks", "disc", "fixed", "times", "queries", "p", "curves")
+
+    def __init__(
+        self,
+        ref: Date,
+        discounting: YieldCurve | None = None,
+        companions: dict[int, YieldCurve] | None = None,
+    ):
+        self.fixed = dict(companions or {})
+        if discounting is not None:
+            self.fixed[_DISC] = discounting
+        self.disc = _OWN if discounting is None else _DISC
+        self.clocks = {_OWN: ref} | {k: c.reference_date for k, c in self.fixed.items()}
+        self.times: dict = {key: [] for key in self.clocks}
+        self.queries: dict = {}
+        self.p: dict = {}
+        self.curves: dict = {}
+
+    def add(self, key, dates) -> slice:
+        clock = self.clocks[key].serial
+        batch = self.times[key]
+        start = len(batch)
+        batch.extend([(d.serial - clock) / 365.0 for d in dates])
+        return slice(start, len(batch))
+
+    def seal(self) -> None:
+        self.queries = {key: LocatedQuery(t) for key, t in self.times.items() if t}
+        for key, curve in self.fixed.items():
+            if key in self.queries:
+                self.load(key, curve)
+
+    def load(self, key, curve: YieldCurve) -> None:
+        if curve is not self.curves.get(key):
+            self.p[key] = curve.discount_time(self.queries[key])
+            self.curves[key] = curve
+
+
+def _compile_quote(q: InstrumentQuote, reads: _Reads):
+    """The quote's rate-space fair value and PV weight, as two functions
+    of the discount factors ``reads`` loads.
+
+    Compiling registers every date the quote reads with ``reads``, on
+    the curve it comes from: the curve projecting the quote's own tenor,
+    the discounting curve (``reads.disc``) or, for the far leg of a
+    basis swap, the companion of that tenor.  Both functions take the
+    mapping ``p`` from curve key to that curve's batch of discount
+    factors and read their slices of it through the leg formulas of
+    ``_cashflows``.
 
     The fair value is the forward rate of a money-market quote (futures
     before convexity), the par rate of a swap or overnight index swap
     and the par spread of a basis swap.  The weight turns a difference
     in that rate into PV per unit notional: P_d(end) * tau for
     money-market quotes, the fixed or spread leg annuity otherwise.
-    The weight of a money-market quote reads the discount curve only
-    when called; a residual set never asks for it, so its times stay
-    out of the batches.
     """
-
-    def times(clock: Date, dates) -> np.ndarray:
-        return np.array([(d.serial - clock.serial) / 365.0 for d in dates])
-
-    disc_ref, disc_df = (ref, df) if discounting is None else discounting
-
-    def disc_getter(dates):
-        t = times(disc_ref, dates)
-        return lambda: disc_df(t)
+    disc = reads.disc
 
     def annuity(dates, dc: DayCount):
         taus = np.array(_taus(dates, dc))
-        get_pd = disc_getter(dates[1:])
-        return lambda: float(np.dot(taus, get_pd()))
+        d = reads.add(disc, dates[1:])
+        return lambda p: _cashflows.annuity(taus, p[disc][d])
 
     def float_leg(months: int):
-        # sum P_d(t_i) (P_f ratio - 1): the accrual-times-rate product is
-        # the projection curve's discount ratio minus one, day-count free
-        # and telescoping exactly when projection and discounting coincide
-        dates = _sched(q.start, q.end, months)
-        get_pd = disc_getter(dates[1:])
         if months == q.underlying_tenor:
-            proj_ref, proj_df = ref, df
-        elif companions and months in companions:
-            proj_ref, proj_df = companions[months]
+            proj = _OWN
+        elif months in reads.clocks:
+            proj = months
         else:
             raise BootstrapError(
                 f"basis swap leg needs a companion curve for the {months}M tenor"
             )
-        t_leg = times(proj_ref, dates)
-
-        def pv() -> float:
-            p = proj_df(t_leg)
-            return float(np.dot(get_pd(), p[:-1] / p[1:] - 1.0))
-
-        return pv
+        dates = _sched(q.start, q.end, months)
+        d = reads.add(disc, dates[1:])
+        f = reads.add(proj, dates)
+        return lambda p: _cashflows.float_leg(p[disc][d], p[proj][f])
 
     k = q.kind
     if k in (InstrumentKind.DEPOSIT, InstrumentKind.FRA, InstrumentKind.FUTURES):
-        t_pair = times(ref, [q.start, q.end])
         tau = year_fraction(q.start, q.end, q.daycount)
-        get_pd_end = disc_getter([q.end])
+        f = reads.add(_OWN, (q.start, q.end)).start
+        d = reads.add(disc, (q.end,)).start
 
-        def fair():
-            p = df(t_pair)
-            return (p[0] - p[1]) / (tau * p[1])
+        def fair(p):
+            own = p[_OWN]
+            return _cashflows.simple_forward(own[f], own[f + 1], tau)
 
-        def weight():
-            return get_pd_end()[0] * tau
-
-        return fair, weight
+        return fair, lambda p: p[disc][d] * tau
 
     if k is InstrumentKind.SWAP:
         leg = float_leg(q.underlying_tenor)
         ann = annuity(_sched(q.start, q.end, q.fixed_frequency), q.daycount)
-        return (lambda: leg() / ann()), ann
+        return (lambda p: leg(p) / ann(p)), ann
 
     if k is InstrumentKind.OIS:
-        get_p = disc_getter([q.start, q.end])
+        # the overnight leg telescopes to P_d(start) - P_d(end)
+        s = reads.add(disc, (q.start, q.end)).start
         ann = annuity(_sched(q.start, q.end, q.fixed_frequency), q.daycount)
 
-        def fair() -> float:
-            p = get_p()
-            return float(p[0] - p[1]) / ann()
+        def fair(p) -> float:
+            p_d = p[disc]
+            return float(p_d[s] - p_d[s + 1]) / ann(p)
 
         return fair, ann
 
@@ -268,27 +297,109 @@ def _compile_quote(
         short_m, long_m = sorted((q.underlying_tenor, q.second_tenor))
         pv_short, pv_long = float_leg(short_m), float_leg(long_m)
         ann = annuity(_sched(q.start, q.end, short_m), q.float_daycount)
-        return (lambda: (pv_long() - pv_short()) / ann()), ann
+        return (lambda p: (pv_long(p) - pv_short(p)) / ann(p)), ann
 
     raise BootstrapError(f"unknown instrument kind {k!r}")
 
 
-def _source(curve: YieldCurve) -> _DFSource:
-    """A finished curve as a time->DF source on its own clock."""
-    return curve.reference_date, curve.discount_time
+class _Residuals:
+    """Residual vector R of a quote set: each quote's fair value minus its
+    rate, futures in rate space, compiled once per build.
 
+    ``_compile_quote`` compiles each quote once against one ``_Reads``,
+    which batches the times the set reads on every curve: the curve
+    being solved, the discounting curve and each basis companion, the
+    fixed ones read once on compiling.  An evaluation reads each curve
+    once, in one batch, and every quote reads its slices of the batches:
 
-def _on_curves(
-    q: InstrumentQuote,
-    target: YieldCurve,
-    discounting: YieldCurve | None,
-    companions: dict[int, YieldCurve] | None,
-):
-    return _compile_quote(
-        q, *_source(target),
-        None if discounting is None else _source(discounting),
-        companions and {m: _source(c) for m, c in companions.items()},
-    )
+    * ``on_pillars``, while solving, evaluates the solved curve's batch
+      on its pillar log-discounts through the kernels, exactly as a
+      ``YieldCurve`` built from the same discount factors does, and
+      reads the fixed curves as last loaded;
+    * ``on_curves`` reads finished curves through
+      ``YieldCurve.discount_time``: the closure check on the solved
+      curve, whose interpolation data is rebuilt from its pillars, and
+      the columns of the quote Jacobian in ``risk``.
+
+    ``load`` also serves ``fair_quote``, ``instrument_pv`` and the hedge
+    weights in ``risk``, which read ``fairs`` and ``weights`` on the
+    loaded batches.  A curve is read again only when another curve
+    object takes its place.  An annuity that underflows to zero gives
+    NaN residuals.  ``blind`` lists the quotes that read nothing on the
+    curve projecting their own tenor, so cannot pin it.
+    """
+
+    __slots__ = ("quotes", "rates", "fairs", "weights", "blind", "reads")
+
+    def __init__(
+        self,
+        quotes: list[InstrumentQuote],
+        ref: Date,
+        discounting: YieldCurve | None = None,
+        companions: dict[int, YieldCurve] | None = None,
+    ):
+        self.quotes = list(quotes)
+        self.rates = np.array([q.implied_rate() for q in quotes])
+        self.reads = reads = _Reads(ref, discounting, companions)
+        self.fairs, self.weights, self.blind = [], [], []
+        own = reads.times[_OWN]
+        for q in self.quotes:
+            n = len(own)
+            fair, weight = _compile_quote(q, reads)
+            self.fairs.append(fair)
+            self.weights.append(weight)
+            if len(own) == n:
+                self.blind.append(q)
+        reads.seal()
+
+    def load(
+        self,
+        target: YieldCurve,
+        discounting: YieldCurve | None = None,
+        companions: dict[int, YieldCurve] | None = None,
+    ) -> dict:
+        """Read the curves, ``target`` projecting the quotes' own tenor;
+        gives the batches by curve key."""
+        reads = self.reads
+        for key in reads.queries:
+            if key == _OWN:
+                reads.load(key, target)
+            elif key == _DISC:
+                reads.load(key, discounting)
+            else:
+                reads.load(key, companions[key])
+        return reads.p
+
+    def on_curves(
+        self,
+        target: YieldCurve,
+        discounting: YieldCurve | None = None,
+        companions: dict[int, YieldCurve] | None = None,
+    ) -> np.ndarray:
+        """R with ``target`` projecting the quotes' own tenor."""
+        self.load(target, discounting, companions)
+        return self._evaluate()
+
+    def on_pillars(
+        self, scheme: InterpScheme, ts: np.ndarray, dfs: np.ndarray
+    ) -> np.ndarray:
+        """R with the solved curve given by its knot times ``ts`` and
+        discount factors ``dfs``, anchor included."""
+        lnp = np.log(dfs)
+        aux = _kernels.knot_data(scheme, ts, lnp)
+        reads = self.reads
+        q = reads.queries[_OWN]
+        reads.p[_OWN] = _kernels.apply(q.t, q.located(scheme, ts), dfs, lnp, aux)
+        reads.curves[_OWN] = None
+        return self._evaluate()
+
+    def _evaluate(self) -> np.ndarray:
+        p = self.reads.p
+        try:
+            return np.array([fair(p) for fair in self.fairs]) - self.rates
+        except ZeroDivisionError:
+            # an annuity that underflowed to zero: no finite residual here
+            return np.full(len(self.fairs), np.nan)
 
 
 def fair_quote(
@@ -302,8 +413,8 @@ def fair_quote(
     ``target`` projects the quote's own tenor; ``discounting`` defaults
     to the target itself (single-curve pricing).
     """
-    fair, _ = _on_curves(q, target, discounting, companions)
-    f = float(fair())
+    one = _Residuals([q], target.reference_date, discounting, companions)
+    f = float(one.fairs[0](one.load(target, discounting, companions)))
     if q.kind is InstrumentKind.FUTURES:
         return 100.0 * (1.0 - (f + q.convexity))
     return f
@@ -324,11 +435,12 @@ def instrument_pv(
     the end date.  Futures contracts are struck at a price, converted
     to rate space internally.
     """
-    fair, weight = _on_curves(q, target, discounting, companions)
+    one = _Residuals([q], target.reference_date, discounting, companions)
+    p = one.load(target, discounting, companions)
     strike = contract_quote
     if q.kind is InstrumentKind.FUTURES:
         strike = (100.0 - contract_quote) / 100.0 - q.convexity
-    return float(notional * weight() * (fair() - strike))
+    return float(notional * one.weights[0](p) * (one.fairs[0](p) - strike))
 
 
 def repricing_errors(
@@ -369,154 +481,6 @@ def select_pillar_instruments(
             q.end.iso(), loser.kind.value, winner.kind.value,
         )
     return [by_end[s] for s in sorted(by_end)]
-
-
-class _Reads:
-    """The times a compiled quote set reads on one curve, as one batch.
-
-    It is the source ``_compile_quote`` hands the closures for that
-    curve.  While recording it keeps every time array asked for and
-    returns unit discount factors; once sealed into one
-    ``LocatedQuery`` it serves consecutive slices of the curve's
-    discount factors at all those times.  The closures read their
-    arrays in the same order on every call, so the slices line up.
-    """
-
-    __slots__ = ("recorded", "query", "p", "at", "curve")
-
-    def __init__(self):
-        self.recorded: list[np.ndarray] | None = []
-        self.query: LocatedQuery | None = None
-        self.p: np.ndarray | None = None
-        self.at = 0
-        self.curve: YieldCurve | None = None
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        if self.recorded is not None:
-            self.recorded.append(t)
-            return np.ones(t.shape[0])
-        i = self.at
-        self.at = i + t.shape[0]
-        return self.p[i:self.at]
-
-    def seal(self) -> None:
-        recorded, self.recorded = self.recorded, None
-        self.query = LocatedQuery(
-            np.concatenate(recorded) if recorded else np.empty(0)
-        )
-
-    def load(self, curve: YieldCurve) -> None:
-        """Read ``curve`` at every recorded time, unless it is the curve
-        read last."""
-        if curve is not self.curve:
-            self.p = curve.discount_time(self.query)
-            self.curve = curve
-
-
-class _Residuals:
-    """Residual vector R of a quote set: each quote's fair value minus its
-    rate, futures in rate space, compiled once per build.
-
-    Each quote is compiled once by ``_compile_quote``, with one
-    ``_Reads`` as the source of every curve the set reads: the curve
-    being solved, the discounting curve and each basis companion.  A
-    dry call on unit discount factors records the times every closure
-    reads, each on its curve's own clock, and each curve's times become
-    one ``LocatedQuery``.  An evaluation reads each curve once, in one
-    batch, and serves the closures slices of it:
-
-    * ``on_pillars``, while solving, evaluates the solved curve's batch
-      on its pillar log-discounts through the kernels, exactly as a
-      ``YieldCurve`` built from the same discount factors does, and
-      reads the fixed curves as last bound by ``bind``;
-    * ``on_curves`` reads finished curves through
-      ``YieldCurve.discount_time``: the closure check on the solved
-      curve, whose interpolation data is rebuilt from its pillars, and
-      the columns of the quote Jacobian in ``risk``.
-
-    A curve is read again only when another curve object takes its
-    place.  An annuity that underflows to zero gives NaN residuals.
-    """
-
-    __slots__ = ("quotes", "rates", "fairs", "own", "disc", "companions", "_reads")
-
-    def __init__(
-        self,
-        quotes: list[InstrumentQuote],
-        ref: Date,
-        discounting: YieldCurve | None = None,
-        companions: dict[int, YieldCurve] | None = None,
-    ):
-        self.quotes = list(quotes)
-        self.rates = np.array([q.implied_rate() for q in quotes])
-        self.own = _Reads()
-        self.disc = disc_source = None
-        if discounting is not None:
-            self.disc = _Reads()
-            disc_source = (discounting.reference_date, self.disc)
-        companions = companions or {}
-        comps = {m: _Reads() for m in companions}
-        sources = {m: (c.reference_date, comps[m]) for m, c in companions.items()}
-        self.fairs = [
-            _compile_quote(q, ref, self.own, disc_source, sources)[0]
-            for q in quotes
-        ]
-        for fair in self.fairs:
-            fair()
-        # a fixed curve no quote reads is never read
-        if self.disc is not None and not self.disc.recorded:
-            self.disc = None
-        self.companions = {m: r for m, r in comps.items() if r.recorded}
-        self._reads = [
-            r for r in (self.own, self.disc, *self.companions.values()) if r is not None
-        ]
-        for reads in self._reads:
-            reads.seal()
-
-    def bind(
-        self,
-        discounting: YieldCurve | None,
-        companions: dict[int, YieldCurve] | None,
-    ) -> None:
-        """Read the fixed curves the quotes price against."""
-        if self.disc is not None:
-            self.disc.load(discounting)
-        for months, reads in self.companions.items():
-            reads.load(companions[months])
-
-    def on_curves(
-        self,
-        target: YieldCurve,
-        discounting: YieldCurve | None = None,
-        companions: dict[int, YieldCurve] | None = None,
-    ) -> np.ndarray:
-        """R with ``target`` projecting the quotes' own tenor."""
-        self.bind(discounting, companions)
-        self.own.load(target)
-        return self._evaluate()
-
-    def on_pillars(
-        self, scheme: InterpScheme, ts: np.ndarray, dfs: np.ndarray
-    ) -> np.ndarray:
-        """R with the solved curve given by its knot times ``ts`` and
-        discount factors ``dfs``, anchor included."""
-        lnp = np.log(dfs)
-        aux = _kernels.knot_data(scheme, ts, lnp)
-        q = self.own.query
-        self.own.p = _kernels.apply(q.t, q.located(scheme, ts), dfs, lnp, aux)
-        self.own.curve = None
-        return self._evaluate()
-
-    def _evaluate(self) -> np.ndarray:
-        for reads in self._reads:
-            reads.at = 0
-        try:
-            r = np.array([fair() for fair in self.fairs]) - self.rates
-        except ZeroDivisionError:
-            # an annuity that underflowed to zero: no finite residual here
-            return np.full(len(self.fairs), np.nan)
-        assert all(reads.at == reads.query.t.shape[0] for reads in self._reads)
-        return r
 
 
 def bootstrap_curve(
@@ -621,7 +585,12 @@ def _solve_curve(
 
     with np.errstate(all="ignore"):
         residuals = _Residuals(chosen, ref, discount_curve, companions)
-        residuals.bind(discount_curve, companions)
+        if residuals.blind:
+            q = residuals.blind[0]
+            raise BootstrapError(
+                f"{tenor_label} curve: the {q.kind.value} quote ending "
+                f"{q.end.iso()} does not read the curve being built"
+            )
         scheme, knot_dfs = cfg.interpolation, np.ones(n + 1)
 
         def at(x: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _kernels
+from . import _cashflows, _kernels
 from .interp import InterpScheme
 from .timegrid import Date, DayCount, roll_months, year_fraction, year_fractions
 
@@ -190,7 +190,7 @@ class YieldCurve:
             raise ValueError("simple forward needs T1 < T2")
         tau = year_fraction(t1, t2, daycount or self.daycount)
         p = self.discount([t1, t2])
-        return float((p[0] - p[1]) / (tau * p[1]))
+        return float(_cashflows.simple_forward(p[0], p[1], tau))
 
     def zero_rate(self, t: Date, daycount: DayCount | None = None) -> float:
         """Simply compounded zero rate: P = 1 / (1 + r * tau)."""
@@ -224,10 +224,11 @@ class YieldCurve:
         dc = daycount or self.daycount
         starts = np.arange(ref, anchor + 1, stride_days, dtype=np.int64)
         ends = roll_months(starts, tenor_months)
-        p1 = self.discount_time((starts - ref) / 365.0)
-        p2 = self.discount_time((ends - ref) / 365.0)
-        taus = year_fractions(starts, ends, dc)
-        rates = (p1 - p2) / (taus * p2)
+        rates = _cashflows.simple_forward(
+            self.discount_time((starts - ref) / 365.0),
+            self.discount_time((ends - ref) / 365.0),
+            year_fractions(starts, ends, dc),
+        )
         return list(zip(map(Date, starts.tolist()), rates.tolist()))
 
     # -- serialization ------------------------------------------------------

@@ -20,11 +20,12 @@ dates into ``LocatedQuery`` objects, one on the forwarding curve and
 one on the discounting curve (a swap's float and fixed payment dates
 share one), and computes its accruals, strikes, adjustments (QA),
 variances and drifts, checking the dates on the way.  Valuing reads the
-discount factors of each curve through its query, so a compiled
-position costs one kernel evaluation per curve it reads, some array
-arithmetic and at most one Black call.  A caplet is the one-period cap,
-and a swap values each of its legs once for both its PV and its par
-rate.
+discount factors of each curve through its query and applies the leg
+formulas of ``_cashflows`` (simple forward, floating leg, annuity),
+which the bootstrap quotes share, so a compiled position costs one
+kernel evaluation per curve it reads, some array arithmetic and at
+most one Black call.  A caplet is the one-period cap, and a swap values
+each of its legs once for both its PV and its par rate.
 
 ``price_position`` keeps the compiled form on the ``Position`` itself,
 keyed on the discounting and forwarding reference dates, the
@@ -43,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _cashflows
 from .curve import LocatedQuery, YieldCurve
 from .quanto import SwapVolCorrSpec, VolCorrSpec, quanto_mult, swap_quanto_mult
 from .timegrid import Date, DayCount, cached_accruals, cached_schedule, year_fraction
@@ -147,8 +149,7 @@ def annuity(curve: YieldCurve, dates: list[Date], daycount: DayCount | None = No
     if len(dates) < 2:
         raise ValueError("annuity needs at least two schedule dates")
     taus = np.array(cached_accruals(tuple(dates), daycount or curve.daycount))
-    dfs = np.atleast_1d(curve.discount(dates[1:]))
-    return float(np.dot(taus, dfs))
+    return _cashflows.annuity(taus, np.atleast_1d(curve.discount(dates[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +242,7 @@ def _compile_fra(disc: YieldCurve, fwd: YieldCurve, spec: FraSpec, volcorr):
 
     def value(disc: YieldCurve, fwd: YieldCurve) -> tuple[float, float]:
         p = fwd.discount_time(q_f)
-        f_adj = float((p[0] - p[1]) / (tau * p[1])) * qa
+        f_adj = float(_cashflows.simple_forward(p[0], p[1], tau)) * qa
         p_d = float(disc.discount_time(q_d)[0])
         return notional * p_d * tau * (f_adj - strike), f_adj
 
@@ -251,9 +252,7 @@ def _compile_fra(disc: YieldCurve, fwd: YieldCurve, spec: FraSpec, volcorr):
 def _compile_legs(disc: YieldCurve, fwd: YieldCurve, spec: SwapSpec, volcorr):
     """Adjusted floating-leg PV and fixed annuity, per unit notional.
 
-    The floating coupons tau * F * QA are the forwarding discount ratio
-    minus one, which telescopes exactly when projection and discounting
-    share a curve.  Both legs' payment dates form one discount query.
+    Both legs' payment dates form one discount query.
     """
     fdates = cached_schedule(spec.start, spec.end, spec.float_tenor_months)
     xdates = cached_schedule(spec.start, spec.end, spec.fixed_frequency_months)
@@ -270,12 +269,11 @@ def _compile_legs(disc: YieldCurve, fwd: YieldCurve, spec: SwapSpec, volcorr):
             qa[idx] = np.exp(vc.drift_integral(0.0, fixings[idx]))
 
     def legs(disc: YieldCurve, fwd: YieldCurve) -> tuple[float, float]:
-        p = fwd.discount_time(q_f)
-        coupons = p[:-1] / p[1:] - 1.0
-        if qa is not None:
-            coupons = coupons * qa
         p_d = disc.discount_time(q_d)
-        return float(np.dot(p_d[:n], coupons)), float(np.dot(taus, p_d[n:]))
+        return (
+            _cashflows.float_leg(p_d[:n], fwd.discount_time(q_f), qa),
+            _cashflows.annuity(taus, p_d[n:]),
+        )
 
     return legs
 
@@ -328,7 +326,7 @@ def _compile_capfloor(
 
     def value(disc: YieldCurve, fwd: YieldCurve) -> tuple[float, float]:
         p_f = fwd.discount_time(q_f)
-        forwards = (p_f[:-1] - p_f[1:]) / (taus * p_f[1:])
+        forwards = _cashflows.simple_forward(p_f[:-1], p_f[1:], taus)
         kernel = black(forwards * qa, strikes, mu, variance, omega)
         pv = float(np.sum(notional * disc.discount_time(q_d) * taus * kernel))
         return pv, pv / notional

@@ -37,7 +37,6 @@ from .bootstrap import (
     InstrumentKind,
     InstrumentQuote,
     _bootstrap,
-    _on_curves,
     bootstrap_curve,
     instrument_pv,
 )
@@ -246,18 +245,27 @@ class MarketState:
                         rows[(label, i)] = n + chosen.index(q)
                 n = span[label].stop
 
-            def residuals(label: str, curves: dict[str, YieldCurve]) -> np.ndarray:
-                return sets[label].on_curves(
-                    curves[label], *pricing_curves(label, curves)
-                )
+            # each label's curves at the base; a column swaps in the moved one
+            at = {m: (base[m], *pricing_curves(m, base)) for m in self._order}
+            months = {m: tenor_months_from_label(m) for m in self._order}
 
-            at_base = {label: residuals(label, base) for label in self._order}
+            def residuals(m: str, label: str, moved: YieldCurve) -> np.ndarray:
+                target, disc, companions = at[m]
+                if m == label:
+                    target = moved
+                elif label == "discount":
+                    disc = moved
+                else:
+                    companions = {**companions, months[label]: moved}
+                return sets[m].on_curves(target, disc, companions)
+
+            at_base = {m: sets[m].on_curves(*at[m]) for m in self._order}
             matrix = np.zeros((n, n))
             with np.errstate(all="ignore"):
                 for col, (label, curves, step) in enumerate(self._moved_sets()):
                     for m in self._order:
                         if m == label or label in self._deps[m]:
-                            moved = residuals(m, curves) - at_base[m]
+                            moved = residuals(m, label, curves[label]) - at_base[m]
                             matrix[span[m], col] = moved / step
             finite = np.all(np.isfinite(matrix))
             cond = float(np.linalg.cond(matrix)) if finite else math.nan
@@ -474,11 +482,11 @@ def hedge_ratios(
         q = state.quote_sets[label][idx]
         own = 0.0
         if (label, idx) in deltas:
-            # PV per unit notional of a unit move in the fair value
-            _, weight = _on_curves(
-                q, curves[label], *pricing_curves(label, curves)
-            )
-            own = float(weight()) * 1e-4
+            # PV per unit notional of a unit move in the fair value, from
+            # the quote set the base build compiled
+            chosen = state._sets[label]
+            p = chosen.load(curves[label], *pricing_curves(label, curves))
+            own = float(chosen.weights[chosen.quotes.index(q)](p)) * 1e-4
         if own == 0.0:
             raise ValueError(
                 f"hedge {label}[{idx}] has no sensitivity to its own quote"

@@ -35,7 +35,7 @@ from multicurve import (
     year_fraction,
 )
 from multicurve import _kernels
-from multicurve.bootstrap import _compile_quote
+from multicurve.bootstrap import _OWN, _Reads, _compile_quote
 from multicurve.risk import pricing_curves
 
 
@@ -631,16 +631,22 @@ def reference_bootstrap_curve(quotes, config=None, discount_curve=None,
     else:
         seed = np.exp(-np.array([q.implied_rate() for q in chosen]) * ts[1:])
     ws = _ReferenceWorkspace(ts, np.concatenate(([1.0], seed)), cfg.interpolation)
-    disc_source = None
-    if discount_curve is not None:
-        disc_source = (discount_curve.reference_date, discount_curve.discount_time)
-    companion_sources = {
-        m: (c.reference_date, c.discount_time) for m, c in (companions or {}).items()
-    }
-    fairs = [
-        _compile_quote(q, ref, ws.df, disc_source, companion_sources)[0]
-        for q in chosen
-    ]
+
+    def compiled(q):
+        # each quote reads its own times of the solved curve through the
+        # workspace; sealing reads the fixed curves once
+        reads = _Reads(ref, discount_curve, companions)
+        fair = _compile_quote(q, reads)[0]
+        reads.seal()
+
+        def value():
+            if _OWN in reads.queries:
+                reads.p[_OWN] = ws.df(reads.queries[_OWN].t)
+            return fair(reads.p)
+
+        return value
+
+    fairs = [compiled(q) for q in chosen]
     rates = [q.implied_rate() for q in chosen]
     lo, hi = cfg.df_bracket
     rtol = 4 * np.finfo(float).eps

@@ -510,6 +510,51 @@ class TestValidation:
             bootstrap_curve([depo(6, -3.0)], reference_date=REF)
 
 
+class TestQuoteBlindToItsCurve:
+    """OIS quotes in a forwarding set read the discounting curve alone,
+    so they cannot pin the curve being built: the build fails naming the
+    curve and the quote, while pricing them stays possible."""
+
+    def setup_method(self):
+        self.ois = [q for q in make_ois_quotes() if q.kind is InstrumentKind.OIS][:2]
+        self.disc = bootstrap_curve(self.ois, reference_date=REF, tenor_label="discount")
+        self.end = self.ois[0].end.iso()
+
+    def test_on_the_curve_they_built(self):
+        # formerly returned the seed unchanged, the residuals being zero
+        with pytest.raises(BootstrapError, match=(
+            f"fwd_6M curve: the OIS quote ending {self.end} does not read "
+            "the curve being built"
+        )):
+            bootstrap_curve(
+                self.ois, discount_curve=self.disc, reference_date=REF,
+                tenor_label="fwd_6M",
+            )
+
+    def test_on_another_discounting_curve(self):
+        # formerly a singular Jacobian
+        disc = bootstrap_curve(
+            make_quote_sets()["discount"], reference_date=REF, tenor_label="discount"
+        )
+        with pytest.raises(BootstrapError, match="does not read the curve being built"):
+            bootstrap_curve(
+                self.ois, discount_curve=disc, reference_date=REF, tenor_label="fwd_6M"
+            )
+
+    def test_market_state(self):
+        state = MarketState(REF, {"discount": self.ois, "fwd_6M": list(self.ois)})
+        with pytest.raises(BootstrapError, match=f"fwd_6M curve: the OIS quote ending {self.end}"):
+            state.base_curves()
+
+    def test_still_priced(self):
+        assert np.max(np.abs(repricing_errors(self.ois, self.disc, self.disc))) <= 1e-12
+        for q in self.ois:
+            assert fair_quote(q, self.disc, self.disc) == fair_quote(q, self.disc)
+            assert instrument_pv(q, q.quote, self.disc, self.disc) == instrument_pv(
+                q, q.quote, self.disc
+            )
+
+
 class TestFairQuoteAndPv:
     def setup_method(self):
         sets = make_quote_sets()

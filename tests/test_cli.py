@@ -9,6 +9,7 @@ import pytest
 
 import multicurve
 from multicurve import YieldCurve, write_quotes_csv
+from multicurve import cli
 from multicurve.cli import QUANTO_CSV_HEADER, main
 from multicurve.synthetic import make_quote_sets
 
@@ -91,6 +92,39 @@ class TestBootstrap:
         assert len(lines) == 12
         for line in lines:
             assert abs(float(line.rsplit(":", 1)[1])) < 1e-10
+
+    def test_parser_built_once_across_independent_runs(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        both, one = tmp_path / "both", tmp_path / "one"
+        try:
+            assert main([
+                "bootstrap",
+                "--quotes", f"discount={workspace / 'discount.csv'}",
+                "--quotes", f"fwd_6M={workspace / 'fwd_6M.csv'}",
+                "--out", str(both),
+            ]) == 0
+            assert main([
+                "bootstrap",
+                "--quotes", f"discount={workspace / 'discount.csv'}",
+                "--out", str(one),
+            ]) == 0
+        finally:
+            cli._parser.cache_clear()
+        # the second run sees its own --quotes list alone
+        assert sorted(os.listdir(both)) == ["discount.json", "fwd_6M.json"]
+        assert sorted(os.listdir(one)) == ["discount.json"]
+        assert len(built) == 1
+        assert real() is not real()
 
 
 class TestBasis:

@@ -24,6 +24,7 @@ from multicurve import (
     price_position,
     project_deltas,
     quote_fingerprint,
+    select_pillar_instruments,
     write_hedge_csv,
     write_ladder_csv,
     year_fraction,
@@ -275,6 +276,32 @@ class TestWorkCounts:
         entries = delta_ladder(state, pv_fn)
         assert all(e.error is None for e in entries)
         assert calls == []
+
+    def test_hedges_compile_no_quote(self, monkeypatch):
+        # each hedge's PV weight comes from the quote set its base build
+        # compiled
+        state = MarketState(REF, make_quote_sets())
+
+        def pv_fn(c):
+            return c["fwd_3M"].discount_time(4.0) - c["discount"].discount_time(2.0)
+
+        delta_ladder(state, pv_fn)
+        pillars = [
+            (label, i) for label, i in _all_locations(state)
+            if state.quote_sets[label][i]
+            in select_pillar_instruments(state.quote_sets[label])
+        ]
+        compiled = []
+        real = bootstrap._compile_quote
+
+        def counting(q, *args):
+            compiled.append(q)
+            return real(q, *args)
+
+        monkeypatch.setattr(bootstrap, "_compile_quote", counting)
+        rows = hedge_ratios(state, pv_fn, pillars)
+        assert len(rows) == len(pillars) == state.risk_stats()["pillars"]
+        assert compiled == []
 
     def test_residual_ladder_values_no_hedge(self, monkeypatch):
         state, pv_fn = _two_curve_state_and_book()
