@@ -759,7 +759,10 @@ def read_quotes_csv(path) -> list[InstrumentQuote]:
             f"bad quotes header: expected {expected}, got {reader.fieldnames}"
         )
     quotes = []
-    for row in reader:
+    for n, row in enumerate(reader, 1):
+        # DictReader files missing fields under None values, extra ones under a None key
+        if None in row or None in row.values():
+            raise ValueError(f"quote row {n} needs {len(expected)} fields")
         second = row["second_tenor_months"].strip()
         quotes.append(
             InstrumentQuote(

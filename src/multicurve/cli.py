@@ -224,27 +224,37 @@ def cmd_quanto(args) -> int:
 # price
 # ---------------------------------------------------------------------------
 
-def _load_vol_args(args) -> tuple[VolCorrSpec | None, SwapVolCorrSpec | None]:
-    volcorr = None
-    swap_volcorr = None
-    if getattr(args, "volcorr", None):
-        spec = load_volcorr(args.volcorr)
-        if not isinstance(spec, VolCorrSpec):
-            raise InputError("--volcorr file holds a swap-rate spec")
-        volcorr = spec
-    if getattr(args, "swap_volcorr", None):
-        spec = load_volcorr(args.swap_volcorr)
-        if not isinstance(spec, SwapVolCorrSpec):
-            raise InputError("--swap-volcorr file holds a forward-rate spec")
-        swap_volcorr = spec
-    return volcorr, swap_volcorr
-
-
-def _load_positions(path):
+def _load_spec(path: str | None, want: type, mismatch: str):
+    if not path:
+        return None
     try:
-        return load_portfolio(path)
+        spec = load_volcorr(path)
+    except ValueError as exc:
+        raise InputError(f"bad vol/corr file {path}: {exc}") from exc
+    if not isinstance(spec, want):
+        raise InputError(mismatch)
+    return spec
+
+
+def _load_vol_args(args) -> tuple[VolCorrSpec | None, SwapVolCorrSpec | None]:
+    return (
+        _load_spec(args.volcorr, VolCorrSpec, "--volcorr file holds a swap-rate spec"),
+        _load_spec(
+            args.swap_volcorr, SwapVolCorrSpec,
+            "--swap-volcorr file holds a forward-rate spec",
+        ),
+    )
+
+
+def _load_positions(path, curve_labels, single_curve: bool):
+    try:
+        positions = load_portfolio(path)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         raise InputError(f"bad portfolio file {path}: {exc}") from exc
+    for pos in positions:
+        if not single_curve and pos.forwarding not in curve_labels:
+            raise InputError(f"position {pos.id} needs curve {pos.forwarding!r}")
+    return positions
 
 
 def cmd_price(args) -> int:
@@ -252,7 +262,7 @@ def cmd_price(args) -> int:
     if "discount" not in curve_paths:
         raise InputError("price needs a discount=PATH curve")
     curves = _load_curves(curve_paths)
-    positions = _load_positions(args.portfolio)
+    positions = _load_positions(args.portfolio, curves, args.single_curve)
     volcorr, swap_volcorr = _load_vol_args(args)
     paths = [args.portfolio] + [curve_paths[k] for k in sorted(curve_paths)]
     if args.volcorr:
@@ -263,10 +273,6 @@ def cmd_price(args) -> int:
         fh.write(f"# {_provenance('price', paths)}\n")
         fh.write(PRICE_CSV_HEADER + "\n")
         for pos in positions:
-            if not args.single_curve and pos.forwarding not in curves:
-                raise InputError(
-                    f"position {pos.id} needs curve {pos.forwarding!r}"
-                )
             pv, fair = price_position(
                 pos,
                 curves,
@@ -312,7 +318,7 @@ def cmd_risk(args) -> int:
     if "discount" not in quote_paths:
         raise InputError("risk needs a discount=PATH quote set")
     sets = _load_quote_sets(quote_paths)
-    positions = _load_positions(args.portfolio)
+    positions = _load_positions(args.portfolio, sets, args.single_curve)
     volcorr, swap_volcorr = _load_vol_args(args)
     ref = min(q.start for quotes in sets.values() for q in quotes)
     if args.reference_date:
@@ -453,14 +459,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a float overflow, division by zero or NaN from valid numbers is
+        # a numerical failure, never an inf or NaN in the output
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return args.func(args)
     except InputError as exc:
         print(f"error:input:{exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error:input:{exc}", file=sys.stderr)
         return 2
-    except (BootstrapError, InfeasibleVolError, ZeroDivisionError) as exc:
+    except (BootstrapError, InfeasibleVolError, ArithmeticError) as exc:
         print(f"error:numerical:{exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -19,7 +19,10 @@ Every instrument is compiled before it is valued.  Compiling turns its
 dates into ``LocatedQuery`` objects, one on the forwarding curve and
 one on the discounting curve (a swap's float and fixed payment dates
 share one), and computes its accruals, strikes, adjustments (QA),
-variances and drifts, checking the dates on the way.  Valuing reads the
+variances and drifts, checking the dates on the way.  The per-period
+QA, variance and drift of swap legs, caps and floors all come from one
+routine, ``_adjustments``; the FRA and the swaption take their single
+QA from ``quanto_mult`` and ``swap_quanto_mult``.  Valuing reads the
 discount factors of each curve through its query and applies the leg
 formulas of ``_cashflows`` (simple forward, floating leg, annuity),
 which the bootstrap quotes share, so a compiled position costs one
@@ -40,6 +43,7 @@ functions compile and value in one go and keep nothing.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,22 +212,31 @@ class OptionSpec:
 # dates (and, where the spec leaves it open, the forwarding day count);
 # their pillar dates and DFs may differ.
 
-def _period_specs(volcorr, n: int) -> list[tuple[VolCorrSpec, slice | list[int]]]:
-    """(spec, period index) pairs covering every period that has a spec.
+def _adjustments(volcorr, t_fix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(QA, Black variance, drift) of each period fixing at ``t_fix``.
 
-    ``volcorr`` is None, one spec for all ``n`` periods, or a list with
-    one spec (or None) per period.  A list is grouped by spec object, so
-    each distinct spec is evaluated in one array call.
+    ``volcorr`` is None (no adjustment: QA 1, variance and drift 0), one
+    spec for every period, or a list with one spec (or None) per period.
+    A list is grouped by spec object, so each distinct spec is evaluated
+    in one array call.
     """
-    if not isinstance(volcorr, list):
-        return [] if volcorr is None else [(volcorr, slice(None))]
-    if len(volcorr) != n:
-        raise ValueError("need one vol/corr spec per period")
-    groups: dict[int, tuple[VolCorrSpec, list[int]]] = {}
-    for i, spec in enumerate(volcorr):
-        if spec is not None:
-            groups.setdefault(id(spec), (spec, []))[1].append(i)
-    return list(groups.values())
+    n = len(t_fix)
+    if isinstance(volcorr, list):
+        if len(volcorr) != n:
+            raise ValueError("need one vol/corr spec per period")
+        groups: dict[int, tuple] = {}
+        for i, spec in enumerate(volcorr):
+            if spec is not None:
+                groups.setdefault(id(spec), (spec, []))[1].append(i)
+        pairs = list(groups.values())
+    else:
+        pairs = [] if volcorr is None else [(volcorr, slice(None))]
+    qa, variance, drift = np.ones(n), np.zeros(n), np.zeros(n)
+    for spec, idx in pairs:
+        drift[idx] = spec.drift_integral(0.0, t_fix[idx])
+        qa[idx] = np.exp(drift[idx])
+        variance[idx] = spec.variance_integral(0.0, t_fix[idx])
+    return qa, variance, drift
 
 
 def _query(curve: YieldCurve, dates) -> LocatedQuery:
@@ -260,13 +273,8 @@ def _compile_legs(disc: YieldCurve, fwd: YieldCurve, spec: SwapSpec, volcorr):
     q_f = _query(fwd, fdates)
     q_d = _query(disc, fdates[1:] + xdates[1:])
     taus = np.array(cached_accruals(xdates, spec.daycount_fixed))
-    groups = _period_specs(volcorr, n)
-    qa = None
-    if groups:
-        fixings = q_f.t[:-1]
-        qa = np.ones(n)
-        for vc, idx in groups:
-            qa[idx] = np.exp(vc.drift_integral(0.0, fixings[idx]))
+    # without a spec the coupons skip the multiply by QA altogether
+    qa = None if volcorr is None else _adjustments(volcorr, q_f.t[:-1])[0]
 
     def legs(disc: YieldCurve, fwd: YieldCurve) -> tuple[float, float]:
         p_d = disc.discount_time(q_d)
@@ -308,21 +316,14 @@ def _compile_capfloor(
     if n < 1:
         raise ValueError("cap/floor schedule needs at least one period")
     strikes = np.broadcast_to(np.asarray(strike, dtype=float), (n,))
-    groups = _period_specs(volcorr, n)
     t = disc.times(dates)
     if (t[1:] <= t[:-1]).any():
         raise ValueError("cap/floor periods need increasing dates")
     taus = np.array(cached_accruals(dates, daycount or fwd.daycount))
     q_f = _query(fwd, dates)
     q_d = LocatedQuery(t[1:])
-    t_fix = t[:-1]
-    qa, variance, mu = np.ones(n), np.zeros(n), np.zeros(n)
-    for spec, idx in groups:
-        drift = spec.drift_integral(0.0, t_fix[idx])
-        qa[idx] = np.exp(drift)
-        variance[idx] = spec.variance_integral(0.0, t_fix[idx])
-        if paper_literal:
-            mu[idx] = drift
+    qa, variance, drift = _adjustments(volcorr, t[:-1])
+    mu = drift if paper_literal else 0.0
 
     def value(disc: YieldCurve, fwd: YieldCurve) -> tuple[float, float]:
         p_f = fwd.discount_time(q_f)
@@ -511,27 +512,45 @@ class Position:
         return dict(self.__dict__, _compiled=None)
 
 
+def _number(row: dict, key: str, default=None, kind=float):
+    """``row[key]`` (``default`` when absent) as a finite JSON number of ``kind``."""
+    value = row[key] if default is None else row.get(key, default)
+    number = isinstance(value, (int, kind)) and not isinstance(value, bool)
+    # false for NaN, infinities and integers beyond the float range
+    if not (number and abs(value) <= sys.float_info.max):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return kind(value)
+
+
 def _parse_one(i: int, row: dict) -> Position:
+    if not isinstance(row, dict):
+        raise ValueError(f"portfolio row {i} is not a JSON object")
     kind = row["kind"]
     pid = str(row.get("id", f"pos{i}"))
     fwd_label = row.get("forwarding", "discount")
-    qty = float(row.get("quantity", 1.0))
-    notional = float(row.get("notional", 1.0))
+    if not isinstance(fwd_label, str):
+        raise ValueError(f"forwarding must be a curve label, got {fwd_label!r}")
+    payer = row.get("payer", True)
+    if not isinstance(payer, bool):
+        raise ValueError(f"payer must be true or false, got {payer!r}")
+    qty = _number(row, "quantity", 1.0)
+    notional = _number(row, "notional", 1.0)
     start = Date.parse(row["start"])
     end = Date.parse(row["end"])
     if kind == "fra":
         dc = DayCount(row["daycount"]) if "daycount" in row else None
-        spec = FraSpec(start, end, float(row["strike"]), notional, dc)
+        spec = FraSpec(start, end, _number(row, "strike"), notional, dc)
         return Position(pid, kind, fwd_label, spec, qty)
     if kind in ("swap", "swaption"):
         spec = SwapSpec(
             start=start,
             end=end,
-            fixed_rate=float(row["fixed_rate" if kind == "swap" else "strike"]),
+            fixed_rate=_number(row, "fixed_rate" if kind == "swap" else "strike"),
             notional=notional,
-            payer=bool(row.get("payer", True)),
-            float_tenor_months=int(row.get("float_tenor_months", 6)),
-            fixed_frequency_months=int(row.get("fixed_freq_months", 12)),
+            payer=payer,
+            float_tenor_months=_number(row, "float_tenor_months", 6, int),
+            fixed_frequency_months=_number(row, "fixed_freq_months", 12, int),
             daycount_float=DayCount(row.get("daycount_float", "ACT_360")),
             daycount_fixed=DayCount(row.get("daycount_fixed", "THIRTY_360")),
         )
@@ -539,19 +558,19 @@ def _parse_one(i: int, row: dict) -> Position:
     if kind in ("caplet", "floorlet"):
         dc = DayCount(row["daycount"]) if "daycount" in row else None
         spec = OptionSpec(
-            start, end, float(row["strike"]),
+            start, end, _number(row, "strike"),
             1 if kind == "caplet" else -1, notional, dc,
         )
         return Position(pid, kind, fwd_label, spec, qty)
     if kind in ("cap", "floor"):
         dc = DayCount(row["daycount"]) if "daycount" in row else None
         spec = OptionSpec(
-            start, end, float(row["strike"]),
+            start, end, _number(row, "strike"),
             1 if kind == "cap" else -1, notional, dc,
         )
         return Position(
             pid, kind, fwd_label, spec, qty,
-            tenor_months=int(row.get("tenor_months", 6)),
+            tenor_months=_number(row, "tenor_months", 6, int),
         )
     raise ValueError(f"unknown position kind {kind!r}")
 

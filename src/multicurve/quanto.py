@@ -12,7 +12,11 @@ With piecewise-constant parameters the adjustment over [t, T] is
 applied multiplicatively to the forward; the additive form is
 QA' = F * (QA - 1).  Positive correlation therefore pushes the adjusted
 forward down.  The swap-rate version has identical mechanics with the
-swap-rate vol, annuity-ratio vol and their correlation.
+swap-rate vol, annuity-ratio vol and their correlation, so the two specs,
+:class:`VolCorrSpec` and :class:`SwapVolCorrSpec`, are thin frozen
+dataclasses over one private base, ``_PiecewiseSpec``, which holds their
+validation, drift and variance integrals and JSON form.  They differ in
+field names and JSON keys only.
 
 Volatilities and correlations are piecewise constant on segments split
 by ``breakpoints`` (interior knots, times in years); the final value
@@ -23,13 +27,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from numbers import Real
 
 import numpy as np
 
 from .basis import ForwardBasisCurve, additive_basis, multiplicative_basis
 from .curve import YieldCurve
-from .timegrid import Date, year_fraction
+from .timegrid import Date
 
 __all__ = [
     "VolCorrSpec",
@@ -38,7 +43,6 @@ __all__ = [
     "drift_integral",
     "quanto_mult",
     "quanto_add",
-    "swap_drift_integral",
     "swap_quanto_mult",
     "swap_quanto_add",
     "implied_sigma_x",
@@ -49,21 +53,6 @@ __all__ = [
 
 class InfeasibleVolError(ValueError):
     """Raised when no non-negative volatility can reproduce a target."""
-
-
-def _validate_piecewise(breakpoints, vols_a, vols_b, corr):
-    n = len(breakpoints) + 1
-    if not (len(vols_a) == len(vols_b) == len(corr) == n):
-        raise ValueError(
-            "piecewise arrays must have one more entry than breakpoints"
-        )
-    bp = np.asarray(breakpoints, dtype=float)
-    if bp.size and (np.any(np.diff(bp) <= 0.0) or bp[0] <= 0.0):
-        raise ValueError("breakpoints must be strictly increasing and positive")
-    if any(v < 0.0 for v in vols_a) or any(v < 0.0 for v in vols_b):
-        raise ValueError("volatilities must be non-negative")
-    if any(abs(r) > 1.0 for r in corr):
-        raise ValueError("correlations must lie in [-1, 1]")
 
 
 def piecewise_product_integral(
@@ -91,106 +80,107 @@ def piecewise_product_integral(
     return float(total) if total.ndim == 0 else total
 
 
+class _PiecewiseSpec:
+    """Piecewise-constant rate vol, ratio vol and their correlation.
+
+    The body shared by :class:`VolCorrSpec` and :class:`SwapVolCorrSpec`.
+    Each is a frozen dataclass whose four fields are, in this order, the
+    breakpoints, the rate's vol, the vol of the discount ratio and their
+    correlation; ``_keys`` names the same four in JSON.
+    """
+
+    _keys: tuple[str, str, str, str]
+
+    def _parts(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __post_init__(self):
+        breakpoints, vol, ratio_vol, corr = self._parts()
+        if not (len(vol) == len(ratio_vol) == len(corr) == len(breakpoints) + 1):
+            raise ValueError(
+                "piecewise arrays must have one more entry than breakpoints"
+            )
+        for v in (*breakpoints, *vol, *ratio_vol, *corr):
+            if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
+                raise ValueError(f"vol/corr parameters must be finite numbers, got {v!r}")
+        bp = np.asarray(breakpoints, dtype=float)
+        if bp.size and (np.any(np.diff(bp) <= 0.0) or bp[0] <= 0.0):
+            raise ValueError("breakpoints must be strictly increasing and positive")
+        if any(v < 0.0 for v in vol) or any(v < 0.0 for v in ratio_vol):
+            raise ValueError("volatilities must be non-negative")
+        if any(abs(r) > 1.0 for r in corr):
+            raise ValueError("correlations must lie in [-1, 1]")
+
+    def drift_integral(self, a: float, b: float | np.ndarray) -> float | np.ndarray:
+        """Minus the integral of vol * ratio vol * correlation: ln QA."""
+        breakpoints, vol, ratio_vol, corr = self._parts()
+        return -piecewise_product_integral(breakpoints, vol, ratio_vol, corr, a, b)
+
+    def variance_integral(self, a: float, b: float | np.ndarray) -> float | np.ndarray:
+        """Integral of the squared rate vol, the Black variance."""
+        breakpoints, vol, _, _ = self._parts()
+        return piecewise_product_integral(breakpoints, vol, vol, [1.0] * len(vol), a, b)
+
+    def to_dict(self) -> dict:
+        return {key: list(v) for key, v in zip(self._keys, self._parts())}
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        if not isinstance(data, dict):
+            raise ValueError("a vol/corr spec must be a JSON object")
+        breakpoints, *keys = cls._keys
+        missing = [key for key in keys if key not in data]
+        if missing:
+            raise ValueError(f"vol/corr spec lacks {', '.join(missing)}")
+        values = [data.get(breakpoints, ()), *(data[key] for key in keys)]
+        if not all(isinstance(v, (list, tuple)) for v in values):
+            raise ValueError(f"vol/corr fields {', '.join(cls._keys)} must be lists")
+        return cls(*map(tuple, values))
+
+
 @dataclass(frozen=True)
-class VolCorrSpec:
+class VolCorrSpec(_PiecewiseSpec):
     """Piecewise-constant forward vol, exchange-ratio vol and correlation."""
 
     breakpoints: tuple[float, ...] = ()
     sigma_f: tuple[float, ...] = (0.0,)
     sigma_x: tuple[float, ...] = (0.0,)
     rho: tuple[float, ...] = (0.0,)
-
-    def __post_init__(self):
-        _validate_piecewise(self.breakpoints, self.sigma_f, self.sigma_x, self.rho)
+    _keys = ("breakpoints", "sigma_f", "sigma_X", "rho_fX")
 
     @classmethod
     def flat(cls, sigma_f: float, sigma_x: float, rho: float) -> "VolCorrSpec":
         return cls((), (sigma_f,), (sigma_x,), (rho,))
 
-    def drift_integral(self, a: float, b: float | np.ndarray) -> float | np.ndarray:
-        return -piecewise_product_integral(
-            self.breakpoints, self.sigma_f, self.sigma_x, self.rho, a, b
-        )
-
-    def variance_integral(self, a: float, b: float | np.ndarray) -> float | np.ndarray:
-        """Integral of sigma_f^2, the Black variance of the forward."""
-        return piecewise_product_integral(
-            self.breakpoints, self.sigma_f, self.sigma_f, [1.0] * len(self.sigma_f), a, b
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "breakpoints": list(self.breakpoints),
-            "sigma_f": list(self.sigma_f),
-            "sigma_X": list(self.sigma_x),
-            "rho_fX": list(self.rho),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VolCorrSpec":
-        return cls(
-            tuple(data.get("breakpoints", ())),
-            tuple(data["sigma_f"]),
-            tuple(data["sigma_X"]),
-            tuple(data["rho_fX"]),
-        )
-
 
 @dataclass(frozen=True)
-class SwapVolCorrSpec:
+class SwapVolCorrSpec(_PiecewiseSpec):
     """Swap-rate analogue of :class:`VolCorrSpec` (annuity-ratio vol)."""
 
     breakpoints: tuple[float, ...] = ()
     nu_f: tuple[float, ...] = (0.0,)
     nu_y: tuple[float, ...] = (0.0,)
     rho: tuple[float, ...] = (0.0,)
-
-    def __post_init__(self):
-        _validate_piecewise(self.breakpoints, self.nu_f, self.nu_y, self.rho)
+    _keys = ("breakpoints", "nu_f", "nu_Y", "rho_fY")
 
     @classmethod
     def flat(cls, nu_f: float, nu_y: float, rho: float) -> "SwapVolCorrSpec":
         return cls((), (nu_f,), (nu_y,), (rho,))
 
-    def drift_integral(self, a: float, b: float | np.ndarray) -> float | np.ndarray:
-        return -piecewise_product_integral(
-            self.breakpoints, self.nu_f, self.nu_y, self.rho, a, b
-        )
-
-    def variance_integral(self, a: float, b: float | np.ndarray) -> float | np.ndarray:
-        return piecewise_product_integral(
-            self.breakpoints, self.nu_f, self.nu_f, [1.0] * len(self.nu_f), a, b
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "breakpoints": list(self.breakpoints),
-            "nu_f": list(self.nu_f),
-            "nu_Y": list(self.nu_y),
-            "rho_fY": list(self.rho),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SwapVolCorrSpec":
-        return cls(
-            tuple(data.get("breakpoints", ())),
-            tuple(data["nu_f"]),
-            tuple(data["nu_Y"]),
-            tuple(data["rho_fY"]),
-        )
-
 
 def load_volcorr(path) -> VolCorrSpec | SwapVolCorrSpec:
+    """Read a spec from JSON; the ``nu_f`` key marks a swap-rate one."""
     with open(path) as fh:
         data = json.load(fh)
-    if "nu_f" in data:
-        return SwapVolCorrSpec.from_dict(data)
-    return VolCorrSpec.from_dict(data)
+    swap = isinstance(data, dict) and "nu_f" in data
+    return (SwapVolCorrSpec if swap else VolCorrSpec).from_dict(data)
 
 
 # -- forward-rate adjustment -------------------------------------------------
 
-def drift_integral(spec: VolCorrSpec, a: float, b: float | np.ndarray) -> float | np.ndarray:
+def drift_integral(
+    spec: VolCorrSpec | SwapVolCorrSpec, a: float, b: float | np.ndarray
+) -> float | np.ndarray:
     return spec.drift_integral(a, b)
 
 
@@ -216,12 +206,6 @@ def quanto_add(spec: VolCorrSpec | None, forward: float, a: float, b: float) -> 
 
 
 # -- swap-rate adjustment ----------------------------------------------------
-
-def swap_drift_integral(
-    spec: SwapVolCorrSpec, a: float, b: float | np.ndarray
-) -> float | np.ndarray:
-    return spec.drift_integral(a, b)
-
 
 def swap_quanto_mult(
     spec: SwapVolCorrSpec | None, a: float, b: float | np.ndarray

@@ -45,6 +45,8 @@ class Date:
     @classmethod
     def parse(cls, text: str) -> "Date":
         """Parse an ISO-8601 date string (YYYY-MM-DD)."""
+        if not isinstance(text, str):
+            raise ValueError(f"a date must be a YYYY-MM-DD string, got {text!r}")
         return cls(_dt.date.fromisoformat(text.strip()).toordinal())
 
     @property

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import multicurve
 from multicurve import YieldCurve, write_quotes_csv
@@ -384,6 +388,112 @@ class TestErrorPaths:
         ])
         assert rc == 3
         assert "error:numerical:" in capsys.readouterr().err
+
+
+
+def run_main(argv) -> tuple[int, list[str]]:
+    """``main``'s exit code and stderr lines; stdout is discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    return rc, err.getvalue().splitlines()
+
+
+def malformed_cases(ws):
+    """(name, argv) for inputs that must end in exit 2 and one error line."""
+    row = dict(PORTFOLIO[1])
+    files = {
+        "other_curve.json": [dict(row, forwarding="fwd_3M")],
+        "not_object.json": [5],
+        "null_notional.json": [dict(row, notional=None)],
+        "string_payer.json": [dict(row, payer="false")],
+        "vol_lacks_key.json": {k: v for k, v in VOLCORR.items() if k != "rho_fX"},
+        "vol_array.json": [VOLCORR],
+    }
+    for name, content in files.items():
+        (ws / name).write_text(json.dumps(content))
+    lines = (ws / "fwd_6M.csv").read_text().splitlines()
+    short = lines[:-1] + [",".join(lines[-1].split(",")[:3])]
+    (ws / "short_row.csv").write_text("\n".join(short) + "\n")
+    quotes = ["--quotes", f"discount={ws / 'discount.csv'}"]
+    book = ["--portfolio", str(ws / "portfolio.json")]
+    return [
+        ("risk_without_forwarding_set",
+         ["risk", "--portfolio", str(ws / "other_curve.json"), *quotes]),
+        ("row_not_object",
+         ["price", "--portfolio", str(ws / "not_object.json"), *curve_args(ws)]),
+        ("null_notional",
+         ["price", "--portfolio", str(ws / "null_notional.json"), *curve_args(ws)]),
+        ("short_quote_row",
+         ["risk", *book, *quotes, "--quotes", f"fwd_6M={ws / 'short_row.csv'}"]),
+        ("volcorr_lacks_key",
+         ["price", *book, *curve_args(ws), "--volcorr", str(ws / "vol_lacks_key.json")]),
+        ("volcorr_array",
+         ["price", *book, *curve_args(ws), "--volcorr", str(ws / "vol_array.json")]),
+        ("string_payer",
+         ["price", "--portfolio", str(ws / "string_payer.json"), *curve_args(ws)]),
+    ]
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("case", range(7))
+    def test_exits_input_with_one_error_line(self, workspace, case):
+        name, argv = malformed_cases(workspace)[case]
+        rc, err = run_main(argv)
+        assert rc == 2, name
+        assert len(err) == 1 and err[0].startswith("error:input:"), (name, err)
+
+    def test_overflowing_adjustment_exits_numerical(self, workspace):
+        # sigma_f * sigma_X overflows: an error, not an inf or NaN price
+        vol = workspace / "huge_vol.json"
+        vol.write_text(json.dumps(dict(VOLCORR, sigma_f=[1e200], sigma_X=[1e200])))
+        rc, err = run_main([
+            "price", "--portfolio", str(workspace / "portfolio.json"),
+            *curve_args(workspace), "--volcorr", str(vol),
+        ])
+        assert rc == 3
+        assert len(err) == 1 and err[0].startswith("error:numerical:"), err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=10) | st.integers() | st.floats(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=5,
+)
+ROW_KEYS = (
+    "kind", "id", "forwarding", "quantity", "notional", "start", "end", "strike",
+    "fixed_rate", "payer", "tenor_months", "float_tenor_months", "fixed_freq_months",
+    "daycount", "daycount_float", "daycount_fixed",
+)
+
+
+@settings(
+    derandomize=True, max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    row=st.sampled_from(PORTFOLIO),
+    row_changes=st.dictionaries(st.sampled_from(ROW_KEYS), JSON_VALUES, max_size=3),
+    vol_changes=st.dictionaries(st.sampled_from(sorted(VOLCORR)), JSON_VALUES, max_size=2),
+    swap_changes=st.dictionaries(st.sampled_from(sorted(SWAPVOL)), JSON_VALUES, max_size=2),
+)
+def test_random_json_fields_never_raise(workspace, row, row_changes, vol_changes, swap_changes):
+    """Any JSON value in any portfolio or vol/corr field ends in an exit
+    code: 0, 2 for input or 3 for numerical trouble, never a traceback."""
+    fuzz = workspace / "fuzz"
+    fuzz.mkdir(exist_ok=True)
+    (fuzz / "book.json").write_text(json.dumps([dict(row, **row_changes)]))
+    (fuzz / "vol.json").write_text(json.dumps(dict(VOLCORR, **vol_changes)))
+    (fuzz / "swapvol.json").write_text(json.dumps(dict(SWAPVOL, **swap_changes)))
+    rc, err = run_main([
+        "price", "--portfolio", str(fuzz / "book.json"), *curve_args(workspace),
+        "--volcorr", str(fuzz / "vol.json"), "--swap-volcorr", str(fuzz / "swapvol.json"),
+        "--out", str(fuzz / "out.csv"),
+    ])
+    assert rc in (0, 2, 3)
+    if rc:
+        assert err[-1].startswith("error:"), err
 
 
 class TestConsoleScript:

@@ -609,6 +609,26 @@ class TestPortfolio:
         with pytest.raises(ValueError):
             parse_portfolio({"kind": "fra"})
 
+    @pytest.mark.parametrize("payer", ["false", "true", 0, 1, None])
+    def test_parse_takes_payer_only_as_json_boolean(self, payer):
+        # bool("false") is True: a string side would silently be a payer
+        with pytest.raises(ValueError, match="payer"):
+            parse_portfolio([dict(self.ROWS[1], payer=payer)])
+
+    @pytest.mark.parametrize("field, value", [
+        ("notional", None), ("notional", "1e6"), ("quantity", True),
+        ("strike", [0.03]), ("tenor_months", 6.5), ("notional", float("nan")),
+        ("notional", float("inf")), ("notional", 10**400), ("tenor_months", 10**400),
+    ])
+    def test_parse_takes_numbers_only_as_json_numbers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            parse_portfolio([dict(self.ROWS[3], **{field: value})])
+
+    @pytest.mark.parametrize("row", [5, None, ["kind", "fra"]])
+    def test_parse_rejects_rows_that_are_not_objects(self, row):
+        with pytest.raises(ValueError, match="row 1"):
+            parse_portfolio([self.ROWS[0], row])
+
     def test_position_pv_scales_with_quantity(self):
         positions = parse_portfolio(self.ROWS)
         pv2, fair2 = price_position(positions[1], self.CURVES)

@@ -201,39 +201,82 @@ class TestAdjustmentSignAndSize:
 
 
 class TestValidation:
+    """The validation both specs share; ``TestSwapValidation`` runs every
+    case again on the swap-rate spec."""
+
+    CLS = VolCorrSpec
+
     def test_mismatched_segment_lengths(self):
-        with pytest.raises(ValueError):
-            VolCorrSpec((1.0,), (0.2,), (0.1, 0.1), (0.0, 0.0))
+        with pytest.raises(ValueError, match="one more entry"):
+            self.CLS((1.0,), (0.2,), (0.1, 0.1), (0.0, 0.0))
 
     def test_negative_vol(self):
-        with pytest.raises(ValueError):
-            VolCorrSpec.flat(-0.2, 0.1, 0.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            self.CLS.flat(-0.2, 0.1, 0.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            self.CLS.flat(0.2, -0.1, 0.0)
 
     def test_correlation_out_of_range(self):
-        with pytest.raises(ValueError):
-            VolCorrSpec.flat(0.2, 0.1, 1.0001)
+        with pytest.raises(ValueError, match="correlations"):
+            self.CLS.flat(0.2, 0.1, 1.0001)
 
     def test_unsorted_breakpoints(self):
-        with pytest.raises(ValueError):
-            VolCorrSpec((2.0, 1.0), (0.2, 0.2, 0.2), (0.1,) * 3, (0.0,) * 3)
+        with pytest.raises(ValueError, match="breakpoints"):
+            self.CLS((2.0, 1.0), (0.2, 0.2, 0.2), (0.1,) * 3, (0.0,) * 3)
+
+    @pytest.mark.parametrize("bad", ["abc", None, True, float("nan"), float("inf"), [0.2]])
+    def test_non_numbers_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite numbers"):
+            self.CLS.flat(bad, 0.1, 0.0)
+        with pytest.raises(ValueError, match="finite numbers"):
+            self.CLS((bad,), (0.2, 0.2), (0.1, 0.1), (0.0, 0.0))
+
+
+class TestSwapValidation(TestValidation):
+    CLS = SwapVolCorrSpec
 
 
 class TestSerialization:
+    """JSON form of both specs; ``TestSwapSerialization`` runs every case
+    again on the swap-rate spec."""
+
+    CLS = VolCorrSpec
+    KEYS = ["breakpoints", "sigma_f", "sigma_X", "rho_fX"]
+
     def test_round_trip(self):
-        spec = VolCorrSpec((0.5, 2.0), (0.2, 0.25, 0.3), (0.1, 0.12, 0.14),
-                           (-0.3, -0.2, -0.1))
-        again = VolCorrSpec.from_dict(spec.to_dict())
-        assert again == spec
+        spec = self.CLS((0.5, 2.0), (0.2, 0.25, 0.3), (0.1, 0.12, 0.14),
+                        (-0.3, -0.2, -0.1))
+        data = spec.to_dict()
+        assert list(data) == self.KEYS
+        again = self.CLS.from_dict(json.loads(json.dumps(data)))
+        assert again == spec and hash(again) == hash(spec)
+        flat = self.CLS.flat(0.2, 0.1, -0.3).to_dict()
+        del flat["breakpoints"]  # optional: no breakpoints means constant
+        assert self.CLS.from_dict(flat) == self.CLS.flat(0.2, 0.1, -0.3)
+
+    @pytest.mark.parametrize("data", [
+        [0.2], "spec", None,
+        {"breakpoints": []},
+        {"breakpoints": [], "sigma_f": 0.2, "sigma_X": [0.1], "rho_fX": [0.0],
+         "nu_f": 0.2, "nu_Y": [0.1], "rho_fY": [0.0]},
+    ])
+    def test_malformed_dict_rejected(self, data):
+        with pytest.raises(ValueError):
+            self.CLS.from_dict(data)
 
     def test_load_dispatches_on_keys(self, tmp_path):
-        fwd_file = tmp_path / "fwd.json"
-        fwd_file.write_text(json.dumps(VolCorrSpec.flat(0.2, 0.1, -0.4).to_dict()))
-        swap_file = tmp_path / "swap.json"
-        swap_file.write_text(
-            json.dumps(SwapVolCorrSpec.flat(0.22, 0.08, -0.25).to_dict())
-        )
-        assert isinstance(load_volcorr(fwd_file), VolCorrSpec)
-        assert isinstance(load_volcorr(swap_file), SwapVolCorrSpec)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(self.CLS.flat(0.22, 0.08, -0.25).to_dict()))
+        assert type(load_volcorr(path)) is self.CLS
+
+
+class TestSwapSerialization(TestSerialization):
+    CLS = SwapVolCorrSpec
+    KEYS = ["breakpoints", "nu_f", "nu_Y", "rho_fY"]
+
+
+def test_specs_of_both_kinds_never_equal():
+    assert VolCorrSpec.flat(0.2, 0.1, 0.3) != SwapVolCorrSpec.flat(0.2, 0.1, 0.3)
 
 
 def synthetic_basis_from_vols(times, sigma_f, sigma_x, rho, f_f, f_d):

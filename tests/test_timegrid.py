@@ -16,6 +16,11 @@ class TestDate:
         assert d.iso() == "2023-06-15"
         assert (d.year, d.month, d.day) == (2023, 6, 15)
 
+    @pytest.mark.parametrize("text", [20230615, None, ["2023-06-15"], "2023-13-01"])
+    def test_parse_rejects_what_is_not_an_iso_string(self, text):
+        with pytest.raises(ValueError):
+            Date.parse(text)
+
     def test_of_and_serial_ordering(self):
         a = Date.of(2023, 1, 31)
         b = Date.of(2023, 2, 1)
