@@ -61,6 +61,7 @@ from .bootstrap import (
     BootstrapError,
     InstrumentKind,
     InstrumentQuote,
+    SolverStats,
     bootstrap_curve,
     bump_quote,
     curve_from_basis,

@@ -14,19 +14,39 @@ discounting curve (P_d):
 They are written here once, as pure numpy arithmetic on those arrays;
 ``bootstrap``, ``pricer``, ``curve`` and ``basis`` call them and write
 none of them out themselves.  Each sum is one ``np.dot``.
+
+``LegTable`` batches them for a set of quotes: rows of money-market
+forwards, float legs, overnight legs and annuities over slices of
+per-curve batches, priced together (``fairs``, ``weights``) and
+differentiated together in one reverse pass (``log_gradient``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["simple_forward", "float_leg", "annuity"]
+__all__ = [
+    "simple_forward",
+    "coupons",
+    "float_leg",
+    "float_legs",
+    "annuity",
+    "annuities",
+    "LegTable",
+]
 
 
 def simple_forward(p1, p2, tau):
     """Simple forward rate over [T1, T2] from P_f(T1), P_f(T2) and the
     accrual ``tau``; scalars or arrays, element by element."""
     return (p1 - p2) / (tau * p2)
+
+
+def coupons(p_f: np.ndarray) -> np.ndarray:
+    """Forwarding discount ratio minus one, P_f(t_{i-1}) / P_f(t_i) - 1,
+    over consecutive entries of ``p_f``: each period's accrual times its
+    simple forward rate."""
+    return p_f[:-1] / p_f[1:] - 1.0
 
 
 def float_leg(p_d: np.ndarray, p_f: np.ndarray, qa: np.ndarray | None = None) -> float:
@@ -36,12 +56,223 @@ def float_leg(p_d: np.ndarray, p_f: np.ndarray, qa: np.ndarray | None = None) ->
     dates and ``p_d`` the discounting ones at the n payment dates; ``qa``
     multiplies each coupon by its forward adjustment.
     """
-    coupons = p_f[:-1] / p_f[1:] - 1.0
+    c = coupons(p_f)
     if qa is not None:
-        coupons = coupons * qa
-    return float(np.dot(p_d, coupons))
+        c = c * qa
+    return float(np.dot(p_d, c))
+
+
+def float_legs(p_d: np.ndarray, p_f: np.ndarray, legs) -> list[float]:
+    """``float_leg`` of several unadjusted legs read off two batches:
+    each (payment, coupon) slice pair in ``legs`` picks one leg's
+    discounting factors from ``p_d`` and its coupons from
+    ``coupons(p_f)``, whose coupon i projects off ``p_f[i]`` and
+    ``p_f[i + 1]``."""
+    c = coupons(p_f)
+    return [float(np.dot(p_d[d], c[k])) for d, k in legs]
 
 
 def annuity(taus: np.ndarray, p_d: np.ndarray) -> float:
     """Sum of the accruals ``taus`` discounted at their payment dates."""
     return float(np.dot(taus, p_d))
+
+
+def annuities(legs, p_d: np.ndarray) -> list[float]:
+    """``annuity`` of several legs read off one batch: each (accruals,
+    payment slice) pair in ``legs`` is one leg."""
+    return [float(np.dot(taus, p_d[d])) for taus, d in legs]
+
+
+def _index(slices) -> np.ndarray:
+    """The positions the slices cover, concatenated."""
+    return np.concatenate(
+        [np.arange(s.start, s.stop) for s in slices] or [np.empty(0, np.intp)]
+    )
+
+
+class LegTable:
+    """The rows a quote set compiles to, as one table.
+
+    Every row holds the index of its quote and the slices of the batches
+    of discount factors it reads, each batch keyed by its curve:
+
+    * money market: the pair (T1, T2) on the curve keyed ``own``, the
+      payment read P_d(T2) and the accrual tau;
+    * float leg: a sign (-1 for the short leg of a basis swap), the key
+      of the curve projecting it, its n payment reads on the
+      discounting curve and its n + 1 schedule reads on that curve;
+    * OIS: the discounting pair (start, end) its overnight leg
+      telescopes to;
+    * annuity: the accruals and payment reads of a swap-type quote's
+      fixed or spread leg, one per such quote.
+
+    ``fairs`` prices every row at once: the money-market rows as one
+    array of simple forwards, each leg and annuity as one ``np.dot``
+    over its slices (``float_legs``, ``annuities``), and each swap-type
+    quote as its signed leg and OIS rows over its annuity.
+    ``log_gradient`` differentiates all rows in one batched pass.
+    """
+
+    def __init__(self, own):
+        self.own = own
+        self.n = 0
+        self.rows: dict[str, list] = {"mm": [], "leg": [], "ois": [], "ann": []}
+
+    # -- compiling ----------------------------------------------------------
+
+    def money_market(self, f: int, d: int, tau: float) -> None:
+        self.rows["mm"].append((self.n, f, d, tau))
+
+    def float_leg(self, sign: float, proj, d: slice, f: slice) -> None:
+        self.rows["leg"].append((self.n, sign, proj, d, f))
+
+    def ois(self, s: int) -> None:
+        self.rows["ois"].append((self.n, s))
+
+    def annuity(self, taus: tuple[float, ...], d: slice) -> None:
+        self.rows["ann"].append((self.n, taus, d))
+
+    def seal(self, disc) -> None:
+        """Turn the rows into the index arrays the evaluation reads;
+        ``disc`` is the key of the discounting batch."""
+        mm, legs, ois, ann = (self.rows[k] for k in ("mm", "leg", "ois", "ann"))
+        self.disc = disc
+
+        def ints(xs) -> np.ndarray:
+            return np.array(xs, dtype=np.intp)
+
+        self.mm_q = ints([r[0] for r in mm])
+        self.mm_f = ints([r[1] for r in mm])
+        self.mm_f1 = self.mm_f + 1
+        self.mm_d = ints([r[2] for r in mm])
+        self.mm_tau = np.array([r[3] for r in mm])
+        # swap-type quotes: one annuity each, k numbering them
+        self.ann_q = ints([r[0] for r in ann])
+        k_of = {q: k for k, q in enumerate(self.ann_q.tolist())}
+        self.ann_d = _index(d for *_, d in ann)
+        self.ann_tau = np.array([tau for _, taus, _d in ann for tau in taus])
+        sizes = [len(taus) for _, taus, _d in ann]
+        self.ann_k = np.repeat(np.arange(len(ann)), sizes)
+        # each annuity's accruals are its stretch of ann_tau
+        ends = np.cumsum(sizes).tolist()
+        self.ann = [
+            (self.ann_tau[end - size:end], d)
+            for end, size, (*_, d) in zip(ends, sizes, ann)
+        ]
+        # float legs grouped by projecting curve; coupon i of a leg pays at
+        # its payment read i and projects off its schedule reads i, i + 1
+        groups: dict = {}
+        for row in legs:
+            groups.setdefault(row[2], []).append(row)
+        order = [row for rows in groups.values() for row in rows]
+        self.leg_k = ints([k_of[r[0]] for r in order])
+        self.leg_sign = np.array([r[1] for r in order])
+        self.groups, self.coupons, first = {}, {}, 0
+        for key, rows in groups.items():
+            n = [f.stop - f.start - 1 for *_, f in rows]
+            self.groups[key] = [(d, slice(f.start, f.stop - 1)) for *_, d, f in rows]
+            cf = _index(c for _, c in self.groups[key])
+            leg = np.repeat(np.arange(first, first + len(rows)), n)
+            # per coupon: its schedule reads, payment read, annuity and sign
+            self.coupons[key] = (
+                cf, cf + 1, _index(d for d, _ in self.groups[key]),
+                self.leg_k[leg], self.leg_sign[leg],
+            )
+            first += len(rows)
+        self.ois_k = ints([k_of[r[0]] for r in ois])
+        self.ois_s = ints([r[1] for r in ois])
+        self.ois_s1 = self.ois_s + 1
+        self.row_k = np.concatenate((self.leg_k, self.ois_k))
+        self.row_sign = np.concatenate((self.leg_sign, np.ones(len(ois))))
+        del self.rows
+
+    # -- evaluation ---------------------------------------------------------
+
+    def fairs(self, p: dict) -> np.ndarray:
+        """Every quote's fair value in rate space on the batches ``p``;
+        raises ``ZeroDivisionError`` where an annuity is zero."""
+        fair = np.empty(self.n)
+        if self.mm_q.size:
+            own = p[self.own]
+            fair[self.mm_q] = simple_forward(
+                own[self.mm_f], own[self.mm_f1], self.mm_tau
+            )
+        if self.ann:
+            p_d = p[self.disc]
+            rows = [float_legs(p_d, p[k], legs) for k, legs in self.groups.items()]
+            if self.ois_s.size:
+                rows.append(p_d[self.ois_s] - p_d[self.ois_s1])
+            # a quote's rows summed in row order onto 0, then divided as
+            # Python floats: a zero annuity raises, an overflow gives inf
+            numerators = np.bincount(
+                self.row_k, np.concatenate(rows) * self.row_sign, len(self.ann)
+            )
+            a = annuities(self.ann, p_d)
+            fair[self.ann_q] = [n / x for n, x in zip(numerators.tolist(), a)]
+        return fair
+
+    def weights(self, p: dict) -> np.ndarray:
+        """Every quote's PV per unit notional of a unit move in its fair
+        value: P_d(end) * tau for money-market quotes, the annuity for
+        the others."""
+        w = np.empty(self.n)
+        if self.mm_q.size:
+            w[self.mm_q] = p[self.disc][self.mm_d] * self.mm_tau
+        if self.ann:
+            w[self.ann_q] = annuities(self.ann, p[self.disc])
+        return w
+
+    def log_gradient(self, p: dict, key) -> np.ndarray:
+        """dR/d ln P at every read of the ``key`` batch, R being the
+        residual of the quote that made the read, on the batches ``p``.
+
+        One vectorised pass over all rows, with no call per quote:
+        money-market pairs give +-P1 / (tau P2); a coupon
+        c = P_f(t_{i-1}) / P_f(t_i) - 1 paid at P_d(t_i) gives
+        P_d (1 + c) at t_{i-1}, -P_d (1 + c) at t_i and P_d c at the
+        payment, scaled by its leg's sign over the annuity A; an OIS
+        leg gives +-P_d / A; and each annuity read -(fair / A) tau P_d.
+        """
+        idx, val = [], []
+        if self.mm_q.size and key == self.own:
+            own, f, f1 = p[key], self.mm_f, self.mm_f1
+            x = own[f] / (self.mm_tau * own[f1])
+            idx += [f, f1]
+            val += [x, -x]
+        if self.ann:
+            # the annuity and OIS rows read the discounting batch alone
+            disc, m = self.disc, len(self.ann)
+            p_d = p[disc]
+            ann_pv = np.bincount(self.ann_k, self.ann_tau * p_d[self.ann_d], m)
+            numerators = np.zeros(m)
+            for gkey, (cf, cf1, cd, k, sign) in self.coupons.items():
+                if gkey != key and disc != key:
+                    continue
+                p_f = p[gkey]
+                ratio = p_f[cf] / p_f[cf1]
+                pay = sign * p_d[cd]
+                coupon = pay * (ratio - 1.0)
+                scale = 1.0 / ann_pv[k]
+                if gkey == key:
+                    pay *= ratio * scale
+                    idx += [cf, cf1]
+                    val += [pay, -pay]
+                if disc == key:
+                    numerators += np.bincount(k, coupon, m)
+                    idx.append(cd)
+                    val.append(coupon * scale)
+            if disc == key:
+                s, s1 = self.ois_s, self.ois_s1
+                p1, p2 = p_d[s], p_d[s1]
+                numerators += np.bincount(self.ois_k, p1 - p2, m)
+                a = ann_pv[self.ois_k]
+                fair = numerators / ann_pv
+                idx += [s, s1, self.ann_d]
+                val += [
+                    p1 / a,
+                    -p2 / a,
+                    -(fair / ann_pv)[self.ann_k] * self.ann_tau * p_d[self.ann_d],
+                ]
+        if not idx:
+            return np.zeros(len(p[key]))
+        return np.bincount(np.concatenate(idx), np.concatenate(val), len(p[key]))

@@ -23,6 +23,21 @@ evaluate a curve.  ``apply`` looks the ``eval_*`` kernels up as module
 globals on every call, so a kernel replaced on this module is the one
 that runs.
 
+A located lookup also has linear parts (``linear_parts``): each query
+reads two knots, with weights A on their log-discounts and, for the
+cubic alone, weights B on their stored slopes S, so that
+
+    d ln P(t)/d ln p = A + B S'(ln p).
+
+For the cubic A and B are the Hermite coefficients themselves and S' is
+the Fritsch-Carlson slope derivative (``interp``); ``loglinear`` is
+linear in ln p, and ``linzero`` is linear in the zero rates, which are
+-ln p / t at the knots.  Exact knot hits take their knot's row of the
+identity and extrapolation rows the frozen forward's weights.  They are
+built on first use and kept on the ``Located``, so a batch located once
+per solve builds them once; ``log_jacobian`` chains them with a
+per-query weight g, such as a residual's dR/d ln P, into G (A + B S').
+
 Kernel contract, shared by all schemes:
 
 * ``t`` are query times (years, ACT/365F from the curve reference),
@@ -43,7 +58,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .interp import InterpScheme, monotone_cubic_slopes, zero_rates_from_logdf
+from .interp import (
+    InterpScheme,
+    monotone_cubic_slope_jacobian,
+    monotone_cubic_slopes,
+    zero_rates_from_logdf,
+)
 
 __all__ = [
     "Located",
@@ -54,6 +74,8 @@ __all__ = [
     "apply",
     "knot_data",
     "evaluate",
+    "linear_parts",
+    "log_jacobian",
 ]
 
 
@@ -68,9 +90,11 @@ class Located:
     from the segment start (from the last knot past it).  ``ext`` lists
     the rows past the last knot (linear schemes only) and ``hits`` the
     (rows, knots) of exact knot hits; either is None when empty.
+    ``lin`` holds the lookup's linear parts once ``linear_parts`` has
+    built them.
     """
 
-    __slots__ = ("scheme", "ts", "j", "w", "ext", "hits")
+    __slots__ = ("scheme", "ts", "j", "w", "ext", "hits", "lin")
 
     def __init__(self, scheme, ts, j, w, ext, hits):
         self.scheme = scheme
@@ -79,6 +103,7 @@ class Located:
         self.w = w
         self.ext = ext
         self.hits = hits
+        self.lin = None
 
 
 def locate(scheme: InterpScheme, t: np.ndarray, ts: np.ndarray) -> Located:
@@ -197,6 +222,71 @@ def knot_data(scheme: InterpScheme, ts: np.ndarray, lnp: np.ndarray):
     if scheme is InterpScheme.LINEAR_ZERO:
         return zero_rates_from_logdf(ts, lnp)
     return None
+
+
+def linear_parts(t, loc: Located):
+    """(cols, A, B): the linear parts of the located lookup at times ``t``.
+
+    Query i reads the knots ``cols[:, i]`` with weights ``A[:, i]`` on
+    their log-discounts and ``B[:, i]`` on their cubic slopes, so that
+    d ln P(t_i)/d ln p = A + B S'(ln p).  B is None for the linear
+    schemes, whose ln P is linear in ln p.  Built on the first call and
+    kept on ``loc``.
+    """
+    if loc.lin is not None:
+        return loc.lin
+    ts, j, ext = loc.ts, loc.j, loc.ext
+    cols = np.stack((j, j + 1))
+    b = None
+    if loc.scheme is InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC:
+        c0, c1, c2, c3 = loc.w
+        a, b = np.stack((c0, c2)), np.stack((c1, c3))
+    else:
+        h, dt = loc.w
+        w = dt / h
+        if loc.scheme is InterpScheme.LOG_LINEAR_DISCOUNT:
+            a = np.stack((1.0 - w, w))
+            if ext is not None:
+                # the last segment's slope carried past its end
+                a[0, ext] = -w[ext]
+                a[1, ext] = 1.0 + w[ext]
+        else:
+            # ln P = -t z, z linear in the zero rates zr[k] = -lnp[k]/ts[k]
+            # (zr[0] = zr[1]); first the weights on zr[j], zr[j+1]
+            a = np.stack((t * (1.0 - w), t * w))
+            if ext is not None:
+                # -zr[n] tn - (zr[n] + tn (zr[n] - zr[n-1]) / h) dt
+                tn = ts[-1]
+                a[0, ext] = -tn * w[ext]
+                a[1, ext] = tn + dt[ext] + tn * w[ext]
+            np.maximum(cols[0], 1, out=cols[0])
+            a /= ts[cols]
+    if loc.hits is not None:
+        # the stored discount factor itself
+        rows, knots = loc.hits
+        cols[:, rows] = knots
+        a[0, rows] = 1.0
+        a[1, rows] = 0.0
+        if b is not None:
+            b[:, rows] = 0.0
+    loc.lin = (cols, a, b)
+    return loc.lin
+
+
+def log_jacobian(t, loc: Located, lnp, g, rows, n_rows: int) -> np.ndarray:
+    """G (A + B S'(ln p)) over all knots, G holding ``g[i]`` at
+    (``rows[i]``, query i): per row, the sum of each query's weight
+    ``g`` times its d ln P/d ln p.  ``rows = arange(len(t))`` with unit
+    ``g`` gives d ln P/d ln p itself."""
+    cols, a, b = linear_parts(t, loc)
+    n = loc.ts.shape[0]
+    flat = (rows * n + cols).ravel()
+    size = n_rows * n
+    out = np.bincount(flat, (g * a).ravel(), size).reshape(n_rows, n)
+    if b is not None:
+        gb = np.bincount(flat, (g * b).ravel(), size).reshape(n_rows, n)
+        out += gb @ monotone_cubic_slope_jacobian(loc.ts, lnp)
+    return out
 
 
 def evaluate(scheme: InterpScheme, t, ts, dfs, lnp, aux) -> np.ndarray:

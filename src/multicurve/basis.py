@@ -96,16 +96,29 @@ def _check_interval(disc: YieldCurve, t1: Date, t2: Date) -> None:
 
 
 def _interval_basis(
-    fwd: YieldCurve, disc: YieldCurve, starts: np.ndarray, ends: np.ndarray
+    fwd: YieldCurve,
+    disc: YieldCurve,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    stride: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Multiplicative basis, additive basis and discounting forward over
     the intervals [starts[i], ends[i]] of serial days; the
     multiplicative basis is NaN where the discounting forward is exactly
-    zero."""
+    zero.
+
+    Each curve is read at the starts and at the ends, or, given the
+    ``stride`` of evenly spaced starts, once over every day from the
+    first start to the last end: the starts are then every stride-th
+    day of that read and the ends are gathered from it by index (the
+    values are the same, a lookup being element by element)."""
     ref = fwd.reference_date.serial
-    t1, t2 = (starts - ref) / 365.0, (ends - ref) / 365.0
-    pf1, pf2 = fwd.discount_time(t1), fwd.discount_time(t2)
-    pd1, pd2 = disc.discount_time(t1), disc.discount_time(t2)
+    if stride is None:
+        t1, t2 = (starts - ref) / 365.0, (ends - ref) / 365.0
+        pf1, pf2 = fwd.discount_time(t1), fwd.discount_time(t2)
+        pd1, pd2 = disc.discount_time(t1), disc.discount_time(t2)
+    else:
+        pf1, pf2, pd1, pd2 = _span_reads((fwd, disc), ref, starts, ends, stride)
     tau_d = year_fractions(starts, ends, disc.daycount)
     denom = pd1 - pd2
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -113,6 +126,17 @@ def _interval_basis(
         add = (pf1 / pf2 - pd1 / pd2) / tau_d
         fwd_d = _cashflows.simple_forward(pd1, pd2, tau_d)
     return mult, add, fwd_d
+
+
+def _span_reads(curves, ref: int, starts, ends, stride: int) -> list:
+    first = starts[0]
+    t = (np.arange(first, ends[-1] + 1) - ref) / 365.0
+    i2 = ends - first
+    out = []
+    for curve in curves:
+        p = curve.discount_time(t)
+        out += [p[: starts.size * stride : stride], p[i2]]
+    return out
 
 
 def _one_interval(fwd: YieldCurve, disc: YieldCurve, t1: Date, t2: Date):
@@ -176,6 +200,9 @@ def basis_term_structure(
     interval end stays inside both curves' pillar ranges.  Where the
     discounting forward is exactly zero the multiplicative basis is
     undefined and reported as NaN; the additive basis is still finite.
+    When the days from the first start to the last end are no more than
+    the starts and ends together (always so daily), each curve is read
+    once over those days instead of at the starts and at the ends.
     """
     _check_pair(fwd, disc)
     if tenor_months <= 0 or stride_days <= 0:
@@ -187,8 +214,12 @@ def basis_term_structure(
         raise ValueError("curves too short for the requested tenor")
     starts = np.arange(ref, anchor + 1, stride_days, dtype=np.int64)
     ends = roll_months(starts, tenor_months)
-
-    mult, add, fwd_d = _interval_basis(fwd, disc, starts, ends)
+    # one read per curve over the day span when it is no longer than the
+    # starts and ends read apart (always so at a daily stride)
+    span = ends[-1] - starts[0] + 1 <= starts.size + ends.size
+    mult, add, fwd_d = _interval_basis(
+        fwd, disc, starts, ends, stride_days if span else None
+    )
     return ForwardBasisCurve(
         forwarding_label=fwd.tenor_label,
         discounting_label=disc.tenor_label,

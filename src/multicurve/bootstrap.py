@@ -3,26 +3,32 @@
 Each quote pins the discount factor at its end date (the pillar).  A
 curve's pillar log-discounts ln p solve R(ln p) = 0, where R holds every
 quote's fair value minus its quote in rate space.  A build compiles
-each quote once (``_compile_quote``) into one residual object,
-``_Residuals``.  Compiling registers the dates each quote reads with a
-``_Reads``, curve by curve and each on that curve's own clock, and
-gets back the slices of that curve's batch they occupy; the batches
-become one located query per curve, and every fair value and PV weight
-is the leg arithmetic of ``_cashflows`` on those slices.  While
-solving, R costs one knot-data build and one kernel call over the
-solved curve's times; the fixed curves (discounting, basis companions)
-are read once each.  The same object then runs the closure check on
-the finished curve, and ``risk`` keeps it to evaluate the columns of
-its quote Jacobian and the PV weights of its hedges.  A quote that
-reads nothing on the curve being built cannot pin it, and the build
-fails naming it.
+each quote once (``_compile_quote``) into the rows of one leg table,
+``_cashflows.LegTable``, inside one residual object, ``_Residuals``.
+Compiling registers the dates each row reads with a ``_Reads``, curve
+by curve and each on that curve's own clock, and gets back the slices
+of that curve's batch they occupy; the batches become one located query
+per curve, and the table prices every quote off its slices with the leg
+arithmetic of ``_cashflows``, one ``np.dot`` per leg and no Python call
+per quote.  While solving, R costs one knot-data build and one kernel
+call over the solved curve's times; the fixed curves (discounting,
+basis companions) are read once each.  The same object then runs the
+closure check on the finished curve, and ``risk`` keeps it to evaluate
+the columns of its quote Jacobian and the PV weights of its hedges.  A
+quote that reads nothing on the curve being built cannot pin it, and
+the build fails naming it.
 
 Damped Newton solves all pillars of a curve together from a seed (a
-nearby curve, the discounting curve or the quotes' own rates), with
-the Jacobian taken by forward differences.  Solving them together
-matters because the monotone cubic is only semi-local: the slope stored
-at knot i reacts to pillars i-1 and i+1, so solving pillar n alone can
-disturb instruments that matured earlier.
+nearby curve, the discounting curve or the quotes' own rates), on the
+exact Jacobian J = dR/d ln P . d ln P/d ln p: the table differentiates
+every row in one batched pass at each read of the solved curve, and the
+kernels give d ln P/d ln p = A + B S'(ln p) from the located batch
+(``_kernels.linear_parts``).  An iteration costs one residual
+evaluation plus one per step halving, and each solve records its work
+in a ``SolverStats``.  Solving the pillars together matters because the
+monotone cubic is only semi-local: the slope stored at knot i reacts to
+pillars i-1 and i+1, so solving pillar n alone can disturb instruments
+that matured earlier.
 
 Forwarding curves bootstrap against a fixed discounting curve; basis
 swap quotes against one tenor may also reference a companion forwarding
@@ -45,7 +51,7 @@ from .basis import ForwardBasisCurve
 from .curve import LocatedQuery, YieldCurve
 from .interp import InterpScheme
 from .timegrid import Date, DayCount, year_fraction
-from .timegrid import cached_accruals as _taus
+from .timegrid import cached_schedule_accruals as _taus
 from .timegrid import cached_schedule as _sched
 
 __all__ = [
@@ -54,6 +60,7 @@ __all__ = [
     "BootstrapConfig",
     "BootstrapError",
     "BasisDirection",
+    "SolverStats",
     "fair_quote",
     "instrument_pv",
     "repricing_errors",
@@ -181,15 +188,16 @@ class _Reads:
     months) and the reference date its times count from, so every curve
     is read on its own clock; ``disc`` is the key discounting reads go
     to, ``_OWN`` when the set discounts on its own curve.  ``add`` puts
-    dates on one curve's batch and returns their slice of it.  ``seal``
-    makes each batch one ``LocatedQuery`` (a curve no quote reads gets
-    none and is never read) and reads the fixed curves given here.
+    the serial days of dates on one curve's batch and returns their
+    slice of it.  ``seal`` makes each batch, as times on its curve's
+    clock, one ``LocatedQuery`` (a curve no quote reads gets none and is
+    never read) and reads the fixed curves given here.
     ``load`` puts a curve's discount factors at its batch into ``p``,
     keyed like the batches, unless that curve object is the one read
     there last.
     """
 
-    __slots__ = ("clocks", "disc", "fixed", "times", "queries", "p", "curves")
+    __slots__ = ("clocks", "disc", "fixed", "days", "queries", "p", "curves")
 
     def __init__(
         self,
@@ -202,20 +210,23 @@ class _Reads:
             self.fixed[_DISC] = discounting
         self.disc = _OWN if discounting is None else _DISC
         self.clocks = {_OWN: ref} | {k: c.reference_date for k, c in self.fixed.items()}
-        self.times: dict = {key: [] for key in self.clocks}
+        self.days: dict = {key: [] for key in self.clocks}
         self.queries: dict = {}
         self.p: dict = {}
         self.curves: dict = {}
 
     def add(self, key, dates) -> slice:
-        clock = self.clocks[key].serial
-        batch = self.times[key]
+        batch = self.days[key]
         start = len(batch)
-        batch.extend([(d.serial - clock) / 365.0 for d in dates])
+        batch.extend([d.serial for d in dates])
         return slice(start, len(batch))
 
     def seal(self) -> None:
-        self.queries = {key: LocatedQuery(t) for key, t in self.times.items() if t}
+        self.queries = {
+            key: LocatedQuery((np.array(days) - self.clocks[key].serial) / 365.0)
+            for key, days in self.days.items()
+            if days
+        }
         for key, curve in self.fixed.items():
             if key in self.queries:
                 self.load(key, curve)
@@ -226,32 +237,25 @@ class _Reads:
             self.curves[key] = curve
 
 
-def _compile_quote(q: InstrumentQuote, reads: _Reads):
-    """The quote's rate-space fair value and PV weight, as two functions
-    of the discount factors ``reads`` loads.
+def _compile_quote(q: InstrumentQuote, reads: _Reads, table: _cashflows.LegTable) -> None:
+    """Append the quote's rows to ``table``.
 
-    Compiling registers every date the quote reads with ``reads``, on
-    the curve it comes from: the curve projecting the quote's own tenor,
+    Compiling registers every date a row reads with ``reads``, on the
+    curve it comes from: the curve projecting the quote's own tenor,
     the discounting curve (``reads.disc``) or, for the far leg of a
-    basis swap, the companion of that tenor.  Both functions take the
-    mapping ``p`` from curve key to that curve's batch of discount
-    factors and read their slices of it through the leg formulas of
-    ``_cashflows``.
+    basis swap, the companion of that tenor; each row keeps the slices
+    of the batches it got back.
 
-    The fair value is the forward rate of a money-market quote (futures
-    before convexity), the par rate of a swap or overnight index swap
-    and the par spread of a basis swap.  The weight turns a difference
-    in that rate into PV per unit notional: P_d(end) * tau for
-    money-market quotes, the fixed or spread leg annuity otherwise.
+    A money-market quote (deposit, FRA, futures before convexity) is
+    one row: the simple forward over its own-curve pair, with PV weight
+    P_d(end) * tau.  A swap is a float leg over its fixed annuity, an
+    overnight index swap the telescoped leg P_d(start) - P_d(end) over
+    its annuity, and a basis swap its long leg minus its short leg over
+    the short leg's spread annuity; the annuity is their PV weight.
     """
     disc = reads.disc
 
-    def annuity(dates, dc: DayCount):
-        taus = np.array(_taus(dates, dc))
-        d = reads.add(disc, dates[1:])
-        return lambda p: _cashflows.annuity(taus, p[disc][d])
-
-    def float_leg(months: int):
+    def float_leg(months: int, sign: float) -> None:
         if months == q.underlying_tenor:
             proj = _OWN
         elif months in reads.clocks:
@@ -262,74 +266,64 @@ def _compile_quote(q: InstrumentQuote, reads: _Reads):
             )
         dates = _sched(q.start, q.end, months)
         d = reads.add(disc, dates[1:])
-        f = reads.add(proj, dates)
-        return lambda p: _cashflows.float_leg(p[disc][d], p[proj][f])
+        table.float_leg(sign, proj, d, reads.add(proj, dates))
+
+    def annuity(months: int, dc: DayCount) -> None:
+        taus = _taus(q.start, q.end, months, dc)
+        table.annuity(taus, reads.add(disc, _sched(q.start, q.end, months)[1:]))
 
     k = q.kind
     if k in (InstrumentKind.DEPOSIT, InstrumentKind.FRA, InstrumentKind.FUTURES):
         tau = year_fraction(q.start, q.end, q.daycount)
         f = reads.add(_OWN, (q.start, q.end)).start
-        d = reads.add(disc, (q.end,)).start
-
-        def fair(p):
-            own = p[_OWN]
-            return _cashflows.simple_forward(own[f], own[f + 1], tau)
-
-        return fair, lambda p: p[disc][d] * tau
-
-    if k is InstrumentKind.SWAP:
-        leg = float_leg(q.underlying_tenor)
-        ann = annuity(_sched(q.start, q.end, q.fixed_frequency), q.daycount)
-        return (lambda p: leg(p) / ann(p)), ann
-
-    if k is InstrumentKind.OIS:
-        # the overnight leg telescopes to P_d(start) - P_d(end)
-        s = reads.add(disc, (q.start, q.end)).start
-        ann = annuity(_sched(q.start, q.end, q.fixed_frequency), q.daycount)
-
-        def fair(p) -> float:
-            p_d = p[disc]
-            return float(p_d[s] - p_d[s + 1]) / ann(p)
-
-        return fair, ann
-
-    if k is InstrumentKind.BASIS_SWAP:
+        table.money_market(f, reads.add(disc, (q.end,)).start, tau)
+    elif k is InstrumentKind.SWAP:
+        float_leg(q.underlying_tenor, 1.0)
+        annuity(q.fixed_frequency, q.daycount)
+    elif k is InstrumentKind.OIS:
+        table.ois(reads.add(disc, (q.start, q.end)).start)
+        annuity(q.fixed_frequency, q.daycount)
+    elif k is InstrumentKind.BASIS_SWAP:
         short_m, long_m = sorted((q.underlying_tenor, q.second_tenor))
-        pv_short, pv_long = float_leg(short_m), float_leg(long_m)
-        ann = annuity(_sched(q.start, q.end, short_m), q.float_daycount)
-        return (lambda p: (pv_long(p) - pv_short(p)) / ann(p)), ann
-
-    raise BootstrapError(f"unknown instrument kind {k!r}")
+        float_leg(short_m, -1.0)
+        float_leg(long_m, 1.0)
+        annuity(short_m, q.float_daycount)
+    else:
+        raise BootstrapError(f"unknown instrument kind {k!r}")
+    table.n += 1
 
 
 class _Residuals:
     """Residual vector R of a quote set: each quote's fair value minus its
     rate, futures in rate space, compiled once per build.
 
-    ``_compile_quote`` compiles each quote once against one ``_Reads``,
-    which batches the times the set reads on every curve: the curve
-    being solved, the discounting curve and each basis companion, the
-    fixed ones read once on compiling.  An evaluation reads each curve
-    once, in one batch, and every quote reads its slices of the batches:
+    ``_compile_quote`` compiles each quote once into one ``LegTable``
+    against one ``_Reads``, which batches the times the set reads on
+    every curve: the curve being solved, the discounting curve and each
+    basis companion, the fixed ones read once on compiling.  An
+    evaluation reads each curve once, in one batch, and the table prices
+    every quote off its slices of the batches:
 
     * ``on_pillars``, while solving, evaluates the solved curve's batch
       on its pillar log-discounts through the kernels, exactly as a
       ``YieldCurve`` built from the same discount factors does, and
-      reads the fixed curves as last loaded;
+      reads the fixed curves as last loaded; ``jacobian`` then gives
+      dR/d ln p over those pillars;
     * ``on_curves`` reads finished curves through
       ``YieldCurve.discount_time``: the closure check on the solved
       curve, whose interpolation data is rebuilt from its pillars, and
       the columns of the quote Jacobian in ``risk``.
 
     ``load`` also serves ``fair_quote``, ``instrument_pv`` and the hedge
-    weights in ``risk``, which read ``fairs`` and ``weights`` on the
-    loaded batches.  A curve is read again only when another curve
-    object takes its place.  An annuity that underflows to zero gives
-    NaN residuals.  ``blind`` lists the quotes that read nothing on the
-    curve projecting their own tenor, so cannot pin it.
+    weights in ``risk``, which read the table's ``fairs`` and
+    ``weights`` on the loaded batches.  A curve is read again only when
+    another curve object takes its place.  An annuity that underflows to
+    zero gives NaN residuals.  ``owner`` names the quote behind each
+    read of the solved curve; ``blind`` lists the quotes that read
+    nothing there, so cannot pin it.
     """
 
-    __slots__ = ("quotes", "rates", "fairs", "weights", "blind", "reads")
+    __slots__ = ("quotes", "rates", "table", "owner", "blind", "reads", "_pillars")
 
     def __init__(
         self,
@@ -341,16 +335,17 @@ class _Residuals:
         self.quotes = list(quotes)
         self.rates = np.array([q.implied_rate() for q in quotes])
         self.reads = reads = _Reads(ref, discounting, companions)
-        self.fairs, self.weights, self.blind = [], [], []
-        own = reads.times[_OWN]
+        self.table = _cashflows.LegTable(_OWN)
+        own, counts = reads.days[_OWN], []
         for q in self.quotes:
             n = len(own)
-            fair, weight = _compile_quote(q, reads)
-            self.fairs.append(fair)
-            self.weights.append(weight)
-            if len(own) == n:
-                self.blind.append(q)
+            _compile_quote(q, reads, self.table)
+            counts.append(len(own) - n)
+        self.blind = [q for q, c in zip(self.quotes, counts) if not c]
+        self.owner = np.repeat(np.arange(len(counts)), counts)
+        self.table.seal(reads.disc)
         reads.seal()
+        self._pillars = None
 
     def load(
         self,
@@ -389,17 +384,28 @@ class _Residuals:
         aux = _kernels.knot_data(scheme, ts, lnp)
         reads = self.reads
         q = reads.queries[_OWN]
-        reads.p[_OWN] = _kernels.apply(q.t, q.located(scheme, ts), dfs, lnp, aux)
+        loc = q.located(scheme, ts)
+        reads.p[_OWN] = _kernels.apply(q.t, loc, dfs, lnp, aux)
         reads.curves[_OWN] = None
+        self._pillars = (loc, lnp)
         return self._evaluate()
 
+    def jacobian(self) -> np.ndarray:
+        """dR/d ln p over the pillars of the last ``on_pillars`` call,
+        anchor excluded: the table's dR/d ln P at every read of the
+        solved curve, times d ln P/d ln p = A + B S' of the located
+        batch, summed per quote."""
+        loc, lnp = self._pillars
+        g = self.table.log_gradient(self.reads.p, _OWN)
+        t = self.reads.queries[_OWN].t
+        return _kernels.log_jacobian(t, loc, lnp, g, self.owner, len(self.quotes))[:, 1:]
+
     def _evaluate(self) -> np.ndarray:
-        p = self.reads.p
         try:
-            return np.array([fair(p) for fair in self.fairs]) - self.rates
+            return self.table.fairs(self.reads.p) - self.rates
         except ZeroDivisionError:
             # an annuity that underflowed to zero: no finite residual here
-            return np.full(len(self.fairs), np.nan)
+            return np.full(len(self.quotes), np.nan)
 
 
 def fair_quote(
@@ -414,7 +420,7 @@ def fair_quote(
     to the target itself (single-curve pricing).
     """
     one = _Residuals([q], target.reference_date, discounting, companions)
-    f = float(one.fairs[0](one.load(target, discounting, companions)))
+    f = float(one.table.fairs(one.load(target, discounting, companions))[0])
     if q.kind is InstrumentKind.FUTURES:
         return 100.0 * (1.0 - (f + q.convexity))
     return f
@@ -440,7 +446,7 @@ def instrument_pv(
     strike = contract_quote
     if q.kind is InstrumentKind.FUTURES:
         strike = (100.0 - contract_quote) / 100.0 - q.convexity
-    return float(notional * one.weights[0](p) * (one.fairs[0](p) - strike))
+    return float(notional * one.table.weights(p)[0] * (one.table.fairs(p)[0] - strike))
 
 
 def repricing_errors(
@@ -521,9 +527,10 @@ def _bootstrap(
     reference_date: Date | None,
     tenor_label: str,
     start_curve: YieldCurve | None,
-) -> tuple[YieldCurve, _Residuals]:
+) -> tuple[YieldCurve, _Residuals, SolverStats]:
     """``bootstrap_curve``, also giving the compiled residuals of the
-    chosen quotes, which the closure check evaluated on the result."""
+    chosen quotes, which the closure check evaluated on the result, and
+    the solver's work."""
     if not quotes:
         raise BootstrapError("no quotes to bootstrap from")
     cfg = config or BootstrapConfig()
@@ -549,10 +556,24 @@ def _bootstrap(
     )
 
 
-# Step in ln DF of the forward-difference Jacobian columns.
-_FD_STEP = 1e-7
 # Halvings of one Newton step tried before the solve gives up.
 _MAX_HALVINGS = 40
+
+
+@dataclass
+class SolverStats:
+    """The work of one curve's Newton solve.
+
+    ``residual_evals`` counts the evaluations of R while solving: one at
+    the seed, one per trial step.  Each iteration takes one Jacobian
+    and one trial step plus one per ``halvings`` of it.  The closure
+    check on the finished curve is not counted.
+    """
+
+    iterations: int = 0
+    residual_evals: int = 0
+    jacobian_evals: int = 0
+    halvings: int = 0
 
 
 def _solve_curve(
@@ -564,22 +585,25 @@ def _solve_curve(
     tenor_label: str,
     ts: np.ndarray,
     seed: np.ndarray,
-) -> tuple[YieldCurve, _Residuals]:
+) -> tuple[YieldCurve, _Residuals, SolverStats]:
     """Solve R(ln p) = 0 for the pillar log-discounts by damped Newton
     from ``seed`` (``ts`` holds the anchor at 0 and the pillar times).
 
-    The Jacobian comes from one forward difference per pillar; a step
-    is halved while the residual it reaches is non-finite or no smaller
-    (in the sum of squares) than the current one.
+    The Jacobian is exact: J = (dR/d ln P at every read of the curve)
+    (d ln P/d ln p), from the residuals' leg table and the kernels'
+    linear parts of the located batch (``_Residuals.jacobian``), at the
+    cost of no further residual evaluation.  A step is halved while the
+    residual it reaches is non-finite or no smaller (in the sum of
+    squares) than the current one.
     """
     n = len(chosen)
     lo, hi = cfg.df_bracket
-    it = 0
+    stats = SolverStats()
 
     def fail(reason: str, r: np.ndarray) -> BootstrapError:
         return BootstrapError(
-            f"{tenor_label} curve: {reason} after {it} Newton iterations, "
-            f"worst residual {np.max(np.abs(r)):.3e} "
+            f"{tenor_label} curve: {reason} after {stats.iterations} Newton "
+            f"iterations, worst residual {np.max(np.abs(r)):.3e} "
             f"(tolerance {cfg.tolerance:g})"
         )
 
@@ -594,6 +618,7 @@ def _solve_curve(
         scheme, knot_dfs = cfg.interpolation, np.ones(n + 1)
 
         def at(x: np.ndarray) -> np.ndarray:
+            stats.residual_evals += 1
             knot_dfs[1:] = np.exp(x)
             return residuals.on_pillars(scheme, ts, knot_dfs)
 
@@ -603,14 +628,12 @@ def _solve_curve(
         if not np.all(np.isfinite(r)):
             raise fail("non-finite residual at the seed", r)
         while np.max(np.abs(r)) > cfg.tolerance:
-            if it == cfg.max_iterations:
+            if stats.iterations == cfg.max_iterations:
                 raise fail("no convergence", r)
-            it += 1
-            jac = np.empty((n, n))
-            for j in range(n):
-                xj = x.copy()
-                xj[j] += _FD_STEP
-                jac[:, j] = (at(xj) - r) / (xj[j] - x[j])
+            stats.iterations += 1
+            # at x, the point R was last evaluated at
+            jac = residuals.jacobian()
+            stats.jacobian_evals += 1
             if not np.all(np.isfinite(jac)):
                 raise fail("non-finite Jacobian", r)
             if np.linalg.cond(jac) > 1.0 / np.finfo(float).eps:
@@ -625,6 +648,7 @@ def _solve_curve(
                 if np.all(np.isfinite(r_trial)) and r_trial @ r_trial < size:
                     break
                 step *= 0.5
+                stats.halvings += 1
             else:
                 raise fail("no step reduces the residual", r)
             x, r = trial, r_trial
@@ -651,9 +675,10 @@ def _solve_curve(
     if worst > cfg.tolerance:
         raise BootstrapError(
             f"{tenor_label} curve failed to converge: residual {worst:.3e} "
-            f"above tolerance {cfg.tolerance:g} after {it} Newton iterations"
+            f"above tolerance {cfg.tolerance:g} after {stats.iterations} "
+            "Newton iterations"
         )
-    return curve, residuals
+    return curve, residuals, stats
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,17 @@ def _load_quote_sets(mapping: dict[str, str]):
 # bootstrap
 # ---------------------------------------------------------------------------
 
+def _print_solver(state: MarketState) -> None:
+    """One ``info:solver:`` line per base curve, in build order."""
+    for label, s in state.solver_stats().items():
+        print(
+            f"info:solver:{label}:iterations={s.iterations}:"
+            f"residual_evals={s.residual_evals}:"
+            f"jacobian_evals={s.jacobian_evals}:halvings={s.halvings}",
+            file=sys.stderr,
+        )
+
+
 def cmd_bootstrap(args) -> int:
     quote_paths = _parse_labelled(args.quotes, "--quotes")
     if "discount" not in quote_paths:
@@ -139,6 +150,7 @@ def cmd_bootstrap(args) -> int:
     config = BootstrapConfig(interpolation=args.interp)
     state = MarketState(ref, sets, config=config)
     curves = state.base_curves()
+    _print_solver(state)
     os.makedirs(args.out, exist_ok=True)
     for label in sorted(curves):
         curves[label].save(os.path.join(args.out, f"{label}.json"))
@@ -344,6 +356,7 @@ def cmd_risk(args) -> int:
     entries = delta_ladder(state, pv_fn)
     with _open_out(args.out) as fh:
         write_ladder_csv(entries, fh, comment=_provenance("risk", paths))
+    _print_solver(state)
     # the hedge functions reuse the ladder's deltas: these are final
     stats = state.risk_stats()
     print(

@@ -20,7 +20,12 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = ["InterpScheme", "monotone_cubic_slopes", "zero_rates_from_logdf"]
+__all__ = [
+    "InterpScheme",
+    "monotone_cubic_slopes",
+    "monotone_cubic_slope_jacobian",
+    "zero_rates_from_logdf",
+]
 
 
 class InterpScheme(str, Enum):
@@ -34,15 +39,16 @@ def _sign(x: float) -> int:
     return (x > 0.0) - (x < 0.0)
 
 
-def _edge_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+def _edge_slope(h0: float, h1: float, m0: float, m1: float) -> tuple[float, float, float]:
     # one-sided three-point estimate, limited to keep the end segment
-    # shape preserving
+    # shape preserving; also gives its derivatives in m0 and m1 on the
+    # branch taken
     d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
     if _sign(d) != _sign(m0):
-        return 0.0
+        return 0.0, 0.0, 0.0
     if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
+        return 3.0 * m0, 3.0, 0.0
+    return d, (2.0 * h0 + h1) / (h0 + h1), -h0 / (h0 + h1)
 
 
 def monotone_cubic_slopes(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -74,9 +80,48 @@ def monotone_cubic_slopes(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
             hm = (w1 + w2) / (w1 / ml + w2 / mr)
         d[1:-1] = np.where(same, hm, 0.0)
     hv, mv = h.tolist(), m.tolist()
-    d[0] = _edge_slope(hv[0], hv[1], mv[0], mv[1])
-    d[-1] = _edge_slope(hv[-1], hv[-2], mv[-1], mv[-2])
+    d[0] = _edge_slope(hv[0], hv[1], mv[0], mv[1])[0]
+    d[-1] = _edge_slope(hv[-1], hv[-2], mv[-1], mv[-2])[0]
     return d
+
+
+def monotone_cubic_slope_jacobian(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """S', the derivative of ``monotone_cubic_slopes(ts, ys)`` in ``ys``.
+
+    Row i holds dS_i/dy.  Each slope reads the secants m beside its
+    node, so S' is tridiagonal inside and its edge rows reach the
+    third node.  The derivative is the one of the branch the slopes
+    take: zero where the secants change sign or vanish, the harmonic
+    mean's otherwise, and at each edge the limiter's 0 or 3 m_0 or the
+    three-point estimate's.
+    """
+    n = ts.shape[0]
+    h = ts[1:] - ts[:-1]
+    m = (ys[1:] - ys[:-1]) / h
+    # dS/dm, then the chain through dm/dy
+    dd = np.zeros((n, n - 1))
+    if n == 2:
+        dd[:, 0] = 1.0
+    else:
+        hl, hr = h[:-1], h[1:]
+        ml, mr = m[:-1], m[1:]
+        w1 = 2.0 * hr + hl
+        w2 = hr + 2.0 * hl
+        same = ml * mr > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = (w1 + w2) / (w1 / ml + w2 / mr)
+            q = d * d / (w1 + w2)
+            inner = np.arange(1, n - 1)
+            dd[inner, inner - 1] = np.where(same, q * w1 / (ml * ml), 0.0)
+            dd[inner, inner] = np.where(same, q * w2 / (mr * mr), 0.0)
+        hv, mv = h.tolist(), m.tolist()
+        dd[0, :2] = _edge_slope(hv[0], hv[1], mv[0], mv[1])[1:]
+        dd[-1, -1:-3:-1] = _edge_slope(hv[-1], hv[-2], mv[-1], mv[-2])[1:]
+    dm = dd / h
+    out = np.zeros((n, n))
+    out[:, 1:] = dm
+    out[:, :-1] -= dm
+    return out
 
 
 def zero_rates_from_logdf(ts: np.ndarray, lnp: np.ndarray) -> np.ndarray:

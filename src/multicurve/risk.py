@@ -36,6 +36,7 @@ from .bootstrap import (
     BootstrapError,
     InstrumentKind,
     InstrumentQuote,
+    SolverStats,
     _bootstrap,
     bootstrap_curve,
     instrument_pv,
@@ -93,9 +94,10 @@ class MarketState:
     ``quote_sets`` maps labels from ``TENOR_LABELS`` to instrument
     lists; a ``discount`` set is required and always builds first.
     Per-label configs fall back to the shared ``config``.  The base
-    curves with their compiled residuals, the quote Jacobian and each
-    book function's deltas are kept, so the quote sets must not change
-    once the state has built.
+    curves with their compiled residuals and solver work
+    (``solver_stats``), the quote Jacobian and each book function's
+    deltas are kept, so the quote sets must not change once the state
+    has built.
     """
 
     def __init__(
@@ -120,6 +122,7 @@ class MarketState:
         self._order = self._topo_order()
         self._base: dict[str, YieldCurve] | None = None
         self._sets: dict = {}
+        self._solver: dict[str, SolverStats] = {}
         self._jac: tuple | None = None
         self._deltas: dict = {}
         self._valuations = 0
@@ -202,8 +205,11 @@ class MarketState:
                 label,
             )
             if base is None:
-                # the base build keeps each label's compiled residuals
-                curves[label], self._sets[label] = _bootstrap(*args, None)
+                # the base build keeps each label's compiled residuals and
+                # its solver's work
+                curves[label], self._sets[label], self._solver[label] = (
+                    _bootstrap(*args, None)
+                )
             else:
                 curves[label] = bootstrap_curve(*args, base[label])
             dirty.add(label)
@@ -298,6 +304,12 @@ class MarketState:
             deltas = {loc: float(w[row]) for loc, row in rows.items()}
             self._deltas[pv_fn] = (deltas, error)
         return self._deltas[pv_fn]
+
+    def solver_stats(self) -> dict[str, SolverStats]:
+        """Each base curve's Newton solve: iterations, residual and
+        Jacobian evaluations and step halvings, in build order."""
+        self.base_curves()
+        return {label: self._solver[label] for label in self._order}
 
     def risk_stats(self) -> dict[str, float]:
         """Pillars in J, cond(J) and the book valuations made so far."""
@@ -477,6 +489,7 @@ def hedge_ratios(
         raise ValueError("duplicate hedge instruments")
     deltas, error = state._quote_deltas(pv_fn)
     curves = state.base_curves()
+    weights: dict[str, np.ndarray] = {}
     rows = []
     for label, idx in hedge_locations:
         q = state.quote_sets[label][idx]
@@ -485,8 +498,10 @@ def hedge_ratios(
             # PV per unit notional of a unit move in the fair value, from
             # the quote set the base build compiled
             chosen = state._sets[label]
-            p = chosen.load(curves[label], *pricing_curves(label, curves))
-            own = float(chosen.weights[chosen.quotes.index(q)](p)) * 1e-4
+            if label not in weights:
+                p = chosen.load(curves[label], *pricing_curves(label, curves))
+                weights[label] = chosen.table.weights(p)
+            own = float(weights[label][chosen.quotes.index(q)]) * 1e-4
         if own == 0.0:
             raise ValueError(
                 f"hedge {label}[{idx}] has no sensitivity to its own quote"

@@ -25,6 +25,7 @@ __all__ = [
     "generate_schedule",
     "cached_schedule",
     "cached_accruals",
+    "cached_schedule_accruals",
 ]
 
 
@@ -234,3 +235,14 @@ def cached_accruals(dates: tuple[Date, ...], daycount: DayCount) -> tuple[float,
     return tuple(
         year_fraction(a, b, daycount) for a, b in zip(dates[:-1], dates[1:])
     )
+
+
+@lru_cache(maxsize=4096)
+def cached_schedule_accruals(
+    start: Date, end: Date, frequency_months: int, daycount: DayCount
+) -> tuple[float, ...]:
+    """``cached_accruals`` of ``cached_schedule(start, end,
+    frequency_months)``, memoised on the schedule's own arguments, so a
+    lookup hashes two dates rather than every date of the schedule."""
+    dates = cached_schedule(start, end, frequency_months)
+    return cached_accruals.__wrapped__(dates, daycount)

@@ -35,7 +35,7 @@ from multicurve import (
     year_fraction,
 )
 from multicurve import _kernels
-from multicurve.bootstrap import _OWN, _Reads, _compile_quote
+from multicurve.bootstrap import _OWN, _Residuals
 from multicurve.risk import pricing_curves
 
 
@@ -258,6 +258,126 @@ def reference_monotone_cubic_slopes(ts, ys):
     d[0] = _reference_edge_slope(h[0], h[1], m[0], m[1])
     d[-1] = _reference_edge_slope(h[-1], h[-2], m[-1], m[-2])
     return d
+
+
+# ---------------------------------------------------------------------------
+# finite differences: the reference for the exact curve derivatives
+# ---------------------------------------------------------------------------
+# The package takes d ln P/d ln p from the linear parts of a located
+# lookup and the cubic slope derivative S', and the Newton J from them
+# and the quote table's derivative.  These difference values instead.
+
+def _reference_slope_branches(ts, ys):
+    """The branch each monotone cubic slope takes: per interior node
+    whether its secants share a sign, per edge the zero, limited or
+    three-point estimate."""
+    import numpy as np
+
+    h = np.diff(ts)
+    m = np.diff(ys) / h
+    if len(ts) == 2:
+        return ()
+
+    def edge(h0, h1, m0, m1):
+        d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return "zero"
+        if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+            return "limit"
+        return "three-point"
+
+    inner = tuple((m[:-1] * m[1:] > 0.0).tolist())
+    return (edge(h[0], h[1], m[0], m[1]), *inner, edge(h[-1], h[-2], m[-1], m[-2]))
+
+
+def _reference_differences(f, y, h, branches=None):
+    """df/dy column by column: central differences of step ``h``, or
+    where ``branches(y)`` changes within 2h of y (a kink) the
+    second-order one-sided difference on the side that keeps it; NaN
+    where neither side does."""
+    import numpy as np
+
+    f0 = f(y)
+    base = None if branches is None else branches(y)
+    out = np.empty((f0.size, y.size))
+    for k in range(y.size):
+        def moved(step):
+            z = y.copy()
+            z[k] += step
+            return z
+
+        def same(step):
+            return branches is None or branches(moved(step)) == base
+
+        if same(h) and same(-h):
+            up, down = moved(h), moved(-h)
+            out[:, k] = (f(up) - f(down)) / (up[k] - down[k])
+        elif same(h) and same(2.0 * h):
+            out[:, k] = (-3.0 * f0 + 4.0 * f(moved(h)) - f(moved(2.0 * h))) / (
+                moved(2.0 * h)[k] - y[k]
+            )
+        elif same(-h) and same(-2.0 * h):
+            out[:, k] = (3.0 * f0 - 4.0 * f(moved(-h)) + f(moved(-2.0 * h))) / (
+                y[k] - moved(-2.0 * h)[k]
+            )
+        else:
+            out[:, k] = np.nan
+    return out
+
+
+def reference_slope_jacobian(ts, ys, h):
+    """dS/dy of ``monotone_cubic_slopes`` by differences."""
+    from multicurve.interp import monotone_cubic_slopes
+
+    return _reference_differences(
+        lambda y: monotone_cubic_slopes(ts, y), ys, h,
+        lambda y: _reference_slope_branches(ts, y),
+    )
+
+
+def reference_log_jacobian(scheme, t, ts, lnp, h):
+    """d ln P(t)/d ln p of the package kernels by differences, knot by
+    knot, one-sided at kinks of the cubic slopes."""
+    import numpy as np
+
+    from multicurve.interp import InterpScheme
+
+    def ln_p(y):
+        aux = _kernels.knot_data(scheme, ts, y)
+        return np.log(_kernels.evaluate(scheme, t, ts, np.exp(y), y, aux))
+
+    branches = None
+    if scheme is InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC:
+        branches = lambda y: _reference_slope_branches(ts, y)  # noqa: E731
+    return _reference_differences(ln_p, lnp, h, branches)
+
+
+def reference_newton_jacobian(residuals, scheme, ts, x, step=1e-7, central=False):
+    """J = dR/d ln p of a bootstrap's compiled residuals at the pillar
+    log-discounts ``x`` (``ts`` holding the anchor and pillar times),
+    one column per pillar: the forward-difference loop the Newton solve
+    once used (step 1e-7 in ln DF), or central differences."""
+    import numpy as np
+
+    dfs = np.ones(len(x) + 1)
+
+    def at(z):
+        dfs[1:] = np.exp(z)
+        return residuals.on_pillars(scheme, ts, dfs)
+
+    with np.errstate(all="ignore"):
+        r = at(x)
+        jac = np.empty((len(r), len(x)))
+        for j in range(len(x)):
+            up = x.copy()
+            up[j] += step
+            if central:
+                down = x.copy()
+                down[j] -= step
+                jac[:, j] = (at(up) - at(down)) / (up[j] - down[j])
+            else:
+                jac[:, j] = (at(up) - r) / (up[j] - x[j])
+    return jac
 
 
 # ---------------------------------------------------------------------------
@@ -633,16 +753,15 @@ def reference_bootstrap_curve(quotes, config=None, discount_curve=None,
     ws = _ReferenceWorkspace(ts, np.concatenate(([1.0], seed)), cfg.interpolation)
 
     def compiled(q):
-        # each quote reads its own times of the solved curve through the
-        # workspace; sealing reads the fixed curves once
-        reads = _Reads(ref, discount_curve, companions)
-        fair = _compile_quote(q, reads)[0]
-        reads.seal()
+        # each quote compiles alone and reads its own times of the solved
+        # curve through the workspace; compiling reads the fixed curves once
+        one = _Residuals([q], ref, discount_curve, companions)
+        reads = one.reads
 
         def value():
             if _OWN in reads.queries:
                 reads.p[_OWN] = ws.df(reads.queries[_OWN].t)
-            return fair(reads.p)
+            return one.table.fairs(reads.p)[0]
 
         return value
 

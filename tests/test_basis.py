@@ -8,8 +8,10 @@ from oracles import reference_basis_term_structure
 from multicurve import (
     BASIS_CSV_HEADER,
     BasisDirection,
+    BootstrapConfig,
     Date,
     DayCount,
+    InterpScheme,
     YieldCurve,
     additive_basis,
     add_months,
@@ -23,6 +25,7 @@ from multicurve import (
     write_basis_csv,
     year_fraction,
 )
+from multicurve import basis as basis_mod
 from multicurve.risk import MarketState
 from multicurve.synthetic import default_market, make_quote_sets, true_pillar_curve
 
@@ -187,6 +190,41 @@ class TestSerialDayTables:
                 assert got.mult.tobytes() == mult.tobytes()
                 assert got.add.tobytes() == add.tobytes()
                 assert got.fwd_disc.tobytes() == fwd_disc.tobytes()
+
+
+class TestDaySpanRead:
+    """At a daily stride a table reads each curve once over the day span
+    and gathers both interval ends from it; the values are those of
+    reading the starts and the ends apart."""
+
+    @pytest.mark.parametrize("scheme", list(InterpScheme))
+    def test_bit_identical_to_two_reads(self, scheme, monkeypatch):
+        curves = MarketState(
+            REF, make_quote_sets(), BootstrapConfig(interpolation=scheme)
+        ).base_curves()
+        disc = curves["discount"]
+        reads = []
+        real = YieldCurve.discount_time
+
+        def counting(curve, t):
+            reads.append(np.size(t))
+            return real(curve, t)
+
+        for months in (1, 3, 6, 12):
+            fwd = curves[f"fwd_{months}M"]
+            for stride in (1, 2, 45):
+                reads.clear()
+                monkeypatch.setattr(YieldCurve, "discount_time", counting)
+                got = basis_term_structure(fwd, disc, months, stride)
+                monkeypatch.undo()
+                want = basis_mod._interval_basis(fwd, disc, got.t1, got.t2)
+                for a, b in zip((got.mult, got.add, got.fwd_disc), want):
+                    assert a.tobytes() == b.tobytes()
+                span = int(got.t2[-1] - got.t1[0]) + 1
+                if span <= 2 * len(got):
+                    assert reads == [span, span]
+                else:
+                    assert stride > 1 and reads == [len(got)] * 4
 
 
 class TestPillarIntervalBasis:

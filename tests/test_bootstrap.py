@@ -15,6 +15,7 @@ from oracles import (
     reference_eval_log_linear,
     reference_fair_quote,
     reference_instrument_pv,
+    reference_newton_jacobian,
     reference_repricing_errors,
 )
 
@@ -448,6 +449,92 @@ class TestSplitKernelsInTheSolve:
         assert set(again) == set(split)
         for label, curve in split.items():
             assert np.array_equal(curve.pillar_dfs, again[label].pillar_dfs), label
+
+
+def _solved_sets(scheme):
+    """Per solved curve its label, compiled residuals, knot times and
+    pillar log-discounts: the five default curves, the 6M quotes on one
+    self-discounting curve and forward-starting overnight index swaps."""
+    config = BootstrapConfig(interpolation=scheme)
+    state = MarketState(REF, make_quote_sets(), config)
+    built = [(c, state._sets[label]) for label, c in state.base_curves().items()]
+    start = add_months(REF, 3)
+    forward_ois = [depo(3, 0.02)] + [
+        InstrumentQuote(InstrumentKind.OIS, 1, start, add_months(start, 12 * y), 0.02 + 1e-3 * y)
+        for y in (1, 2, 5)
+    ]
+    for quotes, label in ((make_quote_sets()["fwd_6M"], "fwd_6M"), (forward_ois, "custom")):
+        built.append(bootstrap._bootstrap(quotes, config, None, None, REF, label, None)[:2])
+    for curve, residuals in built:
+        ts = np.concatenate(([0.0], curve.times(curve.pillar_dates)))
+        yield curve.tenor_label, residuals, ts, np.log(curve.pillar_dfs)
+
+
+def _exact_jacobian(residuals, scheme, ts, x):
+    residuals.on_pillars(scheme, ts, np.concatenate(([1.0], np.exp(x))))
+    return residuals.jacobian()
+
+
+class TestExactNewtonJacobian:
+    """The Newton J from the leg table and the kernels' linear parts
+    against differences of the same residuals in ``oracles``."""
+
+    @pytest.mark.parametrize("scheme", list(InterpScheme))
+    def test_central_differences_close_at_second_order(self, scheme):
+        steps = (1e-4, 1e-5, 1e-6)
+        for label, residuals, ts, x in _solved_sets(scheme):
+            exact = _exact_jacobian(residuals, scheme, ts, x)
+            gaps = [
+                np.max(np.abs(
+                    reference_newton_jacobian(residuals, scheme, ts, x, h, central=True)
+                    - exact
+                ))
+                for h in steps
+            ]
+            # truncation C h^2 plus the rounding of R, about 1e-15 / h
+            for h, gap in zip(steps[1:], gaps[1:]):
+                assert gap <= 1.5 * gaps[0] * (h / steps[0]) ** 2 + 1e-15 / h, (label, gaps)
+
+    @pytest.mark.parametrize("scheme", list(InterpScheme))
+    def test_forward_difference_loop_agrees_to_its_step(self, scheme):
+        for label, residuals, ts, x in _solved_sets(scheme):
+            exact = _exact_jacobian(residuals, scheme, ts, x)
+            loop = reference_newton_jacobian(residuals, scheme, ts, x)
+            np.testing.assert_allclose(
+                loop, exact, rtol=0.0, atol=1e-5 * np.max(np.abs(exact)), err_msg=label
+            )
+
+
+class TestSolverStats:
+    def test_default_cubic_market_takes_at_most_six_residual_evaluations(self):
+        state = MarketState(REF, make_quote_sets())
+        stats = state.solver_stats()
+        assert list(stats) == state.build_order
+        for label, s in stats.items():
+            assert 1 <= s.residual_evals <= 6, (label, s)
+
+    def test_an_iteration_is_one_evaluation_plus_its_halvings(self, monkeypatch):
+        # from a flat 30% seed the discounting solve halves steps
+        quotes = make_quote_sets()["discount"]
+        seed = YieldCurve(
+            REF,
+            [(q.end, math.exp(-0.3 * (q.end - REF) / 365.0))
+             for q in select_pillar_instruments(quotes)],
+            tenor_label="discount",
+        )
+        evaluated = []
+        real = bootstrap._Residuals.on_pillars
+
+        def counting(self, *args):
+            evaluated.append(1)
+            return real(self, *args)
+
+        monkeypatch.setattr(bootstrap._Residuals, "on_pillars", counting)
+        _, _, stats = bootstrap._bootstrap(quotes, None, None, None, REF, "discount", seed)
+        assert stats.halvings > 0
+        assert stats.residual_evals == len(evaluated)
+        assert stats.residual_evals == 1 + stats.iterations + stats.halvings
+        assert stats.jacobian_evals == stats.iterations
 
 
 class TestPillarSelection:

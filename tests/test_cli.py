@@ -97,6 +97,25 @@ class TestBootstrap:
         for line in lines:
             assert abs(float(line.rsplit(":", 1)[1])) < 1e-10
 
+    def test_reports_solver_work_per_curve(self, workspace, tmp_path, capsys):
+        rc = main([
+            "bootstrap",
+            "--quotes", f"discount={workspace / 'discount.csv'}",
+            "--quotes", f"fwd_6M={workspace / 'fwd_6M.csv'}",
+            "--out", str(tmp_path / "curves"),
+        ])
+        assert rc == 0
+        lines = [
+            l for l in capsys.readouterr().err.splitlines() if l.startswith("info:solver:")
+        ]
+        assert [l.split(":")[2] for l in lines] == ["discount", "fwd_6M"]
+        for line in lines:
+            fields = dict(f.split("=") for f in line.split(":")[3:])
+            assert set(fields) == {"iterations", "residual_evals", "jacobian_evals", "halvings"}
+            n = {k: int(v) for k, v in fields.items()}
+            assert 1 <= n["residual_evals"] <= 6
+            assert n["residual_evals"] == 1 + n["iterations"] + n["halvings"]
+
     def test_parser_built_once_across_independent_runs(
         self, workspace, tmp_path, monkeypatch
     ):
@@ -287,6 +306,8 @@ class TestRisk:
         assert any(l.startswith("info:conservation:") for l in err.splitlines())
         info = [l for l in err.splitlines() if l.startswith("info:risk:")]
         assert len(info) == 1
+        solver = [l for l in err.splitlines() if l.startswith("info:solver:")]
+        assert [l.split(":")[2] for l in solver] == ["discount", "fwd_6M"]
         fields = dict(f.split("=") for f in info[0].split(":")[2:])
         # one pillar per quote: the book is valued once per pillar and
         # once at the base, across ladder, hedge and residual

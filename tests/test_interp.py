@@ -5,15 +5,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    _reference_slope_branches,
     reference_eval_linear_zero,
     reference_eval_log_cubic,
     reference_eval_log_linear,
+    reference_log_jacobian,
     reference_monotone_cubic_slopes,
+    reference_slope_jacobian,
 )
 from scipy.interpolate import PchipInterpolator
 
 from multicurve import _kernels
-from multicurve.interp import InterpScheme, monotone_cubic_slopes, zero_rates_from_logdf
+from multicurve.interp import (
+    InterpScheme,
+    monotone_cubic_slope_jacobian,
+    monotone_cubic_slopes,
+    zero_rates_from_logdf,
+)
 
 CUBIC = InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC
 LOGLIN = InterpScheme.LOG_LINEAR_DISCOUNT
@@ -235,3 +243,97 @@ class TestLocatedEvaluationMatchesFusedReference:
             assert located.tobytes() == want.tobytes(), (scheme, ts, dfs, t)
             ad_hoc = _kernels.evaluate(scheme, t, ts, dfs, lnp, aux)
             assert ad_hoc.tobytes() == want.tobytes(), (scheme, ts, dfs, t)
+
+
+@st.composite
+def _kinked_knots(draw):
+    """One to eight pillars after the t = 0 anchor whose log-discount
+    secants (0.005 to 0.1 in size) change sign at random, and one to 30
+    queries: knots and points up to 20% past the last one."""
+    n = draw(st.integers(1, 8))
+    gaps = np.array(draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n)))
+    sizes = np.array(draw(st.lists(st.floats(0.005, 0.1), min_size=n, max_size=n)))
+    signs = np.array(draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n)))
+    ts = np.concatenate(([0.0], np.cumsum(gaps)))
+    lnp = np.concatenate(([0.0], np.cumsum(gaps * sizes * signs)))
+    t = draw(st.lists(
+        st.one_of(st.sampled_from(ts.tolist()), st.floats(0.0, 1.2 * float(ts[-1]))),
+        min_size=1, max_size=30,
+    ))
+    return ts, lnp, np.array(t, dtype=float)
+
+
+def _knots(secants, gaps=None):
+    """Knots with the given log-discount secants, queries on every knot,
+    inside every segment and 20% past the last knot."""
+    gaps = np.ones(len(secants)) if gaps is None else np.asarray(gaps, dtype=float)
+    ts = np.concatenate(([0.0], np.cumsum(gaps)))
+    lnp = np.concatenate(([0.0], np.cumsum(gaps * np.asarray(secants))))
+    t = np.concatenate((ts, 0.5 * (ts[1:] + ts[:-1]), [1.1 * ts[-1], 1.2 * ts[-1]]))
+    return ts, lnp, t
+
+
+def _dense_log_jacobian(scheme, t, ts, lnp):
+    loc = _kernels.locate(scheme, t, ts)
+    return _kernels.log_jacobian(t, loc, lnp, np.ones(t.size), np.arange(t.size), t.size)
+
+
+class TestExactCurveDerivatives:
+    """d ln P/d ln p = A + B S' from the located lookup, and S' itself,
+    against differences of the values in ``oracles``, one-sided at the
+    kinks of the cubic slopes.  A secant moves by up to 2e-3 of itself
+    over the step, which bounds the differences' own error to about
+    1e-5 relative; a wrong branch or weight is off by far more."""
+
+    H = 1e-6
+    TOL = dict(rtol=1e-5, atol=1e-7)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_kinked_knots())
+    # a one-pillar curve
+    @example(_knots([-0.02]))
+    # an interior secant sign change
+    @example(_knots([-0.02, 0.03, -0.01, -0.04]))
+    # the left edge limited to zero, the right edge to 3 m
+    @example(_knots([-0.01, -0.08, -0.03, 0.08, -0.01]))
+    # three-point edges on uneven gaps
+    @example(_knots([-0.03, -0.02, -0.025], gaps=[0.25, 2.0, 0.5]))
+    def test_against_differences(self, case):
+        ts, lnp, t = case
+        for scheme in InterpScheme:
+            got = _dense_log_jacobian(scheme, t, ts, lnp)
+            want = reference_log_jacobian(scheme, t, ts, lnp, self.H)
+            known = ~np.isnan(want)
+            assert known.mean() > 0.5
+            np.testing.assert_allclose(
+                got[known], want[known], err_msg=scheme.value, **self.TOL
+            )
+        got = monotone_cubic_slope_jacobian(ts, lnp)
+        want = reference_slope_jacobian(ts, lnp, self.H)
+        known = ~np.isnan(want)
+        np.testing.assert_allclose(got[known], want[known], **self.TOL)
+
+    def test_examples_take_every_branch(self):
+        seen = set()
+        for secants in ([-0.02, 0.03, -0.01, -0.04], [-0.01, -0.08, -0.03, 0.08, -0.01]):
+            seen.update(_reference_slope_branches(*_knots(secants)[:2]))
+        assert seen == {True, False, "zero", "limit", "three-point"}
+
+    def test_knot_hits_and_extrapolation_rows(self):
+        ts, lnp, _ = _knots([-0.02, 0.03, -0.01])
+        t = np.concatenate((ts, [1.2 * ts[-1]]))
+        for scheme in InterpScheme:
+            jac = _dense_log_jacobian(scheme, t, ts, lnp)
+            # a query on a knot returns its stored discount factor
+            np.testing.assert_array_equal(jac[:-1], np.eye(ts.size))
+            # past the last knot ln P moves one for one with the last log-discount
+            # plus the frozen forward's share
+            assert jac[-1, -1] > 1.0
+
+    def test_linear_parts_are_kept_on_the_located(self):
+        ts, lnp, t = _knots([-0.02, 0.03])
+        for scheme in InterpScheme:
+            loc = _kernels.locate(scheme, t, ts)
+            parts = _kernels.linear_parts(t, loc)
+            assert _kernels.linear_parts(t, loc) is parts
+            assert (parts[2] is None) is (scheme is not CUBIC)

@@ -7,7 +7,13 @@ import pytest
 from oracles import reference_add_months
 
 from multicurve import Date, DayCount, ScheduleSpec, add_months, generate_schedule, year_fraction
-from multicurve.timegrid import cached_accruals, cached_schedule, roll_months, year_fractions
+from multicurve.timegrid import (
+    cached_accruals,
+    cached_schedule,
+    cached_schedule_accruals,
+    roll_months,
+    year_fractions,
+)
 
 
 class TestDate:
@@ -268,6 +274,13 @@ class TestCachedSchedules:
         assert taus == tuple(
             year_fraction(a, b, DayCount.THIRTY_360) for a, b in zip(dates[:-1], dates[1:])
         )
+
+    def test_schedule_accruals_keyed_on_the_schedule(self):
+        start, end = Date.of(2023, 1, 31), Date.of(2026, 5, 31)
+        for daycount in DayCount:
+            taus = cached_schedule_accruals(start, end, 6, daycount)
+            assert taus == cached_accruals(cached_schedule(start, end, 6), daycount)
+            assert cached_schedule_accruals(start, end, 6, daycount) is taus
 
     def test_invalid_schedule_still_raises(self):
         d = Date.of(2022, 1, 1)
