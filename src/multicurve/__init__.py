@@ -35,6 +35,7 @@ from .quanto import (
 )
 from .pricer import (
     PRICE_CSV_HEADER,
+    Book,
     FraSpec,
     OptionSpec,
     Position,

@@ -13,7 +13,10 @@ discounting curve (P_d):
 
 They are written here once, as pure numpy arithmetic on those arrays;
 ``bootstrap``, ``pricer``, ``curve`` and ``basis`` call them and write
-none of them out themselves.  Each sum is one ``np.dot``.
+none of them out themselves.  Each sum is one ``np.dot``.  The floating
+leg's reverse pass, its derivative in the log of every discount factor
+it reads (``float_leg_log_gradient``), is written here too; the pricer's
+book gradient reads it.
 
 ``LegTable`` batches them for a set of quotes: rows of money-market
 forwards, float legs, overnight legs and annuities over slices of
@@ -30,6 +33,7 @@ __all__ = [
     "coupons",
     "float_leg",
     "float_legs",
+    "float_leg_log_gradient",
     "annuity",
     "annuities",
     "LegTable",
@@ -60,6 +64,23 @@ def float_leg(p_d: np.ndarray, p_f: np.ndarray, qa: np.ndarray | None = None) ->
     if qa is not None:
         c = c * qa
     return float(np.dot(p_d, c))
+
+
+def float_leg_log_gradient(
+    p_d: np.ndarray, p_f: np.ndarray, qa: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """d ``float_leg``/d ln P at each of its reads: (at the n payment
+    reads, at the n + 1 schedule reads).  Coupon i, c_i = P_f(t_{i-1})
+    / P_f(t_i) - 1 paid at P_d(t_i) and scaled by qa_i, gives
+    P_d qa c_i at its payment read and +-P_d qa (1 + c_i) at t_{i-1}
+    and t_i."""
+    ratio = p_f[:-1] / p_f[1:]
+    pay = p_d if qa is None else p_d * qa
+    x = pay * ratio
+    at_f = np.zeros(len(p_f))
+    at_f[:-1] = x
+    at_f[1:] -= x
+    return pay * (ratio - 1.0), at_f
 
 
 def float_legs(p_d: np.ndarray, p_f: np.ndarray, legs) -> list[float]:

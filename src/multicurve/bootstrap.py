@@ -13,8 +13,8 @@ arithmetic of ``_cashflows``, one ``np.dot`` per leg and no Python call
 per quote.  While solving, R costs one knot-data build and one kernel
 call over the solved curve's times; the fixed curves (discounting,
 basis companions) are read once each.  The same object then runs the
-closure check on the finished curve, and ``risk`` keeps it to evaluate
-the columns of its quote Jacobian and the PV weights of its hedges.  A
+closure check on the finished curve, and ``risk`` keeps it for the
+blocks of its quote Jacobian and the PV weights of its hedges.  A
 quote that reads nothing on the curve being built cannot pin it, and
 the build fails naming it.
 
@@ -311,16 +311,18 @@ class _Residuals:
       dR/d ln p over those pillars;
     * ``on_curves`` reads finished curves through
       ``YieldCurve.discount_time``: the closure check on the solved
-      curve, whose interpolation data is rebuilt from its pillars, and
-      the columns of the quote Jacobian in ``risk``.
+      curve, whose interpolation data is rebuilt from its pillars;
+    * ``curve_jacobians`` gives dR/d ln p over the pillars of every
+      finished curve the set reads, the blocks of the quote Jacobian
+      in ``risk``.
 
     ``load`` also serves ``fair_quote``, ``instrument_pv`` and the hedge
     weights in ``risk``, which read the table's ``fairs`` and
     ``weights`` on the loaded batches.  A curve is read again only when
     another curve object takes its place.  An annuity that underflows to
-    zero gives NaN residuals.  ``owner`` names the quote behind each
-    read of the solved curve; ``blind`` lists the quotes that read
-    nothing there, so cannot pin it.
+    zero gives NaN residuals.  ``owner`` names, per batch, the quote
+    behind each read; ``blind`` lists the quotes that read nothing on
+    the solved curve, so cannot pin it.
     """
 
     __slots__ = ("quotes", "rates", "table", "owner", "blind", "reads", "_pillars")
@@ -336,13 +338,18 @@ class _Residuals:
         self.rates = np.array([q.implied_rate() for q in quotes])
         self.reads = reads = _Reads(ref, discounting, companions)
         self.table = _cashflows.LegTable(_OWN)
-        own, counts = reads.days[_OWN], []
-        for q in self.quotes:
-            n = len(own)
+        batches = list(reads.days.values())
+        counts = np.zeros((len(self.quotes), len(batches)), dtype=np.intp)
+        for i, q in enumerate(self.quotes):
+            before = [len(b) for b in batches]
             _compile_quote(q, reads, self.table)
-            counts.append(len(own) - n)
-        self.blind = [q for q, c in zip(self.quotes, counts) if not c]
-        self.owner = np.repeat(np.arange(len(counts)), counts)
+            counts[i] = [len(b) - n for b, n in zip(batches, before)]
+        quote = np.arange(len(self.quotes))
+        self.owner = {
+            key: np.repeat(quote, counts[:, k]) for k, key in enumerate(reads.days)
+        }
+        own = counts[:, list(reads.days).index(_OWN)]
+        self.blind = [q for q, n in zip(self.quotes, own.tolist()) if not n]
         self.table.seal(reads.disc)
         reads.seal()
         self._pillars = None
@@ -398,7 +405,29 @@ class _Residuals:
         loc, lnp = self._pillars
         g = self.table.log_gradient(self.reads.p, _OWN)
         t = self.reads.queries[_OWN].t
-        return _kernels.log_jacobian(t, loc, lnp, g, self.owner, len(self.quotes))[:, 1:]
+        return _kernels.log_jacobian(
+            t, loc, lnp, g, self.owner[_OWN], len(self.quotes)
+        )[:, 1:]
+
+    def curve_jacobians(
+        self,
+        target: YieldCurve,
+        discounting: YieldCurve | None = None,
+        companions: dict[int, YieldCurve] | None = None,
+    ) -> list[tuple[YieldCurve, np.ndarray]]:
+        """(curve, dR/d ln p over its pillars) for every curve the set
+        reads, at the curves given as to ``load``: per batch, the table's
+        dR/d ln P at each read chained through that curve's
+        d ln P/d ln p and summed onto the quote behind the read."""
+        reads = self.reads
+        p = self.load(target, discounting, companions)
+        return [
+            (curve, curve.log_jacobian(
+                reads.queries[key], self.table.log_gradient(p, key),
+                self.owner[key], len(self.quotes),
+            ))
+            for key, curve in reads.curves.items()
+        ]
 
     def _evaluate(self) -> np.ndarray:
         try:

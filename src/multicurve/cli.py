@@ -35,7 +35,7 @@ from .bootstrap import (
 )
 from .curve import TENOR_LABELS, YieldCurve
 from .interp import InterpScheme
-from .pricer import PRICE_CSV_HEADER, load_portfolio, price_position
+from .pricer import PRICE_CSV_HEADER, Book, load_portfolio, price_position
 from .quanto import (
     InfeasibleVolError,
     SwapVolCorrSpec,
@@ -338,22 +338,15 @@ def cmd_risk(args) -> int:
     config = BootstrapConfig(interpolation=args.interp)
     state = MarketState(ref, sets, config=config)
 
-    def pv_fn(curves):
-        total = 0.0
-        for pos in positions:
-            pv, _ = price_position(
-                pos,
-                curves,
-                volcorr=volcorr,
-                swap_volcorr=swap_volcorr,
-                single_curve=args.single_curve,
-                paper_literal=args.paper_literal_black,
-            )
-            total += pv
-        return total
-
+    book = Book(
+        positions,
+        volcorr=volcorr,
+        swap_volcorr=swap_volcorr,
+        single_curve=args.single_curve,
+        paper_literal=args.paper_literal_black,
+    )
     paths = [args.portfolio] + [quote_paths[k] for k in sorted(quote_paths)]
-    entries = delta_ladder(state, pv_fn)
+    entries = delta_ladder(state, book)
     with _open_out(args.out) as fh:
         write_ladder_csv(entries, fh, comment=_provenance("risk", paths))
     _print_solver(state)
@@ -361,14 +354,15 @@ def cmd_risk(args) -> int:
     stats = state.risk_stats()
     print(
         f"info:risk:pillars={stats['pillars']}:"
-        f"book_valuations={stats['book_valuations']}:cond={stats['cond']:.6g}",
+        f"book_valuations={stats['book_valuations']}:cond={stats['cond']:.6g}:"
+        f"gradient={stats['gradient']}",
         file=sys.stderr,
     )
 
     if args.hedge_out is None:
         return 0
     locations = _resolve_hedges(state, args.hedge)
-    rows = hedge_ratios(state, pv_fn, locations)
+    rows = hedge_ratios(state, book, locations)
     clean = [e for e in entries if e.error is None]
     hedge_times = sorted({state.time(r.quote.end) for r in rows})
     proj = project_deltas(
@@ -383,7 +377,7 @@ def cmd_risk(args) -> int:
         f"total_projected={proj.total_projected:.12g}",
         file=sys.stderr,
     )
-    residual_entries = hedged_residual_ladder(state, pv_fn, rows)
+    residual_entries = hedged_residual_ladder(state, book, rows)
     lookup = {}
     for e in residual_entries:
         for loc in e.locations:

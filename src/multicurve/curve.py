@@ -165,6 +165,16 @@ class YieldCurve:
             return float(out[0])
         return out
 
+    def log_jacobian(
+        self, q: LocatedQuery, g: np.ndarray, rows: np.ndarray, n_rows: int
+    ) -> np.ndarray:
+        """G (d ln P/d ln p) over the pillars, anchor excluded: per row,
+        the sum of each query time's weight ``g[i]`` times d ln P(t_i)
+        over the pillar log-discounts ln p, ``rows[i]`` naming the row
+        of query time i.  A weight g = dV/d ln P gives dV/d ln p."""
+        loc = q.located(self.interpolation, self._ts)
+        return _kernels.log_jacobian(q.t, loc, self._lnp, g, rows, n_rows)[:, 1:]
+
     def discount(self, date) -> float | np.ndarray:
         """Discount factor P(t0, T) for a Date or a sequence of Dates."""
         if isinstance(date, Date):

@@ -30,6 +30,17 @@ kernel evaluation per curve it reads, some array arithmetic and at
 most one Black call.  A caplet is the one-period cap, and a swap values
 each of its legs once for both its PV and its par rate.
 
+Compiling also gives each instrument its reverse pass: dPV/d ln P at
+every time its queries read, from the same discount factors, for every
+position kind.  The options' pass carries Black's slope in the forward,
+dBl/dF = omega N(omega d+) + n(d+) (1 - e^mu) / sqrt(var), whose drift
+term is the paper-literal variant's, and the intrinsic's slope at zero
+variance.  A ``Book`` holds positions with one set of pricing settings:
+called on a curve dict it gives the PV of ``price_position`` summed, and
+``Book.gradient`` gives the book's reverse pass per curve label from one
+valuation, which ``risk`` chains through each curve's d ln P/d ln p into
+the exact book gradient its quote deltas need.
+
 ``price_position`` keeps the compiled form on the ``Position`` itself,
 keyed on the discounting and forwarding reference dates, the
 forwarding day count and the pricing settings (vol/correlation specs,
@@ -72,6 +83,7 @@ __all__ = [
     "load_portfolio",
     "price_position",
     "price_portfolio",
+    "Book",
     "PRICE_CSV_HEADER",
 ]
 
@@ -202,13 +214,41 @@ class OptionSpec:
     daycount: DayCount | None = None
 
 
+def _black_slope(forward, strike, drift, variance, omega: int):
+    """dBl/dF of ``black`` in the forward, on the same inputs.
+
+    Bl = omega [F N(omega d+) - K N(omega d-)] and K n(d-) = F n(d+) e^mu,
+    so dBl/dF = omega N(omega d+) + n(d+) (1 - e^mu) / sqrt(var): the
+    second term is the drift's, and vanishes at mu = 0.  With zero
+    variance Bl is the intrinsic, whose slope is omega where
+    omega (ln(F/K) + mu) > 0 and 0 elsewhere, so at its kink the slope
+    is the out-of-the-money side's.
+    """
+    f, k, mu, var = (np.asarray(v, dtype=float) for v in (forward, strike, drift, variance))
+    s = np.log(f / k) + mu
+    sd = np.sqrt(var)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d_plus = (s + 0.5 * var) / sd
+        density = np.exp(-0.5 * d_plus * d_plus) / _SQRT_2PI
+        slope = omega * norm_cdf(omega * d_plus) - density * np.expm1(mu) / sd
+    intrinsic = np.where(omega * s > 0.0, float(omega), 0.0)
+    out = np.where(var == 0.0, intrinsic, slope)
+    return float(out) if out.ndim == 0 else out
+
+
 # ---------------------------------------------------------------------------
 # compiled instruments
 # ---------------------------------------------------------------------------
 # Each ``_compile_*`` reads the dates, accruals and adjustments of one
-# instrument once and returns ``value(disc, fwd) -> (pv, fair)``, which
-# reads only discount factors: one located lookup per curve.  The
-# curves passed to ``value`` must share the compiling curves' reference
+# instrument once and returns two closures over them, both reading only
+# discount factors, one located lookup per curve:
+#
+# * ``value(disc, fwd) -> (pv, fair)``;
+# * ``gradient(disc, fwd) -> (pv, ((q_d, g_d), (q_f, g_f)))``, where g_d
+#   and g_f hold dPV/d ln P at every time of the discounting query q_d
+#   and of the forwarding query q_f, in query order.
+#
+# The curves passed to either must share the compiling curves' reference
 # dates (and, where the spec leaves it open, the forwarding day count);
 # their pillar dates and DFs may differ.
 
@@ -259,13 +299,25 @@ def _compile_fra(disc: YieldCurve, fwd: YieldCurve, spec: FraSpec, volcorr):
         p_d = float(disc.discount_time(q_d)[0])
         return notional * p_d * tau * (f_adj - strike), f_adj
 
-    return value
+    def gradient(disc: YieldCurve, fwd: YieldCurve):
+        # dF/d ln P_f = +-P_f(T1) / (tau P_f(T2))
+        p = fwd.discount_time(q_f)
+        f_adj = float(_cashflows.simple_forward(p[0], p[1], tau)) * qa
+        p_d = disc.discount_time(q_d)
+        pv = notional * p_d * tau * (f_adj - strike)
+        slope = notional * p_d[0] * qa * (p[0] / p[1])
+        return float(pv[0]), ((q_d, pv), (q_f, np.array([slope, -slope])))
+
+    return value, gradient
 
 
 def _compile_legs(disc: YieldCurve, fwd: YieldCurve, spec: SwapSpec, volcorr):
     """Adjusted floating-leg PV and fixed annuity, per unit notional.
 
-    Both legs' payment dates form one discount query.
+    Both legs' payment dates form one discount query.  Gives ``legs``,
+    ``gradient`` and the queries (q_d, q_f): ``gradient`` adds to the
+    two values their dPV/d ln P, the float leg's and the annuity's at
+    every time of q_d and the float leg's at every time of q_f.
     """
     fdates = cached_schedule(spec.start, spec.end, spec.float_tenor_months)
     xdates = cached_schedule(spec.start, spec.end, spec.fixed_frequency_months)
@@ -283,12 +335,22 @@ def _compile_legs(disc: YieldCurve, fwd: YieldCurve, spec: SwapSpec, volcorr):
             _cashflows.annuity(taus, p_d[n:]),
         )
 
-    return legs
+    def gradient(disc: YieldCurve, fwd: YieldCurve):
+        p_d = disc.discount_time(q_d)
+        at_pay, at_f = _cashflows.float_leg_log_gradient(
+            p_d[:n], fwd.discount_time(q_f), qa
+        )
+        d_float, d_ann = np.zeros(len(p_d)), np.zeros(len(p_d))
+        d_float[:n] = at_pay
+        d_ann[n:] = taus * p_d[n:]
+        return float(np.sum(at_pay)), float(np.sum(d_ann)), d_float, d_ann, at_f
+
+    return legs, gradient, (q_d, q_f)
 
 
 def _compile_swap(disc: YieldCurve, fwd: YieldCurve, spec: SwapSpec, volcorr):
     """PV of the swap and its par rate."""
-    legs = _compile_legs(disc, fwd, spec, volcorr)
+    legs, legs_gradient, (q_d, q_f) = _compile_legs(disc, fwd, spec, volcorr)
     sign = 1.0 if spec.payer else -1.0
 
     def value(disc: YieldCurve, fwd: YieldCurve) -> tuple[float, float]:
@@ -296,7 +358,14 @@ def _compile_swap(disc: YieldCurve, fwd: YieldCurve, spec: SwapSpec, volcorr):
         pv = spec.notional * (float_pv - spec.fixed_rate * a_d)
         return sign * pv, float_pv / a_d
 
-    return value
+    def gradient(disc: YieldCurve, fwd: YieldCurve):
+        float_pv, a_d, d_float, d_ann, d_float_f = legs_gradient(disc, fwd)
+        scale, k = sign * spec.notional, spec.fixed_rate
+        return scale * (float_pv - k * a_d), (
+            (q_d, scale * (d_float - k * d_ann)), (q_f, scale * d_float_f),
+        )
+
+    return value, gradient
 
 
 def _compile_capfloor(
@@ -332,7 +401,20 @@ def _compile_capfloor(
         pv = float(np.sum(notional * disc.discount_time(q_d) * taus * kernel))
         return pv, pv / notional
 
-    return value
+    def gradient(disc: YieldCurve, fwd: YieldCurve):
+        # period i pays N P_d tau Bl(F_i QA_i), F_i = (ratio_i - 1) / tau_i
+        p_f = fwd.discount_time(q_f)
+        ratio = p_f[:-1] / p_f[1:]
+        f_adj = _cashflows.simple_forward(p_f[:-1], p_f[1:], taus) * qa
+        weight = notional * disc.discount_time(q_d) * taus
+        at_d = weight * black(f_adj, strikes, mu, variance, omega)
+        x = weight * _black_slope(f_adj, strikes, mu, variance, omega) * qa * ratio / taus
+        at_f = np.zeros(n + 1)
+        at_f[:-1] = x
+        at_f[1:] -= x
+        return float(np.sum(at_d)), ((q_d, at_d), (q_f, at_f))
+
+    return value, gradient
 
 
 def _compile_swaption(
@@ -346,7 +428,7 @@ def _compile_swaption(
     t_exp = disc.time(swap.start)
     if t_exp <= 0.0:
         raise ValueError("swaption expiry must lie after the reference date")
-    legs = _compile_legs(disc, fwd, swap, None)
+    legs, legs_gradient, (q_d, q_f) = _compile_legs(disc, fwd, swap, None)
     qa = swap_quanto_mult(volcorr, 0.0, t_exp)
     variance = volcorr.variance_integral(0.0, t_exp) if volcorr else 0.0
     mu = volcorr.drift_integral(0.0, t_exp) if (paper_literal and volcorr) else 0.0
@@ -358,7 +440,19 @@ def _compile_swaption(
         pv = swap.notional * a_d * kernel
         return pv, pv / swap.notional
 
-    return value
+    def gradient(disc: YieldCurve, fwd: YieldCurve):
+        # N A Bl(S QA) with S = L / A: d = (Bl - Bl' S QA) dA + Bl' QA dL
+        float_pv, a_d, d_float, d_ann, d_float_f = legs_gradient(disc, fwd)
+        rate = float_pv / a_d * qa
+        kernel = black(rate, swap.fixed_rate, mu, variance, omega)
+        slope = _black_slope(rate, swap.fixed_rate, mu, variance, omega) * qa
+        n = swap.notional
+        return n * a_d * kernel, (
+            (q_d, n * ((kernel - slope * float_pv / a_d) * d_ann + slope * d_float)),
+            (q_f, n * slope * d_float_f),
+        )
+
+    return value, gradient
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +484,7 @@ def price_fra(
     volcorr: VolCorrSpec | None = None,
 ) -> float:
     """PV of a forward rate agreement paying tau * (L - K) at the end date."""
-    return _compile_fra(disc, fwd, spec, volcorr)(disc, fwd)[0]
+    return _compile_fra(disc, fwd, spec, volcorr)[0](disc, fwd)[0]
 
 
 def fair_swap_rate(
@@ -400,7 +494,7 @@ def fair_swap_rate(
     volcorr: VolCorrSpec | list[VolCorrSpec] | None = None,
 ) -> float:
     """Par fixed rate: adjusted floating leg over the fixed annuity."""
-    return _compile_swap(disc, fwd, spec, volcorr)(disc, fwd)[1]
+    return _compile_swap(disc, fwd, spec, volcorr)[0](disc, fwd)[1]
 
 
 def price_swap(
@@ -410,7 +504,7 @@ def price_swap(
     volcorr: VolCorrSpec | list[VolCorrSpec] | None = None,
 ) -> float:
     """PV of the swap; positive when the payer side is in the money."""
-    return _compile_swap(disc, fwd, spec, volcorr)(disc, fwd)[0]
+    return _compile_swap(disc, fwd, spec, volcorr)[0](disc, fwd)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +548,7 @@ def price_capfloor(
     arrays: one discount lookup per curve, one adjustment and variance
     call per distinct spec and one Black call.
     """
-    value = _compile_capfloor(
+    value, _ = _compile_capfloor(
         disc, fwd, schedule_dates, strike, omega, notional, volcorr, daycount,
         paper_literal,
     )
@@ -473,7 +567,7 @@ def price_swaption(
     The adjusted forward swap rate S * QA prices against the strike in
     the Black kernel; a payer swaption is a call (omega +1).
     """
-    return _compile_swaption(disc, fwd, swap, volcorr, paper_literal)(disc, fwd)[0]
+    return _compile_swaption(disc, fwd, swap, volcorr, paper_literal)[0](disc, fwd)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +695,18 @@ def price_position(
     settings change; otherwise the curves are read through the compiled
     queries alone.
     """
+    (value, _), disc, fwd = _compiled(
+        pos, curves, volcorr, swap_volcorr, single_curve, paper_literal
+    )
+    pv, fair = value(disc, fwd)
+    return pos.quantity * pv, fair
+
+
+def _compiled(pos, curves, volcorr, swap_volcorr, single_curve, paper_literal):
+    """The position's compiled (value, gradient) for these settings and
+    the curves' reference dates and forwarding day count, compiled on
+    first use and kept on the position, with its discounting and
+    forwarding curves."""
     disc = curves["discount"]
     fwd = disc if single_curve else curves[pos.forwarding]
     key = (
@@ -612,8 +718,7 @@ def price_position(
     if held is None or held[0] != key:
         held = (key, _compile_position(pos, disc, fwd, volcorr, swap_volcorr, paper_literal))
         object.__setattr__(pos, "_compiled", held)
-    pv, fair = held[1](disc, fwd)
-    return pos.quantity * pv, fair
+    return held[1], disc, fwd
 
 
 def _compile_position(pos, disc, fwd, volcorr, swap_volcorr, paper_literal):
@@ -632,6 +737,68 @@ def _compile_position(pos, disc, fwd, volcorr, swap_volcorr, paper_literal):
         disc, fwd, dates, spec.strike, spec.omega, spec.notional, volcorr,
         spec.daycount, paper_literal,
     )
+
+
+class Book:
+    """Positions compiled once for one set of pricing settings.
+
+    Calling a book on a curve dict gives its PV, the sum of
+    ``price_position`` over the positions in order with the book's
+    settings, so a book serves wherever a ``pv_fn`` of the curves does.
+    ``gradient`` values it together with its reverse pass: dPV/d ln P at
+    every time the book reads on each curve it reads.
+    """
+
+    def __init__(
+        self,
+        positions: list[Position],
+        volcorr: VolCorrSpec | None = None,
+        swap_volcorr: SwapVolCorrSpec | None = None,
+        single_curve: bool = False,
+        paper_literal: bool = False,
+    ):
+        self.positions = list(positions)
+        self.settings = (volcorr, swap_volcorr, single_curve, paper_literal)
+        # per curve label: the position queries and their concatenation
+        self._joined: dict[str, tuple] = {}
+
+    def __call__(self, curves: dict[str, YieldCurve]) -> float:
+        total = 0.0
+        for pos in self.positions:
+            total += price_position(pos, curves, *self.settings)[0]
+        return total
+
+    def gradient(
+        self, curves: dict[str, YieldCurve]
+    ) -> tuple[float, dict[str, tuple[LocatedQuery, np.ndarray]]]:
+        """(PV, {label: (query, dPV/d ln P at each query time)}).
+
+        Each position's discounting reads go to ``discount`` and its
+        forwarding reads to its forwarding label (``discount`` too with
+        ``single_curve``); per label, the positions' queries are joined
+        into one, kept while they stay the same objects.  The PV is the
+        gradient pass's own sum, which can differ from the book's value
+        in the last bits.
+        """
+        single_curve = self.settings[2]
+        total = 0.0
+        parts: dict[str, list] = {}
+        for pos in self.positions:
+            (_, gradient), disc, fwd = _compiled(pos, curves, *self.settings)
+            pv, ((q_d, g_d), (q_f, g_f)) = gradient(disc, fwd)
+            total += pos.quantity * pv
+            label = "discount" if single_curve else pos.forwarding
+            for key, q, g in (("discount", q_d, g_d), (label, q_f, g_f)):
+                parts.setdefault(key, []).append((q, pos.quantity * g))
+        out = {}
+        for label, pairs in parts.items():
+            queries = tuple(q for q, _ in pairs)
+            held = self._joined.get(label)
+            if held is None or held[0] != queries:
+                joined = LocatedQuery(np.concatenate([q.t for q in queries]))
+                held = self._joined[label] = (queries, joined)
+            out[label] = (held[1], np.concatenate([g for _, g in pairs]))
+        return total, out
 
 
 def price_portfolio(

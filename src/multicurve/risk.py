@@ -7,15 +7,23 @@ basis swap legs may need a companion forwarding curve).
 All pillar log-discounts ln p solve R(ln p; q) = 0, R holding each
 chosen quote's fair value minus the quote in rate space, so dR/dq = -I
 and a book's quote deltas w solve J^T w = g, where J = dR/d ln p and
-g = dPV/d ln p on the base curves: one adjoint solve, no rebuild.  J is
-block lower triangular in build order; a column moves one pillar by a
-forward difference and evaluates the residuals the base build compiled
-for that curve and for the curves priced against it, so no quote is
-compiled again and each curve a column moves is read in one batch per
-quote set.  J depends on the quotes alone, and g (N + 1 book values
-for N pillars) is kept per book function.  A bootstrap instrument
-reprices exactly whatever the quotes, so as a hedge it moves with its
-own quote alone, by its PV weight.
+g = dPV/d ln p on the base curves: one adjoint solve, no rebuild.  Both
+are exact, and chained the same way: a compiled object's dV/d ln P at
+every time it reads a curve, times that curve's d ln P/d ln p
+(``YieldCurve.log_jacobian``), summed per pillar.
+
+* J is block lower triangular in build order.  A label's rows are the
+  blocks that its base build's compiled quote set gives for each curve
+  it reads (its own, the discounting curve, its basis companions), so
+  no quote is compiled again and no curve is rebuilt.
+* g of a compiled ``pricer.Book`` comes from one valuation, the book's
+  reverse pass.  Any other book function is opaque, and gets g by
+  central differences of its values on curves rebuilt with one pillar
+  moved up and down: 2N values for N pillars.
+
+J depends on the quotes alone, and g is kept per book function.  A
+bootstrap instrument reprices exactly whatever the quotes, so as a
+hedge it moves with its own quote alone, by its PV weight.
 
 Quotes in several quote sets (one rate feeding two curves) share a
 fingerprint, move together and are reported once; quotes holding no
@@ -42,6 +50,7 @@ from .bootstrap import (
     instrument_pv,
 )
 from .curve import TENOR_LABELS, YieldCurve, tenor_months_from_label
+from .pricer import Book
 from .timegrid import Date
 
 __all__ = [
@@ -67,9 +76,11 @@ HEDGE_CSV_HEADER = "hedge_instrument,hedge_ratio,residual_delta_per_bp"
 
 Override = dict[tuple[str, int], InstrumentQuote]
 
-# Step in ln DF of the forward-difference columns of J and g, near
-# sqrt(eps), where truncation (~h) and rounding (~eps/h) balance.
-_LN_DF_STEP = 1e-8
+# Step in ln DF of the central differences of an opaque book function:
+# truncation falls as h^2 and rounding grows as eps/h; on the cubic
+# criterion-08 book 1e-6 came closest to the exact gradient (1e-10 of
+# the gross delta, against 7e-10 at 1e-5 and 1.6e-9 at 1e-7).
+_LN_DF_STEP = 1e-6
 
 
 def pricing_curves(
@@ -126,6 +137,7 @@ class MarketState:
         self._jac: tuple | None = None
         self._deltas: dict = {}
         self._valuations = 0
+        self._gradient: str | None = None
 
     def _dependencies(self, label: str) -> set[str]:
         if label == "discount":
@@ -215,64 +227,33 @@ class MarketState:
             dirty.add(label)
         return curves
 
-    def _moved_sets(self):
-        """Per base pillar in build order: its label, the base set with
-        that pillar's ln DF moved up by ``_LN_DF_STEP``, and the step as
-        the moved curve's own logs see it."""
-        base = self.base_curves()
-        for label in self._order:
-            c = base[label]
-            for j in range(len(c.pillar_dfs)):
-                dfs = c.pillar_dfs.copy()
-                dfs[j] *= math.exp(_LN_DF_STEP)
-                moved = YieldCurve(
-                    c.reference_date, list(zip(c.pillar_dates, dfs)),
-                    c.interpolation, c.daycount, c.tenor_label,
-                )
-                step = np.log(dfs[j]) - np.log(c.pillar_dfs[j])
-                yield label, {**base, label: moved}, step
-
     def _jacobian(self) -> tuple:
         """(J, rows, cond(J), error): ``rows`` maps each quote location
         (label, index) holding a pillar to its row of R, which is also
         its pillar's column; ``error`` says why J cannot be solved.
 
-        Each column evaluates the residuals compiled by the base build,
-        those of the moved curve and of the curves priced against it."""
+        Each label's rows are the blocks its base build's compiled set
+        gives, one per curve it reads (its own, the discounting curve
+        and its basis companions), at the base curves."""
         if self._jac is None:
             base = self.base_curves()
-            sets = self._sets
             span, rows, n = {}, {}, 0
             for label in self._order:
-                chosen = sets[label].quotes
+                chosen = self._sets[label].quotes
                 span[label] = slice(n, n + len(chosen))
                 for i, q in enumerate(self.quote_sets[label]):
                     if q in chosen:
                         rows[(label, i)] = n + chosen.index(q)
                 n = span[label].stop
-
-            # each label's curves at the base; a column swaps in the moved one
-            at = {m: (base[m], *pricing_curves(m, base)) for m in self._order}
-            months = {m: tenor_months_from_label(m) for m in self._order}
-
-            def residuals(m: str, label: str, moved: YieldCurve) -> np.ndarray:
-                target, disc, companions = at[m]
-                if m == label:
-                    target = moved
-                elif label == "discount":
-                    disc = moved
-                else:
-                    companions = {**companions, months[label]: moved}
-                return sets[m].on_curves(target, disc, companions)
-
-            at_base = {m: sets[m].on_curves(*at[m]) for m in self._order}
+            column = {base[label]: span[label] for label in self._order}
             matrix = np.zeros((n, n))
             with np.errstate(all="ignore"):
-                for col, (label, curves, step) in enumerate(self._moved_sets()):
-                    for m in self._order:
-                        if m == label or label in self._deps[m]:
-                            moved = residuals(m, label, curves[label]) - at_base[m]
-                            matrix[span[m], col] = moved / step
+                for m in self._order:
+                    blocks = self._sets[m].curve_jacobians(
+                        base[m], *pricing_curves(m, base)
+                    )
+                    for curve, block in blocks:
+                        matrix[span[m], column[curve]] = block
             finite = np.all(np.isfinite(matrix))
             cond = float(np.linalg.cond(matrix)) if finite else math.nan
             error = None
@@ -281,6 +262,46 @@ class MarketState:
             self._jac = (matrix, rows, cond, error)
         return self._jac
 
+    def _book_gradient(self, book: Book) -> np.ndarray:
+        """g = dPV/d ln p of a compiled book from one valuation: its
+        dPV/d ln P at every read of each curve chained through that
+        curve's d ln P/d ln p, pillars in build order."""
+        base = self.base_curves()
+        _, reads = book.gradient(base)
+        self._valuations += 1
+        grad = []
+        for label in self._order:
+            if label in reads:
+                q, g = reads[label]
+                rows = np.zeros(len(g), np.intp)
+                grad.append(base[label].log_jacobian(q, g, rows, 1)[0])
+            else:
+                grad.append(np.zeros(len(self._sets[label].quotes)))
+        return np.concatenate(grad)
+
+    def _bumped_gradient(self, pv_fn) -> np.ndarray:
+        """g = dPV/d ln p of an opaque ``pv_fn`` by central differences
+        of step ``_LN_DF_STEP``, each pillar in build order moved up and
+        down on curves rebuilt from the base pillars: 2N book values."""
+        base = self.base_curves()
+        grad = []
+        for label in self._order:
+            c = base[label]
+            for j in range(len(c.pillar_dfs)):
+                pv, ln_df = [], []
+                for step in (_LN_DF_STEP, -_LN_DF_STEP):
+                    dfs = c.pillar_dfs.copy()
+                    dfs[j] *= math.exp(step)
+                    moved = YieldCurve(
+                        c.reference_date, list(zip(c.pillar_dates, dfs)),
+                        c.interpolation, c.daycount, c.tenor_label,
+                    )
+                    pv.append(pv_fn({**base, label: moved}))
+                    ln_df.append(np.log(dfs[j]))
+                grad.append((pv[0] - pv[1]) / (ln_df[0] - ln_df[1]))
+        self._valuations += 2 * len(grad)
+        return np.array(grad)
+
     def _quote_deltas(self, pv_fn) -> tuple[dict, str | None]:
         """Book delta per bp at each quote location holding a pillar, and
         the error that made them NaN.  ``pv_fn`` must depend on the curves
@@ -288,14 +309,14 @@ class MarketState:
         if pv_fn not in self._deltas:
             matrix, rows, _, error = self._jacobian()
             w = np.full(len(matrix), math.nan)
+            exact = isinstance(pv_fn, Book)
+            self._gradient = "exact" if exact else "finite_difference"
             if error is None:
-                pv0 = pv_fn(self.base_curves())
                 with np.errstate(all="ignore"):
-                    grad = np.array([
-                        (pv_fn(curves) - pv0) / step
-                        for _, curves, step in self._moved_sets()
-                    ])
-                self._valuations += len(grad) + 1
+                    if exact:
+                        grad = self._book_gradient(pv_fn)
+                    else:
+                        grad = self._bumped_gradient(pv_fn)
                 if np.all(np.isfinite(grad)):
                     # dR/dq = -I in rate units, so dPV/dq = w
                     w = np.linalg.solve(matrix.T, grad) * 1e-4
@@ -311,11 +332,15 @@ class MarketState:
         self.base_curves()
         return {label: self._solver[label] for label in self._order}
 
-    def risk_stats(self) -> dict[str, float]:
-        """Pillars in J, cond(J) and the book valuations made so far."""
+    def risk_stats(self) -> dict:
+        """Pillars in J, cond(J), the book valuations made so far and how
+        the last book's gradient was taken: ``exact`` (a compiled
+        ``Book``), ``finite_difference`` (any other callable) or None
+        before any book."""
         matrix, _, cond, _ = self._jacobian()
         return {"pillars": len(matrix), "cond": cond,
-                "book_valuations": self._valuations}
+                "book_valuations": self._valuations,
+                "gradient": self._gradient}
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +382,12 @@ def delta_ladder(state: MarketState, pv_fn) -> list[DeltaEntry]:
 
     ``pv_fn`` maps a curve dict to a book PV and must depend on the
     curves alone, since its deltas are kept on the state and reused by
-    the hedging functions.  Shared quotes (same fingerprint in several
-    sets) move together and produce a single entry.  A Jacobian or book
-    gradient that cannot be solved yields NaN deltas with the error
-    recorded rather than aborting the ladder.
+    the hedging functions.  A compiled ``Book`` gives exact deltas from
+    one valuation; any other callable is valued twice per pillar.
+    Shared quotes (same fingerprint in several sets) move together and
+    produce a single entry.  A Jacobian or book gradient that cannot be
+    solved yields NaN deltas with the error recorded rather than
+    aborting the ladder.
     """
     return _ladder(state, *state._quote_deltas(pv_fn))
 

@@ -380,6 +380,51 @@ def reference_newton_jacobian(residuals, scheme, ts, x, step=1e-7, central=False
     return jac
 
 
+class _ShiftedCurve:
+    """``curve`` with ln P moved by ``y[i]`` at exactly the time
+    ``times[i]`` (sorted, distinct) and nowhere else; it answers located
+    lookups and hands everything else to ``curve``."""
+
+    def __init__(self, curve, times, y):
+        self._curve, self._times, self._y = curve, times, y
+
+    def __getattr__(self, name):
+        return getattr(self._curve, name)
+
+    def discount_time(self, q):
+        import numpy as np
+
+        p = self._curve.discount_time(q)
+        k = np.minimum(self._times.searchsorted(q.t), len(self._times) - 1)
+        hit = self._times[k] == q.t
+        return np.where(hit, p * np.exp(np.where(hit, self._y[k], 0.0)), p)
+
+
+def reference_book_gradient(book, curves, label, h):
+    """(times, dPV/d ln P) of a compiled book on the ``label`` curve, by
+    differences of the book's value with ln P moved at one of the times
+    the book reads there (every read at that time together): central,
+    or one-sided where a step changes which reads of the book's own
+    gradient are zero (an option at its zero-variance intrinsic
+    kink)."""
+    import numpy as np
+
+    q, _ = book.gradient(curves)[1][label]
+    times = np.unique(q.t)
+
+    def moved(y):
+        return {**curves, label: _ShiftedCurve(curves[label], times, y)}
+
+    def value(y):
+        return np.array([book(moved(y))])
+
+    def branches(y):
+        reads = book.gradient(moved(y))[1].values()
+        return tuple(np.concatenate([g for _, g in reads]) == 0.0)
+
+    return times, _reference_differences(value, np.zeros(len(times)), h, branches)[0]
+
+
 # ---------------------------------------------------------------------------
 # per-period reference forms of the pricer
 # ---------------------------------------------------------------------------
@@ -817,11 +862,12 @@ def reference_bootstrap_curve(quotes, config=None, discount_curve=None,
 # quote Jacobian column by column through ``repricing_errors``
 # ---------------------------------------------------------------------------
 
-def reference_quote_jacobian(state):
-    """J = dR/d ln p of ``state`` with every column recompiling the quotes
-    of the moved curve and of the curves priced against it, through the
-    public ``repricing_errors``; same steps and arithmetic as
-    ``MarketState``, so the two agree bit for bit."""
+def reference_quote_jacobian(state, step):
+    """J = dR/d ln p of ``state`` by central differences, column by
+    column: one base pillar's ln DF moves up and down by ``step`` on
+    curves rebuilt from the base pillars, and the quotes of the moved
+    curve and of the curves priced against it are compiled afresh
+    through the public ``repricing_errors``."""
     base = state.base_curves()
     chosen, span, n = {}, {}, 0
     for label in state.build_order:
@@ -834,14 +880,28 @@ def reference_quote_jacobian(state):
             chosen[label], curves[label], *pricing_curves(label, curves)
         )
 
-    at_base = {label: residuals(label, base) for label in state.build_order}
+    def moved(c, j, h):
+        dfs = c.pillar_dfs.copy()
+        dfs[j] *= math.exp(h)
+        curve = YieldCurve(
+            c.reference_date, list(zip(c.pillar_dates, dfs)),
+            c.interpolation, c.daycount, c.tenor_label,
+        )
+        return curve, np.log(dfs[j])
+
     matrix = np.zeros((n, n))
+    col = 0
     with np.errstate(all="ignore"):
-        for col, (label, curves, step) in enumerate(state._moved_sets()):
-            for m in state.build_order:
-                if m == label or label in state._deps[m]:
-                    moved = residuals(m, curves) - at_base[m]
-                    matrix[span[m], col] = moved / step
+        for label in state.build_order:
+            c = base[label]
+            for j in range(len(c.pillar_dfs)):
+                (up, ln_up), (down, ln_down) = moved(c, j, step), moved(c, j, -step)
+                for m in state.build_order:
+                    if m == label or label in state._deps[m]:
+                        diff = (residuals(m, {**base, label: up})
+                                - residuals(m, {**base, label: down}))
+                        matrix[span[m], col] = diff / (ln_up - ln_down)
+                col += 1
     return matrix
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multicurve import Date, DayCount, InterpScheme, LocatedQuery, YieldCurve, add_months
 from multicurve import _kernels
@@ -267,6 +269,28 @@ class TestSerialization:
         c = YieldCurve(REF, [(REF.add_days(365), 0.9701234567890123)])
         d = c.to_dict()
         assert d["pillars"][0]["df"] == f"{0.9701234567890123:.15g}"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        dfs=st.lists(st.floats(1e-8, 2.0), min_size=1, max_size=12),
+        scheme=st.sampled_from(list(InterpScheme)),
+    )
+    def test_json_round_trip_within_the_15th_digit(self, dfs, scheme):
+        c = YieldCurve(
+            REF, [(REF.add_days(91 * (i + 1)), df) for i, df in enumerate(dfs)], scheme
+        )
+        back = YieldCurve.from_dict(json.loads(json.dumps(c.to_dict())))
+        x = c.pillar_dfs
+        # half a unit in the 15th significant digit, plus the half ulp of
+        # reading the decimal back: at most about 5e-15 relative
+        digit = 10.0 ** (np.floor(np.log10(x)) - 14)
+        assert np.all(np.abs(back.pillar_dfs - x) <= 0.5 * digit + np.spacing(x))
+        assert np.all(np.abs(back.pillar_dfs - x) <= 5.2e-15 * x)
+        # and the curve read back is a fixed point of the format
+        again = YieldCurve.from_dict(json.loads(json.dumps(back.to_dict())))
+        assert np.array_equal(again.pillar_dfs, back.pillar_dfs)
+        assert again.to_dict() == back.to_dict()
+        assert back.interpolation is c.interpolation
 
     def test_file_is_plain_json(self, tmp_path):
         path = tmp_path / "c.json"

@@ -4,11 +4,15 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multicurve import (
+    Book,
     Date,
     DayCount,
     InterpScheme,
+    LocatedQuery,
     YieldCurve,
     FraSpec,
     OptionSpec,
@@ -32,9 +36,9 @@ from multicurve import (
     price_swaption,
     year_fraction,
 )
-from multicurve import _kernels
+from multicurve import _cashflows, _kernels
 from multicurve.synthetic import default_market, true_pillar_curve
-from multicurve.timegrid import cached_schedule
+from multicurve.timegrid import cached_accruals, cached_schedule
 
 import oracles
 
@@ -853,3 +857,112 @@ class TestCompiledPositions:
         for pos in positions:
             with pytest.raises(ValueError, match="positive forward"):
                 price_position(pos, inverted, volcorr=vc, swap_volcorr=svc)
+
+
+_KINDS = ("fra", "swap", "caplet", "floorlet", "cap", "floor", "swaption")
+
+
+@st.composite
+def _book_rows(draw):
+    """One to three positions of any kind and side on the 6M curve,
+    starting up to five years out, struck across the money."""
+    rows = []
+    for i in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(_KINDS))
+        start = add_months(REF, draw(st.integers(1, 60)))
+        months = draw(st.sampled_from((6, 12, 36, 84)))
+        if kind in ("fra", "caplet", "floorlet"):
+            months = draw(st.sampled_from((3, 6, 12)))
+        row = {
+            "id": f"p{i}", "kind": kind, "forwarding": "fwd_6M",
+            "start": start.iso(), "end": add_months(start, months).iso(),
+            "notional": draw(st.sampled_from((1.0, -2.5))),
+            "quantity": draw(st.sampled_from((1.0, -0.5))),
+        }
+        rate = draw(st.floats(0.005, 0.07))
+        if kind == "swap":
+            row.update(fixed_rate=rate, payer=draw(st.booleans()),
+                       float_tenor_months=draw(st.sampled_from((3, 6))))
+        else:
+            row["strike"] = rate
+        if kind == "swaption":
+            row["payer"] = draw(st.booleans())
+        if kind in ("cap", "floor"):
+            row["tenor_months"] = draw(st.sampled_from((3, 6)))
+        rows.append(row)
+    return rows
+
+
+class TestBookGradient:
+    """``Book.gradient``, the reverse pass of a compiled book, against
+    differences of the book's own value with ln P moved at one read time
+    at a time (``oracles.reference_book_gradient``)."""
+
+    SPECS = TestCompiledPositions.SPECS
+
+    @staticmethod
+    def assert_matches_differences(book, curves):
+        pv, reads = book.gradient(curves)
+        assert pv == pytest.approx(book(curves), rel=1e-12, abs=1e-15)
+        for label, (q, g) in reads.items():
+            times, want = oracles.reference_book_gradient(book, curves, label, 1e-6)
+            got = np.bincount(np.searchsorted(times, q.t), g, len(times))
+            # central differences at h = 1e-6 leave about 1e-8 of the
+            # gradient's size on a short, near-the-money caplet
+            scale = np.abs(g).sum() + 1e-3
+            assert np.all(np.abs(got - want) <= 1e-7 * scale), (label, got - want)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        rows=_book_rows(), specs=st.integers(0, 2), single_curve=st.booleans(),
+        paper_literal=st.booleans(),
+        scheme=st.sampled_from([InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC,
+                                InterpScheme.LOG_LINEAR_DISCOUNT]),
+    )
+    def test_matches_differences(self, rows, specs, single_curve, paper_literal, scheme):
+        vc, svc = self.SPECS[specs]
+        book = Book(parse_portfolio(rows), vc, svc, single_curve, paper_literal)
+        self.assert_matches_differences(book, TestCompiledPositions.curves(scheme))
+
+    def test_every_kind_with_and_without_specs(self):
+        curves = TestCompiledPositions.curves(InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC)
+        positions = TestCompiledPositions().positions()
+        for vc, svc in self.SPECS:
+            for single_curve in (False, True):
+                for paper_literal in (False, True):
+                    for pos in positions:
+                        book = Book([pos], vc, svc, single_curve, paper_literal)
+                        self.assert_matches_differences(book, curves)
+
+    @pytest.mark.parametrize("kind,omega", [("caplet", 1), ("floorlet", -1)])
+    def test_intrinsic_kink_takes_the_out_of_the_money_side(self, kind, omega):
+        # with no spec the variance is 0 and the option is worth its
+        # intrinsic; struck at its own forward it sits on the kink
+        start, end = add_months(REF, 12), add_months(REF, 18)
+        q = LocatedQuery(FWD.times((start, end)))
+        p = FWD.discount_time(q)
+        tau = cached_accruals((start, end), FWD.daycount)[0]
+        strike = float(_cashflows.simple_forward(p[0], p[1], tau))
+        (pos,) = parse_portfolio([{
+            "kind": kind, "forwarding": "fwd_6M", "start": start.iso(),
+            "end": end.iso(), "strike": strike,
+        }])
+        book = Book([pos])
+        curves = {"discount": DISC, "fwd_6M": FWD}
+        assert book(curves) == 0.0
+        _, reads = book.gradient(curves)
+        q_f, g_f = reads["fwd_6M"]
+        assert np.array_equal(g_f, [0.0, 0.0])
+        # moving ln P_f(start) up raises the forward: a caplet's money side
+        times = np.unique(q_f.t)
+        h = 1e-6
+
+        def value(y):
+            return book({**curves, "fwd_6M": oracles._ShiftedCurve(FWD, times, np.array(y))})
+
+        up, down = value([h, 0.0]) / h, value([-h, 0.0]) / -h
+        otm, itm = (down, up) if omega == 1 else (up, down)
+        assert otm == 0.0
+        assert itm == pytest.approx(omega * DISC.discount(end) * p[0] / p[1], rel=1e-5)
+        _, want = oracles.reference_book_gradient(book, curves, "fwd_6M", h)
+        assert np.array_equal(want, [0.0, 0.0])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multicurve import (
+    Book,
     BootstrapConfig,
     BootstrapError,
     Date,
@@ -14,6 +15,9 @@ from multicurve import (
     InstrumentKind,
     InstrumentQuote,
     MarketState,
+    SwapVolCorrSpec,
+    VolCorrSpec,
+    YieldCurve,
     add_months,
     bump_quote,
     delta_ladder,
@@ -21,6 +25,7 @@ from multicurve import (
     hedged_pv_fn,
     hedged_residual_ladder,
     instrument_pv,
+    parse_portfolio,
     price_position,
     project_deltas,
     quote_fingerprint,
@@ -29,9 +34,14 @@ from multicurve import (
     write_ladder_csv,
     year_fraction,
 )
-from multicurve import bootstrap, risk
+from multicurve import _cashflows, bootstrap, risk
 from multicurve.risk import HEDGE_CSV_HEADER, LADDER_CSV_HEADER
-from multicurve.synthetic import default_market, make_ois_quotes, make_quote_sets
+from multicurve.synthetic import (
+    SyntheticMarket,
+    default_market,
+    make_ois_quotes,
+    make_quote_sets,
+)
 from oracles import (
     memoised_build,
     reference_delta_ladder,
@@ -157,10 +167,11 @@ class TestDeltaLadder:
             REF, {"discount": [depo(6, 0.02), depo(24, 0.021)]}
         )
         state.base_curves()
-        # compiled residuals that ignore the pillars: J = 0
+        # a leg table whose reverse pass sees no curve: every block of the
+        # exact J is 0
         monkeypatch.setattr(
-            bootstrap._Residuals, "on_curves",
-            lambda self, *a, **k: np.zeros(len(self.quotes)),
+            _cashflows.LegTable, "log_gradient",
+            lambda self, p, key: np.zeros(len(p[key])),
         )
         entries = delta_ladder(state, lambda c: c["discount"].discount_time(1.0))
         assert all(math.isnan(e.delta_per_bp) for e in entries)
@@ -198,6 +209,14 @@ def _all_locations(state):
     ]
 
 
+def _pillar_locations(state):
+    return [
+        (label, i) for label, i in _all_locations(state)
+        if state.quote_sets[label][i]
+        in select_pillar_instruments(state.quote_sets[label])
+    ]
+
+
 def _two_curve_state_and_book(config=None):
     sets = make_quote_sets()
     state = MarketState(
@@ -222,7 +241,7 @@ def _two_curve_state_and_book(config=None):
 
 
 class TestWorkCounts:
-    def test_no_rebuild_and_n_plus_one_book_values(self, monkeypatch):
+    def test_no_rebuild_and_two_book_values_per_pillar(self, monkeypatch):
         state, book = _two_curve_state_and_book()
         state.base_curves()
         built = []
@@ -246,8 +265,38 @@ class TestWorkCounts:
         assert built == []
         n = len(state.quote_sets["discount"]) + len(state.quote_sets["fwd_6M"])
         assert state.risk_stats()["pillars"] == n
-        assert len(priced) == n + 1
-        assert state.risk_stats()["book_valuations"] == n + 1
+        # an opaque book function is differenced: up and down per pillar
+        assert len(priced) == 2 * n
+        assert state.risk_stats()["book_valuations"] == 2 * n
+        assert state.risk_stats()["gradient"] == "finite_difference"
+
+    def test_compiled_book_is_valued_once_and_builds_no_curve(self, monkeypatch):
+        state = MarketState(REF, make_quote_sets())
+        state.base_curves()
+        book = Book(criterion_08_positions())
+        calls = []
+
+        def counting(owner, name):
+            real = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        counting(YieldCurve, "__init__")
+        counting(bootstrap._Residuals, "on_curves")
+        counting(Book, "__call__")
+        counting(Book, "gradient")
+        entries = delta_ladder(state, book)
+        rows = hedge_ratios(state, book, _pillar_locations(state))
+        hedged_residual_ladder(state, book, rows)
+        assert all(e.error is None for e in entries)
+        assert calls == ["gradient"]
+        stats = state.risk_stats()
+        assert stats["book_valuations"] == 1
+        assert stats["gradient"] == "exact"
 
     def test_ladder_compiles_no_quote(self, monkeypatch):
         # J evaluates the residuals compiled by the base build
@@ -286,11 +335,7 @@ class TestWorkCounts:
             return c["fwd_3M"].discount_time(4.0) - c["discount"].discount_time(2.0)
 
         delta_ladder(state, pv_fn)
-        pillars = [
-            (label, i) for label, i in _all_locations(state)
-            if state.quote_sets[label][i]
-            in select_pillar_instruments(state.quote_sets[label])
-        ]
+        pillars = _pillar_locations(state)
         compiled = []
         real = bootstrap._compile_quote
 
@@ -339,24 +384,26 @@ ORACLE_BUMP = 1e-5
 
 
 class TestJacobianMatchesReference:
-    """J from the compiled residuals against the column-by-column
-    recompile through ``repricing_errors`` on the five-curve market,
-    basis swaps against their companion included."""
+    """The exact J, chained from the compiled sets' blocks, against
+    central differences that recompile every column through
+    ``repricing_errors`` on the five-curve market, basis swaps against
+    their companion included."""
 
     @pytest.mark.parametrize("scheme", ["cubic", "loglinear", "linzero"])
-    def test_bit_for_bit(self, scheme):
+    def test_gap_falls_as_h_squared(self, scheme):
         config = BootstrapConfig(interpolation=scheme)
-        state, pv_fn = _five_curve_state_and_book(config)
-        matrix, rows, cond, error = state._jacobian()
-        want = reference_quote_jacobian(state)
+        state, _ = _five_curve_state_and_book(config)
+        matrix, _, _, error = state._jacobian()
         assert error is None
-        assert np.array_equal(matrix, want)
-        # the ladder solved on the reference J
-        on_reference, _ = _five_curve_state_and_book(config)
-        on_reference._jac = (want, rows, cond, error)
-        got = [e.delta_per_bp for e in delta_ladder(state, pv_fn)]
-        ref = [e.delta_per_bp for e in delta_ladder(on_reference, pv_fn)]
-        assert np.array_equal(got, ref)
+        gaps = [
+            np.abs(matrix - reference_quote_jacobian(state, h)).max()
+            for h in (1e-3, 1e-4, 1e-5)
+        ]
+        # each tenfold smaller step closes the gap about a hundredfold:
+        # the differences' truncation, not the derivative, sets it
+        for wide, narrow in zip(gaps, gaps[1:]):
+            assert 50.0 < wide / narrow < 200.0
+        assert gaps[-1] < 1e-7 * np.abs(matrix).max()
 
 
 class TestJacobianMatchesBumpOracle:
@@ -457,6 +504,71 @@ class TestJacobianMatchesBumpOracle:
         assert dropped.delta_per_bp == 0.0
         assert next(e for e in want if e.locations == dropped.locations).delta_per_bp == 0.0
         assert state.risk_stats()["pillars"] == 2
+
+
+@st.composite
+def _random_market_and_book(draw):
+    """A synthetic market with drawn rates and spreads, two curves
+    (discount, 6M) or all five, each set thinned to its first quote and
+    one to four others; a compiled book of two to four positions of any
+    kind on its forwarding curves, with flat vol/corr specs so that every
+    option is smooth in the curves; and a scheme."""
+    market = SyntheticMarket(
+        REF,
+        base_rate=draw(st.floats(0.0, 0.03)),
+        long_rate=draw(st.floats(0.02, 0.07)),
+        mean_reversion_years=draw(st.floats(0.5, 3.0)),
+        spread_peak=draw(st.floats(20e-4, 120e-4)),
+        spread_decay_years=draw(st.floats(2.0, 6.0)),
+    )
+    sets = make_quote_sets(market)
+    if not draw(st.booleans()):
+        sets = {label: sets[label] for label in ("discount", "fwd_6M")}
+    for label, quotes in sets.items():
+        keep = draw(st.sets(st.integers(1, len(quotes) - 1), min_size=1, max_size=4))
+        sets[label] = [quotes[0]] + [quotes[i] for i in sorted(keep)]
+    forwarding = sorted(label for label in sets if label != "discount")
+    rows = []
+    for i in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(
+            ("fra", "swap", "caplet", "floorlet", "cap", "floor", "swaption")
+        ))
+        start = add_months(REF, draw(st.integers(1, 48)))
+        months = draw(st.sampled_from((6, 12, 60)))
+        row = {
+            "kind": kind, "forwarding": draw(st.sampled_from(forwarding)),
+            "start": start.iso(), "end": add_months(start, months).iso(),
+            "notional": draw(st.sampled_from((1e6, -4e5))),
+            "payer": draw(st.booleans()),
+        }
+        rate = draw(st.floats(0.01, 0.06))
+        row["fixed_rate" if kind == "swap" else "strike"] = rate
+        rows.append(row)
+    book = Book(
+        parse_portfolio(rows),
+        volcorr=VolCorrSpec.flat(0.25, 0.12, -0.3),
+        swap_volcorr=SwapVolCorrSpec.flat(0.22, 0.08, -0.25),
+    )
+    scheme = draw(st.sampled_from(["cubic", "loglinear", "linzero"]))
+    return sets, book, scheme
+
+
+class TestCompiledBookMatchesBumpOracle:
+    """The exact ladder, hedge ratios and hedged residual of compiled
+    books against the bump-and-rebuild oracle, within the bounds of
+    ``TestJacobianMatchesBumpOracle``, on random markets."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(case=_random_market_and_book())
+    def test_ladder_hedges_and_residual(self, case):
+        sets, book, scheme = case
+        state = MarketState(REF, sets, config=BootstrapConfig(interpolation=scheme))
+        gross, mismatch, residual = TestJacobianMatchesBumpOracle()._compare_hedges(
+            state, book, _pillar_locations(state)
+        )
+        assert mismatch < 1e-6 * gross
+        assert residual < 1e-6 * gross
+        assert state.risk_stats()["book_valuations"] == 1
 
 
 @st.composite
