@@ -15,13 +15,18 @@ They are written here once, as pure numpy arithmetic on those arrays;
 ``bootstrap``, ``pricer``, ``curve`` and ``basis`` call them and write
 none of them out themselves.  Each sum is one ``np.dot``.  The floating
 leg's reverse pass, its derivative in the log of every discount factor
-it reads (``float_leg_log_gradient``), is written here too; the pricer's
-book gradient reads it.
+it reads (``float_leg_log_gradient``, scattering through
+``ratio_log_gradient``), is written here too; the pricer's book
+gradient reads it, and its caplets reuse the ratio scatter.
 
 ``LegTable`` batches them for a set of quotes: rows of money-market
 forwards, float legs, overnight legs and annuities over slices of
 per-curve batches, priced together (``fairs``, ``weights``) and
-differentiated together in one reverse pass (``log_gradient``).
+differentiated together in one reverse pass (``log_gradient``).  That
+pass scatters the same coupon terms as ``float_leg_log_gradient`` but
+through index arrays over every row at once, since a table's legs sit
+at arbitrary slices of shared batches rather than on one contiguous
+schedule.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ __all__ = [
     "float_leg",
     "float_legs",
     "float_leg_log_gradient",
+    "ratio_log_gradient",
     "annuity",
     "annuities",
     "LegTable",
@@ -76,11 +82,18 @@ def float_leg_log_gradient(
     and t_i."""
     ratio = p_f[:-1] / p_f[1:]
     pay = p_d if qa is None else p_d * qa
-    x = pay * ratio
-    at_f = np.zeros(len(p_f))
+    return pay * (ratio - 1.0), ratio_log_gradient(pay * ratio)
+
+
+def ratio_log_gradient(x: np.ndarray) -> np.ndarray:
+    """d/d ln P_f at the n + 1 schedule reads of a value whose
+    derivative in the log of each forwarding ratio P_f(t_{i-1}) / P_f(t_i)
+    is ``x[i]``: +x[i] at t_{i-1} and -x[i] at t_i.  Every coupon-based
+    leg, whatever its payoff, reaches its forwarding reads through it."""
+    at_f = np.zeros(len(x) + 1)
     at_f[:-1] = x
     at_f[1:] -= x
-    return pay * (ratio - 1.0), at_f
+    return at_f
 
 
 def float_legs(p_d: np.ndarray, p_f: np.ndarray, legs) -> list[float]:

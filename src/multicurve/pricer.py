@@ -409,9 +409,7 @@ def _compile_capfloor(
         weight = notional * disc.discount_time(q_d) * taus
         at_d = weight * black(f_adj, strikes, mu, variance, omega)
         x = weight * _black_slope(f_adj, strikes, mu, variance, omega) * qa * ratio / taus
-        at_f = np.zeros(n + 1)
-        at_f[:-1] = x
-        at_f[1:] -= x
+        at_f = _cashflows.ratio_log_gradient(x)
         return float(np.sum(at_d)), ((q_d, at_d), (q_f, at_f))
 
     return value, gradient
@@ -759,8 +757,6 @@ class Book:
     ):
         self.positions = list(positions)
         self.settings = (volcorr, swap_volcorr, single_curve, paper_literal)
-        # per curve label: the position queries and their concatenation
-        self._joined: dict[str, tuple] = {}
 
     def __call__(self, curves: dict[str, YieldCurve]) -> float:
         total = 0.0
@@ -776,7 +772,7 @@ class Book:
         Each position's discounting reads go to ``discount`` and its
         forwarding reads to its forwarding label (``discount`` too with
         ``single_curve``); per label, the positions' queries are joined
-        into one, kept while they stay the same objects.  The PV is the
+        into one.  The PV is the
         gradient pass's own sum, which can differ from the book's value
         in the last bits.
         """
@@ -790,14 +786,13 @@ class Book:
             label = "discount" if single_curve else pos.forwarding
             for key, q, g in (("discount", q_d, g_d), (label, q_f, g_f)):
                 parts.setdefault(key, []).append((q, pos.quantity * g))
-        out = {}
-        for label, pairs in parts.items():
-            queries = tuple(q for q, _ in pairs)
-            held = self._joined.get(label)
-            if held is None or held[0] != queries:
-                joined = LocatedQuery(np.concatenate([q.t for q in queries]))
-                held = self._joined[label] = (queries, joined)
-            out[label] = (held[1], np.concatenate([g for _, g in pairs]))
+        out = {
+            label: (
+                LocatedQuery(np.concatenate([q.t for q, _ in pairs])),
+                np.concatenate([g for _, g in pairs]),
+            )
+            for label, pairs in parts.items()
+        }
         return total, out
 
 

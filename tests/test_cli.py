@@ -328,6 +328,31 @@ class TestRisk:
         own = next(l for l in lad[2:] if l.split(",")[1] == "2031-06-15")
         assert abs(float(residual)) < 1e-3 * abs(float(own.split(",")[4]))
 
+    def test_outputs_rewritten_in_place_match_fresh_files(self, workspace, tmp_path):
+        # written over in place, a longer stale file keeps none of its tail
+        pf = tmp_path / "book.json"
+        pf.write_text(json.dumps([dict(PORTFOLIO[1])]))
+
+        def run(ladder, hedges):
+            return main([
+                "risk", "--portfolio", str(pf),
+                "--quotes", f"discount={workspace / 'discount.csv'}",
+                "--quotes", f"fwd_6M={workspace / 'fwd_6M.csv'}",
+                "--hedge", "fwd_6M:2031-06-15",
+                "--hedge-out", str(hedges), "--out", str(ladder),
+            ])
+
+        assert run(tmp_path / "l0.csv", tmp_path / "h0.csv") == 0
+        stale = "x" * 100_000 + "\n"
+        for name in ("l1.csv", "h1.csv"):
+            (tmp_path / name).write_text(stale)
+        assert run(tmp_path / "l1.csv", tmp_path / "h1.csv") == 0
+        for fresh, rewritten in (("l0.csv", "l1.csv"), ("h0.csv", "h1.csv")):
+            assert (tmp_path / rewritten).read_bytes() == (tmp_path / fresh).read_bytes()
+        # a target that cannot be cut is written without cutting
+        if os.path.exists(os.devnull):
+            assert run(os.devnull, os.devnull) == 0
+
     def test_unknown_hedge_quote_rejected(self, workspace, tmp_path, capsys):
         pf = tmp_path / "book.json"
         pf.write_text(json.dumps([dict(PORTFOLIO[1])]))
