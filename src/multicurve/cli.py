@@ -360,9 +360,10 @@ def cmd_risk(args) -> int:
         paper_literal=args.paper_literal_black,
     )
     paths = [args.portfolio] + [quote_paths[k] for k in sorted(quote_paths)]
+    provenance = _provenance("risk", paths)
     entries = delta_ladder(state, book)
     with _open_out(args.out) as fh:
-        write_ladder_csv(entries, fh, comment=_provenance("risk", paths))
+        write_ladder_csv(entries, fh, comment=provenance)
     _print_solver(state)
     # the hedge functions reuse the ladder's deltas: these are final
     stats = state.risk_stats()
@@ -400,7 +401,7 @@ def cmd_risk(args) -> int:
         r.name: lookup.get((r.set_label, r.index), float("nan")) for r in rows
     }
     with _open_out(args.hedge_out) as fh:
-        write_hedge_csv(rows, fh, residuals, comment=_provenance("risk", paths))
+        write_hedge_csv(rows, fh, residuals, comment=provenance)
     return 0
 
 
