@@ -772,9 +772,8 @@ class Book:
         Each position's discounting reads go to ``discount`` and its
         forwarding reads to its forwarding label (``discount`` too with
         ``single_curve``); per label, the positions' queries are joined
-        into one.  The PV is the
-        gradient pass's own sum, which can differ from the book's value
-        in the last bits.
+        into one.  The PV is the gradient pass's own sum, which can
+        differ from the book's value in the last bits.
         """
         single_curve = self.settings[2]
         total = 0.0
