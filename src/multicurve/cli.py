@@ -20,12 +20,12 @@ import functools
 import hashlib
 import json
 import os
-import stat
 import sys
 
 import numpy as np
 
 from . import __version__
+from ._files import open_in_place
 from .basis import BASIS_CSV_HEADER, basis_term_structure, write_basis_csv
 from .bootstrap import (
     BootstrapConfig,
@@ -96,24 +96,12 @@ def _provenance(command: str, paths: list[str]) -> str:
 
 @contextlib.contextmanager
 def _open_out(path: str | None):
-    """stdout, or ``path`` written over in place.
-
-    A regular file is written from its start and cut at the end of what
-    was written, not truncated on opening: on ext4 a file truncated to
-    zero and written again is pushed to disk when it is closed, which
-    made each rewrite of an output CSV cost about 0.4 ms and, on a busy
-    disk, wait on its writeback.
-    """
+    """stdout, or ``path`` written over in place (``_files.open_in_place``)."""
     if path is None:
         yield sys.stdout
     else:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "w") as fh:
-            try:
-                yield fh
-            finally:
-                if stat.S_ISREG(os.fstat(fd).st_mode):
-                    fh.truncate()
+        with open_in_place(path) as fh:
+            yield fh
 
 
 def _load_curves(mapping: dict[str, str]) -> dict[str, YieldCurve]:

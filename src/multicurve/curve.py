@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _cashflows, _kernels
+from ._files import open_in_place
 from .interp import InterpScheme
 from .timegrid import Date, DayCount, roll_months, year_fraction, year_fractions
 
@@ -269,7 +270,8 @@ class YieldCurve:
         )
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
+        """Write ``to_dict`` as JSON to ``path``, over any old file in place."""
+        with open_in_place(path) as fh:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
 

@@ -1,11 +1,14 @@
 """Independent reference implementations used to cross-check the engine.
 
 Everything here is written from first principles with a different
-numerical route than the package (error functions instead of the
-rational CDF approximation, adaptive quadrature instead of closed-form
-segment sums, telescoping single-curve formulas instead of the dual
-curve machinery).  Tests treat these as oracles and compare the engine
-against them.
+numerical route than the package (Hart's rational approximation of the
+normal CDF, which the package takes from ``math.erfc``, adaptive
+quadrature instead of closed-form segment sums, telescoping
+single-curve formulas instead of the dual curve machinery).  Tests
+treat these as oracles and compare the engine against them.  The
+erfc-based ``norm_cdf_erfc`` and ``black_reference`` share the
+package's CDF and pin the formula around it; ``norm_cdf_hart`` and
+``black_quadrature`` check the CDF and the kernel on their own.
 """
 
 import calendar
@@ -42,6 +45,40 @@ from multicurve.risk import pricing_curves
 def norm_cdf_erfc(x: float) -> float:
     """Standard normal CDF via the complementary error function."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def norm_cdf_hart(x: float) -> float:
+    """Standard normal CDF by Hart's double-precision rational form.
+
+    As written out in West, "Better approximations to cumulative normal
+    functions" (Wilmott, 2005): a degree 6/7 rational function of |x|
+    times exp(-x^2/2) up to |x| = 10/sqrt(2), a continued fraction
+    beyond it, and 0 past |x| = 37.  Both polynomials are evaluated by
+    Horner's rule.
+    """
+    xa = abs(x)
+    if xa > 37.0:
+        c = 0.0
+    else:
+        e = math.exp(-0.5 * xa * xa)
+        if xa < 7.07106781186547:
+            num = 0.0
+            for a in (3.52624965998911e-02, 0.700383064443688, 6.37396220353165,
+                      33.912866078383, 112.079291497871, 221.213596169931,
+                      220.206867912376):
+                num = num * xa + a
+            den = 0.0
+            for b in (8.83883476483184e-02, 1.75566716318264, 16.064177579207,
+                      86.7807322029461, 296.564248779674, 637.333633378831,
+                      793.826512519948, 440.413735824752):
+                den = den * xa + b
+            c = e * num / den
+        else:
+            b = xa + 0.65
+            for n in (4.0, 3.0, 2.0, 1.0):
+                b = xa + n / b
+            c = e / b / math.sqrt(2.0 * math.pi)
+    return 1.0 - c if x > 0.0 else c
 
 
 def black_reference(forward, strike, drift, variance, omega):

@@ -13,6 +13,7 @@ import pytest
 from oracles import black_quadrature, drift_quadrature
 
 from multicurve import (
+    Book,
     BootstrapConfig,
     Date,
     FraSpec,
@@ -400,6 +401,49 @@ def test_criterion_08_risk_closure(base_market):
     assert proj.total_projected == proj.total_input
 
     assert time.perf_counter() - start < 30.0
+
+
+def test_criterion_08_through_a_book(base_market):
+    # criterion 08's book as a ``Book``, whose exact gradient comes from
+    # one valuation, against the lambda the criterion passes, whose
+    # gradient is differenced: the ladder, the hedges and the hedged
+    # residual agree within the criterion's 1e-6 of gross
+    sets, state, _ = base_market
+    positions = criterion_08_positions()
+    book = Book(positions)
+
+    def pv_fn(cv):
+        return sum(price_position(p, cv)[0] for p in positions)
+
+    want = delta_ladder(state, pv_fn)
+    got = delta_ladder(state, book)
+    assert state.risk_stats()["gradient"] == "exact"
+    gross = sum(abs(e.delta_per_bp) for e in want)
+    assert gross > 0.0
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.error is None and w.error is None
+        assert g.locations == w.locations
+        assert abs(g.delta_per_bp - w.delta_per_bp) <= 1e-6 * gross
+
+    locations = [
+        (label, i) for label in state.build_order for i in range(len(sets[label]))
+    ]
+    hedges_want = hedge_ratios(state, pv_fn, locations)
+    hedges_got = hedge_ratios(state, book, locations)
+    assert len(hedges_got) == len(hedges_want) == len(locations)
+    for g, w in zip(hedges_got, hedges_want):
+        assert (g.set_label, g.index) == (w.set_label, w.index)
+        assert g.own_delta_per_bp == w.own_delta_per_bp
+        assert abs(g.portfolio_delta_per_bp - w.portfolio_delta_per_bp) <= 1e-6 * gross
+        assert abs((g.ratio - w.ratio) * w.own_delta_per_bp) <= 1e-6 * gross
+
+    residual_want = hedged_residual_ladder(state, pv_fn, hedges_want)
+    residual_got = hedged_residual_ladder(state, book, hedges_got)
+    assert len(residual_got) == len(residual_want)
+    assert sum(abs(e.delta_per_bp) for e in residual_got) < 1e-6 * gross
+    for g, w in zip(residual_got, residual_want):
+        assert abs(g.delta_per_bp - w.delta_per_bp) <= 1e-6 * gross
 
 
 def test_criterion_09_credit_limits(base_market):

@@ -292,6 +292,16 @@ class TestSerialization:
         assert again.to_dict() == back.to_dict()
         assert back.interpolation is c.interpolation
 
+    def test_rewrite_over_longer_stale_file_matches_fresh_write(self, tmp_path):
+        # saved over in place, a longer old file keeps none of its tail
+        fresh, stale = tmp_path / "fresh.json", tmp_path / "stale.json"
+        c = make_curve()
+        c.save(fresh)
+        stale.write_text("x" * 100_000 + "\n")
+        c.save(stale)
+        assert stale.read_bytes() == fresh.read_bytes()
+        assert YieldCurve.load(stale).to_dict() == c.to_dict()
+
     def test_file_is_plain_json(self, tmp_path):
         path = tmp_path / "c.json"
         make_curve().save(path)

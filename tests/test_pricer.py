@@ -36,7 +36,7 @@ from multicurve import (
     price_swaption,
     year_fraction,
 )
-from multicurve import _cashflows, _kernels
+from multicurve import _cashflows, _kernels, pricer
 from multicurve.synthetic import default_market, true_pillar_curve
 from multicurve.timegrid import cached_accruals, cached_schedule
 
@@ -75,8 +75,9 @@ class TestNormCdf:
         assert np.max(np.abs(got - want) / want) <= 3e-13
 
     def test_tail_branch_stays_relatively_close(self):
-        # the truncated continued fraction trades relative accuracy for
-        # speed in the far tail; absolute accuracy stays at roundoff
+        # the far tail, where Hart's form hands over to a truncated
+        # continued fraction that trades relative accuracy for speed;
+        # math.erfc keeps its relative accuracy there too
         xs = np.linspace(-36.0, -7.2, 400)
         got = norm_cdf(xs)
         want = np.array([oracles.norm_cdf_erfc(x) for x in xs])
@@ -94,6 +95,23 @@ class TestNormCdf:
     def test_array_shape_preserved(self):
         xs = np.array([[-1.0, 0.0], [1.0, 2.0]])
         assert norm_cdf(xs).shape == (2, 2)
+
+
+# the grids of TestNormCdf
+_CDF_GRIDS = (
+    np.linspace(-8.0, 8.0, 4001),
+    np.linspace(-37.4, -8.0, 500),
+    np.linspace(8.0, 37.4, 500),
+    np.linspace(-4.0, 4.0, 1601),
+    np.linspace(-36.0, -7.2, 400),
+)
+
+
+@pytest.mark.parametrize("xs", _CDF_GRIDS, ids=lambda xs: f"{xs[0]:g}..{xs[-1]:g}")
+def test_norm_cdf_matches_hart_oracle(xs):
+    got = norm_cdf(xs)
+    want = np.array([oracles.norm_cdf_hart(x) for x in xs.tolist()])
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 class TestBlackKernel:
@@ -201,6 +219,95 @@ class TestBlackArrays:
             black(0.04, np.array([0.03, -0.01]), 0.0, 0.01, 1)
         with pytest.raises(ValueError):
             black(0.04, 0.03, 0.0, np.array([0.01, -1e-12]), 1)
+
+
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
+
+# (F, K / F, drift, variance) of one option, zero variance included
+_ELEMENT = st.tuples(
+    st.floats(1e-4, 0.2),
+    st.floats(0.3, 3.0),
+    st.sampled_from([0.0, -0.03]) | st.floats(-0.05, 0.05),
+    st.just(0.0) | st.floats(1e-8, 0.5),
+)
+
+
+class TestBlackElementwise:
+    """``black`` and ``_black_slope`` evaluate one scalar routine per
+    element of their broadcast inputs."""
+
+    @_PROPERTY
+    @given(st.lists(_ELEMENT, min_size=1, max_size=20), st.sampled_from([1, -1]))
+    def test_arrays_equal_scalar_calls_bit_for_bit(self, elements, omega):
+        f, m, mu, var = (np.array(c) for c in zip(*elements))
+        k = f * m
+        for kernel in (black, pricer._black_slope):
+            got = kernel(f, k, mu, var, omega)
+            assert got.shape == f.shape
+            assert got.tolist() == [
+                kernel(*map(float, row), omega) for row in zip(f, k, mu, var)
+            ]
+            # a column of forwards against a row of the rest
+            grid = kernel(f[:, None], k, mu, var, omega)
+            assert grid.shape == (f.size, f.size)
+            assert grid.tolist() == [
+                [kernel(*map(float, row), omega) for row in zip([fi] * f.size, k, mu, var)]
+                for fi in f
+            ]
+
+    @_PROPERTY
+    @given(_ELEMENT)
+    def test_call_minus_put_is_forward_minus_strike(self, element):
+        f, m, mu, var = element
+        k = f * m
+        parity = black(f, k, mu, var, 1) - black(f, k, mu, var, -1)
+        assert abs(parity - (f - k)) <= 1e-15 * max(f, k)
+
+    @_PROPERTY
+    @given(_ELEMENT.filter(lambda e: e[3] >= 1e-4), st.sampled_from([1, -1]))
+    def test_slope_matches_central_difference(self, element, omega):
+        f, m, mu, var = element
+        k, h = f * m, 1e-6 * f
+        diff = (black(f + h, k, mu, var, omega) - black(f - h, k, mu, var, omega)) / (2.0 * h)
+        assert abs(pricer._black_slope(f, k, mu, var, omega) - diff) <= 1e-7
+
+    def test_zero_variance_slope_is_the_intrinsic_one(self):
+        slope = pricer._black_slope
+        assert slope(0.05, 0.04, 0.0, 0.0, 1) == 1.0
+        assert slope(0.04, 0.05, 0.0, 0.0, -1) == -1.0
+        assert slope(0.04, 0.05, 0.0, 0.0, 1) == 0.0
+        assert slope(0.05, 0.04, 0.0, 0.0, -1) == 0.0
+        # at the kink: the out-of-the-money side's value and slope
+        for omega in (1, -1):
+            assert black(0.04, 0.04, 0.0, 0.0, omega) == 0.0
+            assert slope(0.04, 0.04, 0.0, 0.0, omega) == 0.0
+
+    @pytest.mark.parametrize("kernel", [black, pricer._black_slope])
+    def test_nan_passes_through(self, kernel):
+        for i in range(4):
+            args = [0.04, 0.03, 0.0, 0.01]
+            args[i] = math.nan
+            assert math.isnan(kernel(*args, 1)), i
+        got = kernel(np.array([0.04, math.nan, 0.05]), 0.03, 0.0, 0.01, -1)
+        assert np.isnan(got).tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("kernel", [black, pricer._black_slope])
+    def test_invalid_inputs_raise(self, kernel):
+        for args in (
+            (0.0, 0.03, 0.0, 0.01), (-0.01, 0.03, 0.0, 0.01),
+            (0.04, 0.0, 0.0, 0.01), (0.04, -0.03, 0.0, 0.01),
+            (0.04, 0.03, 0.0, -1e-12),
+        ):
+            with pytest.raises(ValueError):
+                kernel(*args, 1)
+            with pytest.raises(ValueError):
+                kernel(*(np.array([v, v]) for v in args), -1)
+
+    def test_norm_cdf_keeps_shapes_and_scalars(self):
+        assert isinstance(norm_cdf(0.3), float)
+        assert norm_cdf(np.zeros((2, 3, 0))).shape == (2, 3, 0)
+        xs = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        assert norm_cdf(xs).tolist() == [[norm_cdf(x) for x in row] for row in xs.tolist()]
 
 
 class TestAnnuity:
