@@ -26,10 +26,12 @@ differentiated together in one reverse pass (``log_gradient``).  That
 pass scatters the same coupon terms as ``float_leg_log_gradient`` but
 through index arrays over every row at once, since a table's legs sit
 at arbitrary slices of shared batches rather than on one contiguous
-schedule.
+schedule; sealing a table builds those arrays in one pass (``spans``).
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,6 +44,7 @@ __all__ = [
     "ratio_log_gradient",
     "annuity",
     "annuities",
+    "spans",
     "LegTable",
 ]
 
@@ -117,18 +120,21 @@ def annuities(legs, p_d: np.ndarray) -> list[float]:
     return [float(np.dot(taus, p_d[d])) for taus, d in legs]
 
 
-def _index(slices) -> np.ndarray:
-    """The positions the slices cover, concatenated."""
-    return np.concatenate(
-        [np.arange(s.start, s.stop) for s in slices] or [np.empty(0, np.intp)]
-    )
+def spans(starts: list[int], sizes: list[int]) -> np.ndarray:
+    """The positions covered by runs of ``sizes`` beginning at ``starts``,
+    run after run: the index array of many slices, built in one pass."""
+    shift = [a - b for a, b in zip(starts, accumulate(sizes, initial=0))]
+    index = np.array(shift, dtype=np.intp).repeat(sizes)
+    index += np.arange(index.size)
+    return index
 
 
 class LegTable:
     """The rows a quote set compiles to, as one table.
 
-    Every row holds the index of its quote and the slices of the batches
-    of discount factors it reads, each batch keyed by its curve:
+    Every row holds the index of its quote and the positions of the
+    reads it makes in the batches of discount factors, each batch keyed
+    by its curve:
 
     * money market: the pair (T1, T2) on the curve keyed ``own``, the
       payment read P_d(T2) and the accrual tau;
@@ -139,6 +145,10 @@ class LegTable:
       telescopes to;
     * annuity: the accruals and payment reads of a swap-type quote's
       fixed or spread leg, one per such quote.
+
+    Rows come in groups: ``q`` holds the quotes of a group and each read
+    is given by its offset in its quote's run of reads on that batch,
+    which ``seal`` turns into batch positions.
 
     ``fairs`` prices every row at once: the money-market rows as one
     array of simple forwards, each leg and annuity as one ``np.dot``
@@ -154,70 +164,94 @@ class LegTable:
 
     # -- compiling ----------------------------------------------------------
 
-    def money_market(self, f: int, d: int, tau: float) -> None:
-        self.rows["mm"].append((self.n, f, d, tau))
+    def money_market(self, q, f, d, tau) -> None:
+        """T1 at ``f`` and T2 at ``f + 1`` on ``own``, P_d(T2) at ``d``."""
+        self.rows["mm"].append((q, f, d, tau))
 
-    def float_leg(self, sign: float, proj, d: slice, f: slice) -> None:
-        self.rows["leg"].append((self.n, sign, proj, d, f))
+    def float_leg(self, q, sign: float, proj, d, f, n) -> None:
+        """``n`` coupons paid at ``d`` onwards, projected off the ``proj``
+        batch's n + 1 schedule reads from ``f``."""
+        self.rows["leg"].append((q, sign, proj, d, f, n))
 
-    def ois(self, s: int) -> None:
-        self.rows["ois"].append((self.n, s))
+    def ois(self, q, s) -> None:
+        """P_d(start) at ``s`` and P_d(end) at ``s + 1``."""
+        self.rows["ois"].append((q, s))
 
-    def annuity(self, taus: tuple[float, ...], d: slice) -> None:
-        self.rows["ann"].append((self.n, taus, d))
+    def annuity(self, q, d, taus: list[np.ndarray]) -> None:
+        """Each quote's accruals ``taus``, paid at ``d`` onwards."""
+        self.rows["ann"].append((q, d, taus))
 
-    def seal(self, disc) -> None:
+    def seal(self, disc, start: dict) -> None:
         """Turn the rows into the index arrays the evaluation reads;
-        ``disc`` is the key of the discounting batch."""
-        mm, legs, ois, ann = (self.rows[k] for k in ("mm", "leg", "ois", "ann"))
+        ``disc`` is the key of the discounting batch and ``start[key][i]``
+        the position of quote i's first read on the ``key`` batch."""
         self.disc = disc
-
-        def ints(xs) -> np.ndarray:
-            return np.array(xs, dtype=np.intp)
-
-        self.mm_q = ints([r[0] for r in mm])
-        self.mm_f = ints([r[1] for r in mm])
-        self.mm_f1 = self.mm_f + 1
-        self.mm_d = ints([r[2] for r in mm])
-        self.mm_tau = np.array([r[3] for r in mm])
-        # swap-type quotes: one annuity each, k numbering them
-        self.ann_q = ints([r[0] for r in ann])
-        k_of = {q: k for k, q in enumerate(self.ann_q.tolist())}
-        self.ann_d = _index(d for *_, d in ann)
-        self.ann_tau = np.array([tau for _, taus, _d in ann for tau in taus])
-        sizes = [len(taus) for _, taus, _d in ann]
-        self.ann_k = np.repeat(np.arange(len(ann)), sizes)
-        # each annuity's accruals are its stretch of ann_tau
-        ends = np.cumsum(sizes).tolist()
-        self.ann = [
-            (self.ann_tau[end - size:end], d)
-            for end, size, (*_, d) in zip(ends, sizes, ann)
+        at_d, at_own = start[disc], start[self.own]
+        self.n = len(at_d) - 1
+        mm = [
+            (i, at_own[i] + f, at_d[i] + d, tau)
+            for q, f, d, tau in self.rows["mm"]
+            for i, f, d, tau in zip(q, f, d, tau)
         ]
-        # float legs grouped by projecting curve; coupon i of a leg pays at
-        # its payment read i and projects off its schedule reads i, i + 1
+        q, f, d, tau = zip(*mm) if mm else ((),) * 4
+        self.mm_q, self.mm_f, self.mm_d = (np.array(x, dtype=np.intp) for x in (q, f, d))
+        self.mm_f1 = self.mm_f + 1
+        self.mm_tau = np.array(tau, dtype=float)
+        # swap-type quotes: one annuity each, k numbering them
+        ann = [
+            (i, at_d[i] + d, taus)
+            for q, d, taus in self.rows["ann"]
+            for i, d, taus in zip(q, d, taus)
+        ]
+        k_of = {i: k for k, (i, _, _) in enumerate(ann)}
+        self.ann_q = np.array(list(k_of), dtype=np.intp)
+        self.ann_tau = np.concatenate([taus for _, _, taus in ann] or [()])
+        first = [d for _, d, _ in ann]
+        sizes = [len(taus) for _, _, taus in ann]
+        self.ann_k = np.arange(len(ann)).repeat(sizes)
+        self.ann = [
+            (taus, slice(d, d + size)) for (_, d, taus), size in zip(ann, sizes)
+        ]
+        # float legs grouped by projecting curve: (k, sign, payment read,
+        # schedule read, coupons) each
         groups: dict = {}
-        for row in legs:
-            groups.setdefault(row[2], []).append(row)
-        order = [row for rows in groups.values() for row in rows]
-        self.leg_k = ints([k_of[r[0]] for r in order])
-        self.leg_sign = np.array([r[1] for r in order])
-        self.groups, self.coupons, first = {}, {}, 0
-        for key, rows in groups.items():
-            n = [f.stop - f.start - 1 for *_, f in rows]
-            self.groups[key] = [(d, slice(f.start, f.stop - 1)) for *_, d, f in rows]
-            cf = _index(c for _, c in self.groups[key])
-            leg = np.repeat(np.arange(first, first + len(rows)), n)
-            # per coupon: its schedule reads, payment read, annuity and sign
-            self.coupons[key] = (
-                cf, cf + 1, _index(d for d, _ in self.groups[key]),
-                self.leg_k[leg], self.leg_sign[leg],
+        for q, sign, proj, d, f, n in self.rows["leg"]:
+            at_f = start[proj]
+            groups.setdefault(proj, []).extend(
+                (k_of[i], sign, at_d[i] + d, at_f[i] + f, n)
+                for i, d, f, n in zip(q, d, f, n)
             )
-            first += len(rows)
-        self.ois_k = ints([k_of[r[0]] for r in ois])
-        self.ois_s = ints([r[1] for r in ois])
+        legs = [leg for rows in groups.values() for leg in rows]
+        k, sign, d, f, n = zip(*legs) if legs else ((),) * 5
+        # every run of reads the evaluation gathers, in one pass: the
+        # annuities' payment reads, then coupon i of each leg paying at its
+        # payment read i and projecting off its schedule reads i, i + 1
+        runs = spans(first + list(d) + list(f), sizes + list(n) * 2)
+        m, c = len(self.ann_k), sum(n)
+        self.ann_d, cd, cf = runs[:m], runs[m:m + c], runs[m + c:]
+        n_array = np.array(n, dtype=np.intp)
+        ck = np.array(k, dtype=np.intp).repeat(n_array)
+        cs = np.array(sign, dtype=float).repeat(n_array)
+        ends = list(accumulate(n, initial=0))
+        self.groups, self.coupons, leg = {}, {}, 0
+        for key, rows in groups.items():
+            self.groups[key] = [
+                (slice(d, d + n), slice(f, f + n)) for _, _, d, f, n in rows
+            ]
+            a, b = ends[leg], ends[leg + len(rows)]
+            leg += len(rows)
+            # per coupon: its schedule reads, payment read, annuity and sign
+            self.coupons[key] = (cf[a:b], cf[a:b] + 1, cd[a:b], ck[a:b], cs[a:b])
+        ois = [
+            (k_of[i], at_d[i] + s) for q, s in self.rows["ois"] for i, s in zip(q, s)
+        ]
+        ois_k, s = zip(*ois) if ois else ((), ())
+        self.ois_k = np.array(ois_k, dtype=np.intp)
+        self.ois_s = np.array(s, dtype=np.intp)
         self.ois_s1 = self.ois_s + 1
-        self.row_k = np.concatenate((self.leg_k, self.ois_k))
-        self.row_sign = np.concatenate((self.leg_sign, np.ones(len(ois))))
+        # a quote's leg and OIS rows in row order, as fairs sums them
+        self.row_k = np.array(k + ois_k, dtype=np.intp)
+        self.row_sign = np.array(sign + (1.0,) * len(ois))
         del self.rows
 
     # -- evaluation ---------------------------------------------------------

@@ -111,12 +111,11 @@ def locate(scheme: InterpScheme, t: np.ndarray, ts: np.ndarray) -> Located:
 
     One right-sided search gives both the segment and the exact hits: a
     query sits on a knot iff it equals ``ts[lo]``, ``lo`` being the last
-    knot at or below it (clamped to the first), and its segment is
-    ``lo`` capped at the last interior segment.
+    knot at or below it (clamped to the first, as counting the knots
+    after the first that it reaches does), and its segment is ``lo``
+    capped at the last interior segment.
     """
-    lo = ts.searchsorted(t, side="right")
-    lo -= 1
-    np.maximum(lo, 0, out=lo)
+    lo = ts[1:].searchsorted(t, side="right")
     j = np.minimum(lo, ts.shape[0] - 2)
     hits = ext = None
     hit = ts[lo] == t
@@ -127,7 +126,7 @@ def locate(scheme: InterpScheme, t: np.ndarray, ts: np.ndarray) -> Located:
     if past.any():
         ext = np.flatnonzero(past)
     tj = ts[j]
-    h = ts[j + 1] - tj
+    h = (ts[1:] - ts[:-1])[j]
     dt = t - tj
     if scheme is not InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC:
         if ext is not None:

@@ -3,12 +3,14 @@
 Each quote pins the discount factor at its end date (the pillar).  A
 curve's pillar log-discounts ln p solve R(ln p) = 0, where R holds every
 quote's fair value minus its quote in rate space.  A build compiles
-each quote once (``_compile_quote``) into the rows of one leg table,
+its quote set once (``_compile_quotes``), a group of quotes of one kind
+at a time over arrays, into the rows of one leg table,
 ``_cashflows.LegTable``, inside one residual object, ``_Residuals``.
-Compiling registers the dates each row reads with a ``_Reads``, curve
-by curve and each on that curve's own clock, and gets back the slices
-of that curve's batch they occupy; the batches become one located query
-per curve, and the table prices every quote off its slices with the leg
+Compiling registers the serial days each group reads with a ``_Reads``,
+curve by curve and each on that curve's own clock; sealing lays each
+curve's batch out quote by quote and tells the table where each row's
+reads sit.  The batches become one located query per curve, and the
+table prices every quote off its slices with the leg
 arithmetic of ``_cashflows``, one ``np.dot`` per leg and no Python call
 per quote.  While solving, R costs one knot-data build and one kernel
 call over the solved curve's times; the fixed curves (discounting,
@@ -43,6 +45,7 @@ import io
 import logging
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -52,7 +55,7 @@ from .curve import LocatedQuery, YieldCurve
 from .interp import InterpScheme
 from .timegrid import Date, DayCount, year_fraction
 from .timegrid import cached_schedule_accruals as _taus
-from .timegrid import cached_schedule as _sched
+from .timegrid import cached_schedule_serials as _sched
 
 __all__ = [
     "InstrumentKind",
@@ -187,17 +190,21 @@ class _Reads:
     Each curve has a key (``_OWN``, ``_DISC`` or a companion's tenor
     months) and the reference date its times count from, so every curve
     is read on its own clock; ``disc`` is the key discounting reads go
-    to, ``_OWN`` when the set discounts on its own curve.  ``add`` puts
-    the serial days of dates on one curve's batch and returns their
-    slice of it.  ``seal`` makes each batch, as times on its curve's
-    clock, one ``LocatedQuery`` (a curve no quote reads gets none and is
-    never read) and reads the fixed curves given here.
-    ``load`` puts a curve's discount factors at its batch into ``p``,
-    keyed like the batches, unless that curve object is the one read
-    there last.
+    to, ``_OWN`` when the set discounts on its own curve.  ``add`` takes
+    one group of quotes' reads on one curve: each quote's run of serial
+    days there, in the order its rows read them.  ``seal`` lays every
+    batch out run by run in quote order, keeping where each quote's run
+    starts (``start``) and the quote behind each read (``owner``), makes
+    each batch, as times on its curve's clock, one ``LocatedQuery`` (a
+    curve no quote reads gets none and is never read) and reads the
+    fixed curves given here.  ``load`` puts a curve's discount factors
+    at its batch into ``p``, keyed like the batches, unless that curve
+    object is the one read there last.
     """
 
-    __slots__ = ("clocks", "disc", "fixed", "days", "queries", "p", "curves")
+    __slots__ = (
+        "clocks", "disc", "fixed", "runs", "start", "owner", "queries", "p", "curves",
+    )
 
     def __init__(
         self,
@@ -210,23 +217,38 @@ class _Reads:
             self.fixed[_DISC] = discounting
         self.disc = _OWN if discounting is None else _DISC
         self.clocks = {_OWN: ref} | {k: c.reference_date for k, c in self.fixed.items()}
-        self.days: dict = {key: [] for key in self.clocks}
+        self.runs: dict = {key: [] for key in self.clocks}
+        self.start: dict = {}
+        self.owner: dict = {}
         self.queries: dict = {}
         self.p: dict = {}
         self.curves: dict = {}
 
-    def add(self, key, dates) -> slice:
-        batch = self.days[key]
-        start = len(batch)
-        batch.extend([d.serial for d in dates])
-        return slice(start, len(batch))
+    def add(self, key, quotes: list[int], sizes: list[int], runs) -> None:
+        """Quote ``quotes[j]`` reads the ``sizes[j]`` serial days of the
+        arrays ``runs[j]`` on the ``key`` curve, one after another."""
+        self.runs[key].append((quotes, sizes, runs))
 
-    def seal(self) -> None:
-        self.queries = {
-            key: LocatedQuery((np.array(days) - self.clocks[key].serial) / 365.0)
-            for key, days in self.days.items()
-            if days
-        }
+    def seal(self, n: int) -> None:
+        """Lay out the batches of a set of ``n`` quotes and read the
+        fixed curves."""
+        quote = np.arange(n)
+        for key, added in self.runs.items():
+            if not added:
+                # a companion no quote of the set reads
+                self.start[key], self.owner[key] = [0] * (n + 1), quote[:0]
+                continue
+            runs, sizes = [()] * n, [0] * n
+            for quotes, size, run in added:
+                for i, k, r in zip(quotes, size, run):
+                    sizes[i], runs[i] = k, r
+            self.start[key] = list(accumulate(sizes, initial=0))
+            self.owner[key] = quote.repeat(sizes)
+            if self.start[key][-1]:
+                days = np.concatenate([d for run in runs for d in run])
+                self.queries[key] = LocatedQuery(
+                    (days - self.clocks[key].serial) / 365.0
+                )
         for key, curve in self.fixed.items():
             if key in self.queries:
                 self.load(key, curve)
@@ -237,14 +259,23 @@ class _Reads:
             self.curves[key] = curve
 
 
-def _compile_quote(q: InstrumentQuote, reads: _Reads, table: _cashflows.LegTable) -> None:
-    """Append the quote's rows to ``table``.
+# Deposits, FRAs and futures compile alike, as money-market quotes.
+_MONEY_MARKET = (InstrumentKind.DEPOSIT, InstrumentKind.FRA, InstrumentKind.FUTURES)
+
+
+def _compile_quotes(
+    quotes: list[InstrumentQuote], reads: _Reads, table: _cashflows.LegTable
+) -> None:
+    """Append the rows of every quote of a set to ``table``, a group of
+    quotes of one kind at a time.
 
     Compiling registers every date a row reads with ``reads``, on the
     curve it comes from: the curve projecting the quote's own tenor,
     the discounting curve (``reads.disc``) or, for the far leg of a
-    basis swap, the companion of that tenor; each row keeps the slices
-    of the batches it got back.
+    basis swap, the companion of that tenor.  A group puts its reads on
+    each curve with one ``add``; a quote keeps its reads in row order
+    and each row keeps their offsets, which the table turns into batch
+    positions on sealing.
 
     A money-market quote (deposit, FRA, futures before convexity) is
     one row: the simple forward over its own-curve pair, with PV weight
@@ -253,51 +284,114 @@ def _compile_quote(q: InstrumentQuote, reads: _Reads, table: _cashflows.LegTable
     its annuity, and a basis swap its long leg minus its short leg over
     the short leg's spread annuity; the annuity is their PV weight.
     """
-    disc = reads.disc
-
-    def float_leg(months: int, sign: float) -> None:
-        if months == q.underlying_tenor:
-            proj = _OWN
-        elif months in reads.clocks:
-            proj = months
+    groups: dict = {}
+    for i, q in enumerate(quotes):
+        kind = q.kind
+        if kind is InstrumentKind.BASIS_SWAP:
+            short, long = sorted((q.underlying_tenor, q.second_tenor))
+            kind = (_projecting(q, short, reads), _projecting(q, long, reads))
+        elif kind in _MONEY_MARKET:
+            kind = "mm"
+        elif kind is InstrumentKind.SWAP:
+            kind = "swap"
+        elif kind is InstrumentKind.OIS:
+            kind = "ois"
         else:
-            raise BootstrapError(
-                f"basis swap leg needs a companion curve for the {months}M tenor"
+            raise BootstrapError(f"unknown instrument kind {kind!r}")
+        groups.setdefault(kind, []).append(i)
+    disc = reads.disc
+    for kind, idx in groups.items():
+        qs = [quotes[i] for i in idx]
+        if kind == "mm":
+            pairs = np.array([(q.start.serial, q.end.serial) for q in qs])
+            (f, _), (d, _) = _place(
+                reads, idx, [(_OWN, list(pairs)), (disc, list(pairs[:, 1:]))]
             )
-        dates = _sched(q.start, q.end, months)
-        d = reads.add(disc, dates[1:])
-        table.float_leg(sign, proj, d, reads.add(proj, dates))
+            tau = [year_fraction(q.start, q.end, q.daycount) for q in qs]
+            table.money_market(idx, f, d, tau)
+            continue
+        # swap-type: per float leg its sign, projecting curve and each
+        # quote's schedule; each quote's annuity day count and schedule
+        if kind == "swap" or kind == "ois":
+            fixed = [(q.fixed_frequency, q.daycount) for q in qs]
+            annuity = _schedules(qs, [m for m, _ in fixed])
+            legs = [] if kind == "ois" else [
+                (1.0, _OWN, _schedules(qs, [q.underlying_tenor for q in qs]))
+            ]
+        else:
+            # basis swaps, grouped by the curves projecting their short and
+            # long legs
+            short, long = kind
+            tenors = [sorted((q.underlying_tenor, q.second_tenor)) for q in qs]
+            legs = [
+                (-1.0, short, _schedules(qs, [t[0] for t in tenors])),
+                (1.0, long, _schedules(qs, [t[1] for t in tenors])),
+            ]
+            # the spread annuity pays on the short leg's schedule
+            fixed = [(t[0], q.float_daycount) for t, q in zip(tenors, qs)]
+            annuity = legs[0][2]
+        segments = []
+        for _, proj, dates in legs:
+            segments += [(disc, [x[1:] for x in dates]), (proj, dates)]
+        if kind == "ois":
+            pairs = np.array([(q.start.serial, q.end.serial) for q in qs])
+            segments.append((disc, list(pairs)))
+        segments.append((disc, [x[1:] for x in annuity]))
+        placed = _place(reads, idx, segments)
+        for j, (sign, proj, _) in enumerate(legs):
+            (d, n), (f, _) = placed[2 * j], placed[2 * j + 1]
+            table.float_leg(idx, sign, proj, d, f, n)
+        if kind == "ois":
+            table.ois(idx, placed[0][0])
+        taus = [_taus(q.start, q.end, m, dc) for q, (m, dc) in zip(qs, fixed)]
+        table.annuity(idx, placed[-1][0], taus)
 
-    def annuity(months: int, dc: DayCount) -> None:
-        taus = _taus(q.start, q.end, months, dc)
-        table.annuity(taus, reads.add(disc, _sched(q.start, q.end, months)[1:]))
 
-    k = q.kind
-    if k in (InstrumentKind.DEPOSIT, InstrumentKind.FRA, InstrumentKind.FUTURES):
-        tau = year_fraction(q.start, q.end, q.daycount)
-        f = reads.add(_OWN, (q.start, q.end)).start
-        table.money_market(f, reads.add(disc, (q.end,)).start, tau)
-    elif k is InstrumentKind.SWAP:
-        float_leg(q.underlying_tenor, 1.0)
-        annuity(q.fixed_frequency, q.daycount)
-    elif k is InstrumentKind.OIS:
-        table.ois(reads.add(disc, (q.start, q.end)).start)
-        annuity(q.fixed_frequency, q.daycount)
-    elif k is InstrumentKind.BASIS_SWAP:
-        short_m, long_m = sorted((q.underlying_tenor, q.second_tenor))
-        float_leg(short_m, -1.0)
-        float_leg(long_m, 1.0)
-        annuity(short_m, q.float_daycount)
-    else:
-        raise BootstrapError(f"unknown instrument kind {k!r}")
-    table.n += 1
+def _schedules(qs: list[InstrumentQuote], months: list[int]) -> list[np.ndarray]:
+    """The serial days of each quote's schedule rolling every ``months``."""
+    return [_sched(q.start.serial, q.end.serial, m) for q, m in zip(qs, months)]
+
+
+def _projecting(q: InstrumentQuote, months: int, reads: _Reads):
+    """Key of the curve projecting the ``months`` leg of a basis swap."""
+    if months == q.underlying_tenor:
+        return _OWN
+    if months in reads.clocks:
+        return months
+    raise BootstrapError(
+        f"basis swap leg needs a companion curve for the {months}M tenor"
+    )
+
+
+def _place(reads: _Reads, quotes: list[int], segments: list) -> list:
+    """Put a group's reads on the batches, with one ``add`` per curve.
+
+    ``segments`` lists, in the order the group's rows read them, pairs
+    of a curve key and each quote's serial days on that curve; a quote's
+    run on a curve is its segments there, one after another.  Gives, per
+    segment, each quote's offset in its run and its size.
+    """
+    runs: dict = {}
+    placed = []
+    for key, days in segments:
+        sizes = list(map(len, days))
+        if key in runs:
+            at, parts = runs[key]
+            runs[key] = ([a + n for a, n in zip(at, sizes)], parts + [days])
+        else:
+            at = [0] * len(sizes)
+            runs[key] = (sizes, [days])
+        placed.append((at, sizes))
+    for key, (sizes, parts) in runs.items():
+        reads.add(key, quotes, sizes, list(zip(*parts)))
+    return placed
 
 
 class _Residuals:
     """Residual vector R of a quote set: each quote's fair value minus its
     rate, futures in rate space, compiled once per build.
 
-    ``_compile_quote`` compiles each quote once into one ``LegTable``
+    ``_compile_quotes`` compiles the set once into one ``LegTable``
     against one ``_Reads``, which batches the times the set reads on
     every curve: the curve being solved, the discounting curve and each
     basis companion, the fixed ones read once on compiling.  An
@@ -335,23 +429,16 @@ class _Residuals:
         companions: dict[int, YieldCurve] | None = None,
     ):
         self.quotes = list(quotes)
-        self.rates = np.array([q.implied_rate() for q in quotes])
+        n = len(self.quotes)
+        self.rates = np.array([q.implied_rate() for q in self.quotes])
         self.reads = reads = _Reads(ref, discounting, companions)
         self.table = _cashflows.LegTable(_OWN)
-        batches = list(reads.days.values())
-        counts = np.zeros((len(self.quotes), len(batches)), dtype=np.intp)
-        for i, q in enumerate(self.quotes):
-            before = [len(b) for b in batches]
-            _compile_quote(q, reads, self.table)
-            counts[i] = [len(b) - n for b, n in zip(batches, before)]
-        quote = np.arange(len(self.quotes))
-        self.owner = {
-            key: np.repeat(quote, counts[:, k]) for k, key in enumerate(reads.days)
-        }
-        own = counts[:, list(reads.days).index(_OWN)]
-        self.blind = [q for q, n in zip(self.quotes, own.tolist()) if not n]
-        self.table.seal(reads.disc)
-        reads.seal()
+        _compile_quotes(self.quotes, reads, self.table)
+        reads.seal(n)
+        self.table.seal(reads.disc, reads.start)
+        self.owner = reads.owner
+        own = reads.start[_OWN]
+        self.blind = [q for q, a, b in zip(self.quotes, own, own[1:]) if a == b]
         self._pillars = None
 
     def load(

@@ -123,7 +123,8 @@ def _black_element(omega, slope, f, k, mu, var) -> float:
     if var == 0.0:
         if omega * s > 0.0:
             return float(omega) if slope else omega * (f - k)
-        return 0.0
+        # a NaN forward, strike or drift has no intrinsic value either
+        return math.nan if math.isnan(s) else 0.0
     sd = math.sqrt(var)
     d_plus = (s + 0.5 * var) / sd
     n_plus = _normal_cdf(omega * d_plus)

@@ -8,6 +8,7 @@ date layer deterministic and easy to reason about.
 from __future__ import annotations
 
 import datetime as _dt
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -24,6 +25,7 @@ __all__ = [
     "roll_months",
     "generate_schedule",
     "cached_schedule",
+    "cached_schedule_serials",
     "cached_accruals",
     "cached_schedule_accruals",
 ]
@@ -133,22 +135,63 @@ def year_fractions(starts, ends, daycount: DayCount) -> np.ndarray:
     raise ValueError(f"unsupported day count {daycount!r}")
 
 
-# Serial of 1970-01-01, the epoch of numpy's datetime64.
-_EPOCH = _dt.date(1970, 1, 1).toordinal()
+def _first_days() -> array:
+    """The month table: the serial of the first day of every month from
+    January of year 1 to January of year 10001, entry m opening month m
+    (month 0 being 0001-01), summed from the Gregorian month lengths."""
+    years = np.arange(1, 10001)
+    leap = (years % 4 == 0) & ((years % 100 != 0) | (years % 400 == 0))
+    lengths = np.tile(np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], np.int8), (years.size, 1))
+    lengths[:, 1] += leap
+    table = array("i", [1]) * (lengths.size + 1)
+    days = np.frombuffer(table, dtype=np.intc)
+    np.cumsum(lengths, dtype=np.intc, out=days[1:])
+    days[1:] += 1
+    return table
 
 
-def _months(serials) -> tuple[np.ndarray, np.ndarray]:
-    """Days since the datetime64 epoch and the calendar month they fall in."""
-    days = np.asarray(serials, dtype=np.int64) - _EPOCH
-    return days, days.astype("datetime64[D]").astype("datetime64[M]")
+# The month table as Python ints (scalar lookups) and, sharing its
+# memory, as a read-only C int array (array lookups).
+_FIRST = _first_days()
+_FIRSTS = np.frombuffer(_FIRST, dtype=np.intc)
+_FIRSTS.flags.writeable = False
+# Dates run from 0001-01-01 (serial 1) to 9999-12-31: the last month a
+# date or a roll may fall in, and the serial just past it.
+_LAST = 12 * 9999 - 1
+_END = _FIRST[_LAST + 1]
+# Months per day of the 400-year cycle (4800 months in 146097 days).
+# The first days of the table stay within -3.1 and +1.3 days of a mean
+# month's multiples, so (serial - 3) times it truncates to the month the
+# serial falls in or to the one before, and one comparison with the next
+# month's first day settles which.
+_MONTHS_PER_DAY = 4800 / 146097
+
+
+def _date_range_error(what: str) -> ValueError:
+    return ValueError(f"{what} outside the years 1 to 9999")
+
+
+def _month_of(serial: int) -> int:
+    """The month (index into the month table) a serial day falls in."""
+    if not 1 <= serial < _END:
+        raise _date_range_error(f"serial day {serial}")
+    m = int((serial - 3) * _MONTHS_PER_DAY)
+    return m + (serial >= _FIRST[m + 1])
+
+
+def _months_of(serials: np.ndarray) -> np.ndarray:
+    """``_month_of`` over an int64 array of serial days."""
+    if serials.size and (serials.min() < 1 or serials.max() >= _END):
+        raise _date_range_error("serial days")
+    m = ((serials - 3) * _MONTHS_PER_DAY).astype(np.int64)
+    return m + (serials >= _FIRSTS.take(m + 1))
 
 
 def _ymd(serials) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Calendar year, month and day of serial days, as int64 arrays."""
-    days, month = _months(serials)
-    index = month.astype(np.int64)
-    day = days - month.astype("datetime64[D]").astype(np.int64) + 1
-    return index // 12 + 1970, index % 12 + 1, day
+    serials = np.asarray(serials, dtype=np.int64)
+    m = _months_of(serials)
+    return m // 12 + 1, m % 12 + 1, serials - _FIRSTS.take(m) + 1
 
 
 def roll_months(serials, months) -> np.ndarray:
@@ -156,20 +199,31 @@ def roll_months(serials, months) -> np.ndarray:
 
     ``serials`` and ``months`` broadcast against each other, so one call
     rolls many dates by one shift or one date by many shifts.  Jan-31
-    plus one month gives Feb-28 (or Feb-29 in a leap year).
+    plus one month gives Feb-28 (or Feb-29 in a leap year).  Each day is
+    looked up in the month table: it keeps its distance from the first
+    of its month, capped at the last day of the target month.
     """
-    days, month = _months(serials)
-    day = days - month.astype("datetime64[D]").astype(np.int64)
+    serials = np.asarray(serials, dtype=np.int64)
+    month = _months_of(serials)
     target = month + np.asarray(months, dtype=np.int64)
-    first = target.astype("datetime64[D]").astype(np.int64)
-    after = (target + 1).astype("datetime64[D]").astype(np.int64)
-    return first + np.minimum(day, after - first - 1) + _EPOCH
+    if target.size and (target.min() < 0 or target.max() > _LAST):
+        raise _date_range_error("month roll")
+    first = _FIRSTS.take(target)
+    return first + np.minimum(
+        serials - _FIRSTS.take(month), _FIRSTS.take(target + 1) - first - 1
+    )
 
 
 def add_months(date: Date, months: int) -> Date:
     """``roll_months`` of one date: shift by whole months, clamping to
-    the target month end."""
-    return Date(int(roll_months(date.serial, months)))
+    the target month end, through the same month table."""
+    serial = date.serial
+    month = _month_of(serial)
+    target = month + months
+    if not 0 <= target <= _LAST:
+        raise _date_range_error("month roll")
+    first = _FIRST[target]
+    return Date(first + min(serial - _FIRST[month], _FIRST[target + 1] - first - 1))
 
 
 @dataclass(frozen=True)
@@ -204,6 +258,12 @@ def generate_schedule(start: Date, end: Date, frequency_months: int) -> list[Dat
     produces a short final stub.  Each roll adds ``i * frequency`` months
     to the anchor so month-end clamping does not accumulate drift.
     """
+    rolls = _interior_rolls(start, end, frequency_months)
+    return [start, *map(Date, rolls.tolist()), end]
+
+
+def _interior_rolls(start: Date, end: Date, frequency_months: int) -> np.ndarray:
+    """The schedule's serial days strictly between ``start`` and ``end``."""
     if frequency_months <= 0:
         raise ValueError("schedule frequency must be a positive number of months")
     if not start < end:
@@ -211,11 +271,11 @@ def generate_schedule(start: Date, end: Date, frequency_months: int) -> list[Dat
             f"schedule start {start.iso()} must precede end {end.iso()}"
         )
     # enough rolls that the last one lands past the end month
-    span = 12 * (end.year - start.year) + end.month - start.month
+    span = _month_of(end.serial) - _month_of(start.serial)
     rolls = roll_months(
         start.serial, frequency_months * np.arange(1, span // frequency_months + 2)
     )
-    return [start, *map(Date, rolls[rolls < end.serial].tolist()), end]
+    return rolls[rolls < end.serial]
 
 
 @lru_cache(maxsize=4096)
@@ -238,11 +298,26 @@ def cached_accruals(dates: tuple[Date, ...], daycount: DayCount) -> tuple[float,
 
 
 @lru_cache(maxsize=4096)
+def cached_schedule_serials(start: int, end: int, frequency_months: int) -> np.ndarray:
+    """``generate_schedule`` between the serial days ``start`` and ``end``
+    as a read-only int64 array of serial days, memoised on them: the
+    schedules a quote set compiles from."""
+    rolls = _interior_rolls(Date(start), Date(end), frequency_months)
+    serials = np.concatenate(([start], rolls, [end]))
+    serials.flags.writeable = False
+    return serials
+
+
+@lru_cache(maxsize=4096)
 def cached_schedule_accruals(
     start: Date, end: Date, frequency_months: int, daycount: DayCount
-) -> tuple[float, ...]:
-    """``cached_accruals`` of ``cached_schedule(start, end,
-    frequency_months)``, memoised on the schedule's own arguments, so a
-    lookup hashes two dates rather than every date of the schedule."""
-    dates = cached_schedule(start, end, frequency_months)
-    return cached_accruals.__wrapped__(dates, daycount)
+) -> np.ndarray:
+    """Year fractions of the consecutive periods of the schedule
+    ``cached_schedule_serials`` gives for these dates, as a read-only
+    array, memoised on the schedule's own arguments, so a lookup hashes
+    two dates rather than every date of the schedule; the same values as
+    ``cached_accruals`` of ``cached_schedule``."""
+    serials = cached_schedule_serials(start.serial, end.serial, frequency_months)
+    taus = year_fractions(serials[:-1], serials[1:], daycount)
+    taus.flags.writeable = False
+    return taus

@@ -688,17 +688,17 @@ class TestQuoteSetCompiledOnce:
                   tenor_label="fwd_3M")
         seed = bootstrap_curve(quotes, **kw)
         compiled, reads = [], []
-        real_compile, real_lookup = bootstrap._compile_quote, YieldCurve.discount_time
+        real_compile, real_lookup = bootstrap._compile_quotes, YieldCurve.discount_time
 
-        def counting_compile(q, *args):
-            compiled.append(q)
-            return real_compile(q, *args)
+        def counting_compile(qs, *args):
+            compiled.extend(qs)
+            return real_compile(qs, *args)
 
         def counting_lookup(curve, t):
             reads.append(curve)
             return real_lookup(curve, t)
 
-        monkeypatch.setattr(bootstrap, "_compile_quote", counting_compile)
+        monkeypatch.setattr(bootstrap, "_compile_quotes", counting_compile)
         monkeypatch.setattr(YieldCurve, "discount_time", counting_lookup)
         built = bootstrap_curve(quotes, start_curve=seed, **kw)
         monkeypatch.undo()
@@ -707,6 +707,77 @@ class TestQuoteSetCompiledOnce:
         # check) the finished curve
         assert [sum(r is c for r in reads) for c in (seed, disc, fwd6, built)] == [1] * 4
         assert len(reads) == 4
+
+
+_EVERY_QUOTE = [q for quotes in make_quote_sets().values() for q in quotes]
+
+
+@st.composite
+def _thinned_set(draw):
+    """A scheme, a curve label of the default market and a few quotes of
+    every kind from all five sets, priced on that label's curves."""
+    scheme = draw(st.sampled_from(list(InterpScheme)))
+    label = draw(st.sampled_from(list(_base_state(scheme).quote_sets)))
+    picks = draw(st.lists(
+        st.integers(0, len(_EVERY_QUOTE) - 1), min_size=1, max_size=14, unique=True
+    ))
+    return scheme, label, [_EVERY_QUOTE[i] for i in picks]
+
+
+class TestCompileByKind:
+    """A quote set compiles a group of one kind at a time, yet each quote
+    prices exactly as it does compiled alone, and every cache the compile
+    reads is one that ``_sched`` and ``_taus`` clear."""
+
+    @_PROPERTY
+    @given(_thinned_set())
+    def test_set_prices_each_quote_as_alone_bit_for_bit(self, case):
+        scheme, label, quotes = case
+        curves = _base_state(scheme).base_curves()
+        disc = None if label == "discount" else curves["discount"]
+        # a companion for every tenor, so each basis swap finds its far leg
+        companions = {m: curves[f"fwd_{m}M"] for m in (1, 3, 6, 12)}
+        target = curves[label]
+        whole = bootstrap._Residuals(quotes, REF, disc, companions)
+        residuals = whole.on_curves(target, disc, companions)
+        weights = whole.table.weights(whole.reads.p)
+        for i, q in enumerate(quotes):
+            one = bootstrap._Residuals([q], REF, disc, companions)
+            assert one.on_curves(target, disc, companions).tobytes() == residuals[i:i + 1].tobytes()
+            assert one.table.weights(one.reads.p).tobytes() == weights[i:i + 1].tobytes()
+
+    def test_schedule_caches_hold_everything_the_compile_reads(self):
+        import sys
+
+        state = _base_state(InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC)
+        curves = state.base_curves()
+        caches = {
+            id(fn): fn
+            for name, module in list(sys.modules.items())
+            if name.startswith("multicurve")
+            for fn in vars(module).values()
+            if hasattr(fn, "cache_info")
+        }
+        schedule_caches = {id(bootstrap._sched), id(bootstrap._taus)}
+        assert schedule_caches <= set(caches)
+        others = [fn for key, fn in caches.items() if key not in schedule_caches]
+
+        def compile_every_set():
+            for label, quotes in state.quote_sets.items():
+                bootstrap._Residuals(quotes, REF, *pricing_curves(label, curves))
+
+        bootstrap._sched.cache_clear()
+        bootstrap._taus.cache_clear()
+        before = [fn.cache_info() for fn in others]
+        compile_every_set()
+        assert [fn.cache_info() for fn in others] == before
+        cold = [bootstrap._sched.cache_info(), bootstrap._taus.cache_info()]
+        assert all(info.misses > 0 for info in cold)
+        # compiled again, the same sets miss nothing
+        compile_every_set()
+        warm = [bootstrap._sched.cache_info(), bootstrap._taus.cache_info()]
+        assert [w.misses for w in warm] == [c.misses for c in cold]
+        assert [fn.cache_info() for fn in others] == before
 
 
 class TestQuotesMatchDateReference:

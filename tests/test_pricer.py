@@ -292,6 +292,14 @@ class TestBlackElementwise:
         assert np.isnan(got).tolist() == [False, True, False]
 
     @pytest.mark.parametrize("kernel", [black, pricer._black_slope])
+    def test_nan_passes_through_at_zero_variance(self, kernel):
+        assert math.isnan(kernel(math.nan, 0.03, 0.0, 0.0, 1))
+        assert math.isnan(kernel(0.03, 0.03, math.nan, 0.0, -1))
+        assert math.isnan(kernel(0.03, math.nan, 0.0, 0.0, -1))
+        got = kernel(np.array([0.04, math.nan, 0.02]), 0.03, 0.0, 0.0, 1)
+        assert np.isnan(got).tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("kernel", [black, pricer._black_slope])
     def test_invalid_inputs_raise(self, kernel):
         for args in (
             (0.0, 0.03, 0.0, 0.01), (-0.01, 0.03, 0.0, 0.01),

@@ -311,7 +311,7 @@ class TestWorkCounts:
             return wrapped
 
         monkeypatch.setattr(
-            bootstrap, "_compile_quote", counting("compile", bootstrap._compile_quote)
+            bootstrap, "_compile_quotes", counting("compile", bootstrap._compile_quotes)
         )
         for module in (bootstrap, risk):
             if hasattr(module, "repricing_errors"):
@@ -337,13 +337,13 @@ class TestWorkCounts:
         delta_ladder(state, pv_fn)
         pillars = _pillar_locations(state)
         compiled = []
-        real = bootstrap._compile_quote
+        real = bootstrap._compile_quotes
 
-        def counting(q, *args):
-            compiled.append(q)
-            return real(q, *args)
+        def counting(qs, *args):
+            compiled.extend(qs)
+            return real(qs, *args)
 
-        monkeypatch.setattr(bootstrap, "_compile_quote", counting)
+        monkeypatch.setattr(bootstrap, "_compile_quotes", counting)
         rows = hedge_ratios(state, pv_fn, pillars)
         assert len(rows) == len(pillars) == state.risk_stats()["pillars"]
         assert compiled == []

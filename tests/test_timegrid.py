@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import reference_add_months
 
 from multicurve import Date, DayCount, ScheduleSpec, add_months, generate_schedule, year_fraction
+from multicurve import timegrid
 from multicurve.timegrid import (
     cached_accruals,
     cached_schedule,
@@ -171,6 +174,64 @@ class TestMonthRoll:
         assert dates[-1] == Date.of(2034, 3, 15)
 
 
+# serial days within 200k days of 2026-06-15 and month shifts over 30 years
+_SERIALS = st.integers(Date.of(2026, 6, 15).serial - 200_000, Date.of(2026, 6, 15).serial + 200_000)
+_SHIFTS = st.integers(-37, 360)
+
+
+class TestMonthTable:
+    """``add_months``, ``roll_months`` and the 30/360 fields all read the
+    one table of first-of-month serials."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_SERIALS, _SHIFTS)
+    def test_scalar_roll_is_the_one_element_array_roll(self, serial, months):
+        want = reference_add_months(Date(serial), months)
+        assert add_months(Date(serial), months) == want
+        assert int(roll_months(serial, months)) == want.serial
+        assert roll_months(np.array([serial]), months).tolist() == [want.serial]
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.lists(_SERIALS, min_size=1, max_size=12), st.lists(_SHIFTS, min_size=1, max_size=12))
+    def test_array_by_shift_broadcast(self, serials, shifts):
+        grid = roll_months(np.array(serials)[:, None], np.array(shifts))
+        assert grid.tolist() == [
+            [add_months(Date(s), k).serial for k in shifts] for s in serials
+        ]
+
+    def test_every_day_finds_its_month(self):
+        # the month-length estimate and its one correction against a plain
+        # search of the table, over every day from 0001-01-01 to 9999-12-31
+        first = timegrid._FIRSTS
+        for lo in range(1, timegrid._END, 146097):
+            days = np.arange(lo, min(lo + 146097, timegrid._END))
+            want = first.searchsorted(days, side="right") - 1
+            np.testing.assert_array_equal(timegrid._months_of(days), want)
+        assert timegrid._month_of(1) == 0
+        assert timegrid._month_of(timegrid._END - 1) == timegrid._LAST
+
+    def test_ymd_matches_the_calendar(self):
+        days = np.arange(Date.of(1999, 12, 1).serial, Date.of(2101, 3, 1).serial, 13)
+        y, m, d = timegrid._ymd(days)
+        want = [datetime.date.fromordinal(s) for s in days.tolist()]
+        assert y.tolist() == [w.year for w in want]
+        assert m.tolist() == [w.month for w in want]
+        assert d.tolist() == [w.day for w in want]
+
+    def test_rolls_outside_the_years_1_to_9999_raise(self):
+        assert add_months(Date.of(9999, 11, 30), 1) == Date.of(9999, 12, 30)
+        assert add_months(Date.of(1, 2, 28), -1) == Date.of(1, 1, 28)
+        with pytest.raises(ValueError, match="outside the years 1 to 9999"):
+            add_months(Date.of(9999, 12, 1), 1)
+        with pytest.raises(ValueError, match="outside the years 1 to 9999"):
+            add_months(Date(0), 1)
+        with pytest.raises(ValueError, match="outside the years 1 to 9999"):
+            roll_months(np.array([Date.of(2026, 1, 15).serial, Date.of(1, 1, 15).serial]), -1)
+        with pytest.raises(ValueError, match="outside the years 1 to 9999"):
+            roll_months(np.array([0, 5]), 1)
+        assert roll_months(np.array([], dtype=np.int64), 3).size == 0
+
+
 class TestYearFractions:
     @pytest.mark.parametrize("daycount", list(DayCount))
     def test_bit_identical_to_scalar_rule(self, daycount):
@@ -279,7 +340,7 @@ class TestCachedSchedules:
         start, end = Date.of(2023, 1, 31), Date.of(2026, 5, 31)
         for daycount in DayCount:
             taus = cached_schedule_accruals(start, end, 6, daycount)
-            assert taus == cached_accruals(cached_schedule(start, end, 6), daycount)
+            assert tuple(taus) == cached_accruals(cached_schedule(start, end, 6), daycount)
             assert cached_schedule_accruals(start, end, 6, daycount) is taus
 
     def test_invalid_schedule_still_raises(self):
