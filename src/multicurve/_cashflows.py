@@ -147,8 +147,8 @@ class LegTable:
       fixed or spread leg, one per such quote.
 
     Rows come in groups: ``q`` holds the quotes of a group and each read
-    is given by its offset in its quote's run of reads on that batch,
-    which ``seal`` turns into batch positions.
+    is given by its position in its batch; ``seal`` turns the rows into
+    index arrays.
 
     ``fairs`` prices every row at once: the money-market rows as one
     array of simple forwards, each leg and annuity as one ``np.dot``
@@ -181,28 +181,18 @@ class LegTable:
         """Each quote's accruals ``taus``, paid at ``d`` onwards."""
         self.rows["ann"].append((q, d, taus))
 
-    def seal(self, disc, start: dict) -> None:
-        """Turn the rows into the index arrays the evaluation reads;
-        ``disc`` is the key of the discounting batch and ``start[key][i]``
-        the position of quote i's first read on the ``key`` batch."""
-        self.disc = disc
-        at_d, at_own = start[disc], start[self.own]
-        self.n = len(at_d) - 1
-        mm = [
-            (i, at_own[i] + f, at_d[i] + d, tau)
-            for q, f, d, tau in self.rows["mm"]
-            for i, f, d, tau in zip(q, f, d, tau)
-        ]
+    def seal(self, disc, n: int) -> None:
+        """Turn the rows of a set of ``n`` quotes into the index arrays
+        the evaluation reads; ``disc`` is the key of the discounting
+        batch."""
+        self.disc, self.n = disc, n
+        mm = [row for q, f, d, tau in self.rows["mm"] for row in zip(q, f, d, tau)]
         q, f, d, tau = zip(*mm) if mm else ((),) * 4
         self.mm_q, self.mm_f, self.mm_d = (np.array(x, dtype=np.intp) for x in (q, f, d))
         self.mm_f1 = self.mm_f + 1
         self.mm_tau = np.array(tau, dtype=float)
         # swap-type quotes: one annuity each, k numbering them
-        ann = [
-            (i, at_d[i] + d, taus)
-            for q, d, taus in self.rows["ann"]
-            for i, d, taus in zip(q, d, taus)
-        ]
+        ann = [row for q, d, taus in self.rows["ann"] for row in zip(q, d, taus)]
         k_of = {i: k for k, (i, _, _) in enumerate(ann)}
         self.ann_q = np.array(list(k_of), dtype=np.intp)
         self.ann_tau = np.concatenate([taus for _, _, taus in ann] or [()])
@@ -216,10 +206,8 @@ class LegTable:
         # schedule read, coupons) each
         groups: dict = {}
         for q, sign, proj, d, f, n in self.rows["leg"]:
-            at_f = start[proj]
             groups.setdefault(proj, []).extend(
-                (k_of[i], sign, at_d[i] + d, at_f[i] + f, n)
-                for i, d, f, n in zip(q, d, f, n)
+                (k_of[i], sign, d, f, n) for i, d, f, n in zip(q, d, f, n)
             )
         legs = [leg for rows in groups.values() for leg in rows]
         k, sign, d, f, n = zip(*legs) if legs else ((),) * 5
@@ -242,9 +230,7 @@ class LegTable:
             leg += len(rows)
             # per coupon: its schedule reads, payment read, annuity and sign
             self.coupons[key] = (cf[a:b], cf[a:b] + 1, cd[a:b], ck[a:b], cs[a:b])
-        ois = [
-            (k_of[i], at_d[i] + s) for q, s in self.rows["ois"] for i, s in zip(q, s)
-        ]
+        ois = [(k_of[i], s) for q, s in self.rows["ois"] for i, s in zip(q, s)]
         ois_k, s = zip(*ois) if ois else ((), ())
         self.ois_k = np.array(ois_k, dtype=np.intp)
         self.ois_s = np.array(s, dtype=np.intp)

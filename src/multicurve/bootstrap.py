@@ -7,10 +7,10 @@ its quote set once (``_compile_quotes``), a group of quotes of one kind
 at a time over arrays, into the rows of one leg table,
 ``_cashflows.LegTable``, inside one residual object, ``_Residuals``.
 Compiling registers the serial days each group reads with a ``_Reads``,
-curve by curve and each on that curve's own clock; sealing lays each
-curve's batch out quote by quote and tells the table where each row's
-reads sit.  The batches become one located query per curve, and the
-table prices every quote off its slices with the leg
+curve by curve and each on that curve's own clock: every segment of a
+group's reads goes onto its curve's batch as one block, and the rows
+keep the positions it lands at.  The batches become one located query
+per curve, and the table prices every quote off its slices with the leg
 arithmetic of ``_cashflows``, one ``np.dot`` per leg and no Python call
 per quote.  While solving, R costs one knot-data build and one kernel
 call over the solved curve's times; the fixed curves (discounting,
@@ -190,21 +190,18 @@ class _Reads:
     Each curve has a key (``_OWN``, ``_DISC`` or a companion's tenor
     months) and the reference date its times count from, so every curve
     is read on its own clock; ``disc`` is the key discounting reads go
-    to, ``_OWN`` when the set discounts on its own curve.  ``add`` takes
-    one group of quotes' reads on one curve: each quote's run of serial
-    days there, in the order its rows read them.  ``seal`` lays every
-    batch out run by run in quote order, keeping where each quote's run
-    starts (``start``) and the quote behind each read (``owner``), makes
-    each batch, as times on its curve's clock, one ``LocatedQuery`` (a
-    curve no quote reads gets none and is never read) and reads the
-    fixed curves given here.  ``load`` puts a curve's discount factors
-    at its batch into ``p``, keyed like the batches, unless that curve
-    object is the one read there last.
+    to, ``_OWN`` when the set discounts on its own curve.  ``add``
+    appends one group of quotes' serial days on one curve to that
+    curve's batch as one block, recording the quote behind each read
+    (``owner``), and gives each quote's first position there.  ``seal``
+    makes each batch, as times on its curve's clock, one
+    ``LocatedQuery`` (a curve no quote reads gets none and is never
+    read) and reads the fixed curves given here.  ``load`` puts a
+    curve's discount factors at its batch into ``p``, keyed like the
+    batches, unless that curve object is the one read there last.
     """
 
-    __slots__ = (
-        "clocks", "disc", "fixed", "runs", "start", "owner", "queries", "p", "curves",
-    )
+    __slots__ = ("clocks", "disc", "fixed", "days", "owner", "queries", "p", "curves")
 
     def __init__(
         self,
@@ -217,37 +214,27 @@ class _Reads:
             self.fixed[_DISC] = discounting
         self.disc = _OWN if discounting is None else _DISC
         self.clocks = {_OWN: ref} | {k: c.reference_date for k, c in self.fixed.items()}
-        self.runs: dict = {key: [] for key in self.clocks}
-        self.start: dict = {}
-        self.owner: dict = {}
+        self.days: dict = {key: [] for key in self.clocks}
+        self.owner: dict = {key: np.zeros(0, dtype=np.intp) for key in self.clocks}
         self.queries: dict = {}
         self.p: dict = {}
         self.curves: dict = {}
 
-    def add(self, key, quotes: list[int], sizes: list[int], runs) -> None:
-        """Quote ``quotes[j]`` reads the ``sizes[j]`` serial days of the
-        arrays ``runs[j]`` on the ``key`` curve, one after another."""
-        self.runs[key].append((quotes, sizes, runs))
+    def add(self, key, quotes: list[int], days: list[np.ndarray]) -> list[int]:
+        """Quote ``quotes[j]`` reads the serial days ``days[j]`` on the
+        ``key`` curve; gives the position of each quote's first read."""
+        sizes = list(map(len, days))
+        first = list(accumulate(sizes, initial=len(self.owner[key])))
+        self.days[key] += days
+        self.owner[key] = np.concatenate((self.owner[key], np.repeat(quotes, sizes)))
+        return first[:-1]
 
-    def seal(self, n: int) -> None:
-        """Lay out the batches of a set of ``n`` quotes and read the
-        fixed curves."""
-        quote = np.arange(n)
-        for key, added in self.runs.items():
-            if not added:
-                # a companion no quote of the set reads
-                self.start[key], self.owner[key] = [0] * (n + 1), quote[:0]
-                continue
-            runs, sizes = [()] * n, [0] * n
-            for quotes, size, run in added:
-                for i, k, r in zip(quotes, size, run):
-                    sizes[i], runs[i] = k, r
-            self.start[key] = list(accumulate(sizes, initial=0))
-            self.owner[key] = quote.repeat(sizes)
-            if self.start[key][-1]:
-                days = np.concatenate([d for run in runs for d in run])
+    def seal(self) -> None:
+        """Locate the batches and read the fixed curves."""
+        for key, days in self.days.items():
+            if days:
                 self.queries[key] = LocatedQuery(
-                    (days - self.clocks[key].serial) / 365.0
+                    (np.concatenate(days) - self.clocks[key].serial) / 365.0
                 )
         for key, curve in self.fixed.items():
             if key in self.queries:
@@ -272,10 +259,10 @@ def _compile_quotes(
     Compiling registers every date a row reads with ``reads``, on the
     curve it comes from: the curve projecting the quote's own tenor,
     the discounting curve (``reads.disc``) or, for the far leg of a
-    basis swap, the companion of that tenor.  A group puts its reads on
-    each curve with one ``add``; a quote keeps its reads in row order
-    and each row keeps their offsets, which the table turns into batch
-    positions on sealing.
+    basis swap, the companion of that tenor.  A group puts each segment
+    of its reads (a leg's payment or schedule days, an OIS pair, an
+    annuity's payment days) on its curve with one ``add``, in row order,
+    and the rows keep the batch positions it gives.
 
     A money-market quote (deposit, FRA, futures before convexity) is
     one row: the simple forward over its own-curve pair, with PV weight
@@ -304,9 +291,8 @@ def _compile_quotes(
         qs = [quotes[i] for i in idx]
         if kind == "mm":
             pairs = np.array([(q.start.serial, q.end.serial) for q in qs])
-            (f, _), (d, _) = _place(
-                reads, idx, [(_OWN, list(pairs)), (disc, list(pairs[:, 1:]))]
-            )
+            f = reads.add(_OWN, idx, list(pairs))
+            d = reads.add(disc, idx, list(pairs[:, 1:]))
             tau = [year_fraction(q.start, q.end, q.daycount) for q in qs]
             table.money_market(idx, f, d, tau)
             continue
@@ -330,21 +316,15 @@ def _compile_quotes(
             # the spread annuity pays on the short leg's schedule
             fixed = [(t[0], q.float_daycount) for t, q in zip(tenors, qs)]
             annuity = legs[0][2]
-        segments = []
-        for _, proj, dates in legs:
-            segments += [(disc, [x[1:] for x in dates]), (proj, dates)]
+        for sign, proj, dates in legs:
+            d = reads.add(disc, idx, [x[1:] for x in dates])
+            f = reads.add(proj, idx, dates)
+            table.float_leg(idx, sign, proj, d, f, [len(x) - 1 for x in dates])
         if kind == "ois":
             pairs = np.array([(q.start.serial, q.end.serial) for q in qs])
-            segments.append((disc, list(pairs)))
-        segments.append((disc, [x[1:] for x in annuity]))
-        placed = _place(reads, idx, segments)
-        for j, (sign, proj, _) in enumerate(legs):
-            (d, n), (f, _) = placed[2 * j], placed[2 * j + 1]
-            table.float_leg(idx, sign, proj, d, f, n)
-        if kind == "ois":
-            table.ois(idx, placed[0][0])
+            table.ois(idx, reads.add(disc, idx, list(pairs)))
         taus = [_taus(q.start, q.end, m, dc) for q, (m, dc) in zip(qs, fixed)]
-        table.annuity(idx, placed[-1][0], taus)
+        table.annuity(idx, reads.add(disc, idx, [x[1:] for x in annuity]), taus)
 
 
 def _schedules(qs: list[InstrumentQuote], months: list[int]) -> list[np.ndarray]:
@@ -361,30 +341,6 @@ def _projecting(q: InstrumentQuote, months: int, reads: _Reads):
     raise BootstrapError(
         f"basis swap leg needs a companion curve for the {months}M tenor"
     )
-
-
-def _place(reads: _Reads, quotes: list[int], segments: list) -> list:
-    """Put a group's reads on the batches, with one ``add`` per curve.
-
-    ``segments`` lists, in the order the group's rows read them, pairs
-    of a curve key and each quote's serial days on that curve; a quote's
-    run on a curve is its segments there, one after another.  Gives, per
-    segment, each quote's offset in its run and its size.
-    """
-    runs: dict = {}
-    placed = []
-    for key, days in segments:
-        sizes = list(map(len, days))
-        if key in runs:
-            at, parts = runs[key]
-            runs[key] = ([a + n for a, n in zip(at, sizes)], parts + [days])
-        else:
-            at = [0] * len(sizes)
-            runs[key] = (sizes, [days])
-        placed.append((at, sizes))
-    for key, (sizes, parts) in runs.items():
-        reads.add(key, quotes, sizes, list(zip(*parts)))
-    return placed
 
 
 class _Residuals:
@@ -434,11 +390,11 @@ class _Residuals:
         self.reads = reads = _Reads(ref, discounting, companions)
         self.table = _cashflows.LegTable(_OWN)
         _compile_quotes(self.quotes, reads, self.table)
-        reads.seal(n)
-        self.table.seal(reads.disc, reads.start)
+        reads.seal()
+        self.table.seal(reads.disc, n)
         self.owner = reads.owner
-        own = reads.start[_OWN]
-        self.blind = [q for q, a, b in zip(self.quotes, own, own[1:]) if a == b]
+        own = np.bincount(self.owner[_OWN], minlength=n)
+        self.blind = [q for q, k in zip(self.quotes, own) if not k]
         self._pillars = None
 
     def load(

@@ -25,10 +25,14 @@ microseconds of fixed cost on the one to forty elements a position
 holds.
 
 Every instrument is compiled before it is valued.  Compiling turns its
-dates into ``LocatedQuery`` objects, one on the forwarding curve and
-one on the discounting curve (a swap's float and fixed payment dates
-share one), and computes its accruals, strikes, adjustments (QA),
-variances and drifts, checking the dates on the way.  The per-period
+dates, as serial days, into ``LocatedQuery`` objects, one on the
+forwarding curve and one on the discounting curve (a swap's float and
+fixed payment dates share one), and computes its accruals, strikes,
+adjustments (QA), variances and drifts, checking the dates on the way.
+Swap legs and caps read their schedules from
+``timegrid.cached_schedule_serials`` and a swap's fixed accruals from
+``cached_schedule_accruals``, the two caches the bootstrap's quote sets
+compile from; other accruals come from ``year_fractions``.  The per-period
 QA, variance and drift of swap legs, caps and floors all come from one
 routine, ``_adjustments``; the FRA and the swaption take their single
 QA from ``quanto_mult`` and ``swap_quanto_mult``.  Valuing reads the
@@ -73,7 +77,9 @@ import numpy as np
 from . import _cashflows
 from .curve import LocatedQuery, YieldCurve
 from .quanto import SwapVolCorrSpec, VolCorrSpec, quanto_mult, swap_quanto_mult
-from .timegrid import Date, DayCount, cached_accruals, cached_schedule, year_fraction
+from .timegrid import Date, DayCount, generate_schedule, year_fraction, year_fractions
+from .timegrid import cached_schedule_accruals as _taus
+from .timegrid import cached_schedule_serials as _sched
 
 __all__ = [
     "norm_cdf",
@@ -195,7 +201,8 @@ def annuity(curve: YieldCurve, dates: list[Date], daycount: DayCount | None = No
     """Sum of discounted accruals over consecutive schedule periods."""
     if len(dates) < 2:
         raise ValueError("annuity needs at least two schedule dates")
-    taus = np.array(cached_accruals(tuple(dates), daycount or curve.daycount))
+    serials = _serials(dates)
+    taus = year_fractions(serials[:-1], serials[1:], daycount or curve.daycount)
     return _cashflows.annuity(taus, np.atleast_1d(curve.discount(dates[1:])))
 
 
@@ -227,10 +234,10 @@ class SwapSpec:
     daycount_fixed: DayCount = DayCount.THIRTY_360
 
     def float_schedule(self) -> list[Date]:
-        return list(cached_schedule(self.start, self.end, self.float_tenor_months))
+        return generate_schedule(self.start, self.end, self.float_tenor_months)
 
     def fixed_schedule(self) -> list[Date]:
-        return list(cached_schedule(self.start, self.end, self.fixed_frequency_months))
+        return generate_schedule(self.start, self.end, self.fixed_frequency_months)
 
 
 @dataclass(frozen=True)
@@ -304,8 +311,13 @@ def _adjustments(volcorr, t_fix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return qa, variance, drift
 
 
-def _query(curve: YieldCurve, dates) -> LocatedQuery:
-    return LocatedQuery(curve.times(dates))
+def _serials(dates) -> np.ndarray:
+    return np.array([d.serial for d in dates], dtype=np.int64)
+
+
+def _query(curve: YieldCurve, serials) -> LocatedQuery:
+    """The serial days ``serials`` as a query on ``curve``'s clock."""
+    return LocatedQuery((np.asarray(serials) - curve.reference_date.serial) / 365.0)
 
 
 def _compile_fra(disc: YieldCurve, fwd: YieldCurve, spec: FraSpec, volcorr):
@@ -313,8 +325,8 @@ def _compile_fra(disc: YieldCurve, fwd: YieldCurve, spec: FraSpec, volcorr):
     if not spec.start < spec.end:
         raise ValueError("simple forward needs T1 < T2")
     tau = year_fraction(spec.start, spec.end, spec.daycount or fwd.daycount)
-    q_f = _query(fwd, (spec.start, spec.end))
-    q_d = _query(disc, (spec.end,))
+    q_f = _query(fwd, (spec.start.serial, spec.end.serial))
+    q_d = _query(disc, (spec.end.serial,))
     qa = quanto_mult(volcorr, 0.0, disc.time(spec.start))
     notional, strike = spec.notional, spec.strike
 
@@ -344,12 +356,13 @@ def _compile_legs(disc: YieldCurve, fwd: YieldCurve, spec: SwapSpec, volcorr):
     two values their dPV/d ln P, the float leg's and the annuity's at
     every time of q_d and the float leg's at every time of q_f.
     """
-    fdates = cached_schedule(spec.start, spec.end, spec.float_tenor_months)
-    xdates = cached_schedule(spec.start, spec.end, spec.fixed_frequency_months)
-    n = len(fdates) - 1
-    q_f = _query(fwd, fdates)
-    q_d = _query(disc, fdates[1:] + xdates[1:])
-    taus = np.array(cached_accruals(xdates, spec.daycount_fixed))
+    start, end, months = spec.start, spec.end, spec.fixed_frequency_months
+    fdays = _sched(start.serial, end.serial, spec.float_tenor_months)
+    xdays = _sched(start.serial, end.serial, months)
+    n = len(fdays) - 1
+    q_f = _query(fwd, fdays)
+    q_d = _query(disc, np.concatenate((fdays[1:], xdays[1:])))
+    taus = _taus(start, end, months, spec.daycount_fixed)
     # without a spec the coupons skip the multiply by QA altogether
     qa = None if volcorr is None else _adjustments(volcorr, q_f.t[:-1])[0]
 
@@ -396,7 +409,7 @@ def _compile_swap(disc: YieldCurve, fwd: YieldCurve, spec: SwapSpec, volcorr):
 def _compile_capfloor(
     disc: YieldCurve,
     fwd: YieldCurve,
-    schedule_dates,
+    serials: np.ndarray,
     strike,
     omega: int,
     notional: float,
@@ -404,17 +417,17 @@ def _compile_capfloor(
     daycount: DayCount | None,
     paper_literal: bool,
 ):
-    """Cap/floor PV over consecutive periods and its unit premium."""
-    dates = tuple(schedule_dates)
-    n = len(dates) - 1
+    """Cap/floor PV over the consecutive periods of the serial days
+    ``serials`` and its unit premium."""
+    n = len(serials) - 1
     if n < 1:
         raise ValueError("cap/floor schedule needs at least one period")
     strikes = np.broadcast_to(np.asarray(strike, dtype=float), (n,))
-    t = disc.times(dates)
+    t = (serials - disc.reference_date.serial) / 365.0
     if (t[1:] <= t[:-1]).any():
         raise ValueError("cap/floor periods need increasing dates")
-    taus = np.array(cached_accruals(dates, daycount or fwd.daycount))
-    q_f = _query(fwd, dates)
+    taus = year_fractions(serials[:-1], serials[1:], daycount or fwd.daycount)
+    q_f = _query(fwd, serials)
     q_d = LocatedQuery(t[1:])
     qa, variance, drift = _adjustments(volcorr, t[:-1])
     mu = drift if paper_literal else 0.0
@@ -572,7 +585,7 @@ def price_capfloor(
     call per distinct spec and one Black call.
     """
     value, _ = _compile_capfloor(
-        disc, fwd, schedule_dates, strike, omega, notional, volcorr, daycount,
+        disc, fwd, _serials(schedule_dates), strike, omega, notional, volcorr, daycount,
         paper_literal,
     )
     return value(disc, fwd)[0]
@@ -753,11 +766,11 @@ def _compile_position(pos, disc, fwd, volcorr, swap_volcorr, paper_literal):
     if pos.kind == "swaption":
         return _compile_swaption(disc, fwd, spec, swap_volcorr, paper_literal)
     if pos.kind in ("cap", "floor"):
-        dates = cached_schedule(spec.start, spec.end, pos.tenor_months)
+        days = _sched(spec.start.serial, spec.end.serial, pos.tenor_months)
     else:
-        dates = (spec.start, spec.end)
+        days = _serials((spec.start, spec.end))
     return _compile_capfloor(
-        disc, fwd, dates, spec.strike, spec.omega, spec.notional, volcorr,
+        disc, fwd, days, spec.strike, spec.omega, spec.notional, volcorr,
         spec.daycount, paper_literal,
     )
 

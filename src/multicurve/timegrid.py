@@ -24,9 +24,7 @@ __all__ = [
     "add_months",
     "roll_months",
     "generate_schedule",
-    "cached_schedule",
     "cached_schedule_serials",
-    "cached_accruals",
     "cached_schedule_accruals",
 ]
 
@@ -118,10 +116,16 @@ def year_fractions(starts, ends, daycount: DayCount) -> np.ndarray:
     """``year_fraction`` over paired start and end serial days, as an array.
 
     Same arithmetic as the scalar rule, so each entry is bit-identical
-    to ``year_fraction`` of the same two dates.
+    to ``year_fraction`` of the same two dates, and the same
+    ``ValueError`` for a pair whose end comes before its start.
     """
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
+    back = ends < starts
+    if back.any():
+        i = back.argmax()
+        start, end = Date(int(starts[i])), Date(int(ends[i]))
+        raise ValueError(f"year_fraction: end {end.iso()} before start {start.iso()}")
     if daycount is DayCount.ACT_360:
         return (ends - starts) / 360.0
     if daycount is DayCount.ACT_365_FIXED:
@@ -279,29 +283,13 @@ def _interior_rolls(start: Date, end: Date, frequency_months: int) -> np.ndarray
 
 
 @lru_cache(maxsize=4096)
-def cached_schedule(start: Date, end: Date, frequency_months: int) -> tuple[Date, ...]:
-    """``generate_schedule`` as an immutable tuple, memoised.
-
-    Bootstrapping and pricing ask for the same few hundred schedules
-    over and over (every bumped curve set reprices the same swaps), so
-    they share this cache rather than rolling the dates each time.
-    """
-    return tuple(generate_schedule(start, end, frequency_months))
-
-
-@lru_cache(maxsize=4096)
-def cached_accruals(dates: tuple[Date, ...], daycount: DayCount) -> tuple[float, ...]:
-    """Year fractions of consecutive schedule periods, memoised."""
-    return tuple(
-        year_fraction(a, b, daycount) for a, b in zip(dates[:-1], dates[1:])
-    )
-
-
-@lru_cache(maxsize=4096)
 def cached_schedule_serials(start: int, end: int, frequency_months: int) -> np.ndarray:
     """``generate_schedule`` between the serial days ``start`` and ``end``
-    as a read-only int64 array of serial days, memoised on them: the
-    schedules a quote set compiles from."""
+    as a read-only int64 array of serial days, memoised on them.
+
+    Quote sets and priced positions read their schedules from here, so
+    every bumped or re-marked curve set reprices the same swaps without
+    rolling their dates again."""
     rolls = _interior_rolls(Date(start), Date(end), frequency_months)
     serials = np.concatenate(([start], rolls, [end]))
     serials.flags.writeable = False
@@ -315,8 +303,7 @@ def cached_schedule_accruals(
     """Year fractions of the consecutive periods of the schedule
     ``cached_schedule_serials`` gives for these dates, as a read-only
     array, memoised on the schedule's own arguments, so a lookup hashes
-    two dates rather than every date of the schedule; the same values as
-    ``cached_accruals`` of ``cached_schedule``."""
+    two dates rather than every date of the schedule."""
     serials = cached_schedule_serials(start.serial, end.serial, frequency_months)
     taus = year_fractions(serials[:-1], serials[1:], daycount)
     taus.flags.writeable = False

@@ -28,6 +28,8 @@ from multicurve import (
     InstrumentKind,
     InstrumentQuote,
     InterpScheme,
+    SwapVolCorrSpec,
+    VolCorrSpec,
     YieldCurve,
     add_months,
     bootstrap_curve,
@@ -35,7 +37,9 @@ from multicurve import (
     curve_from_basis,
     fair_quote,
     instrument_pv,
+    parse_portfolio,
     pillar_interval_basis,
+    price_portfolio,
     read_quotes_csv,
     repricing_errors,
     select_pillar_instruments,
@@ -726,8 +730,9 @@ def _thinned_set(draw):
 
 class TestCompileByKind:
     """A quote set compiles a group of one kind at a time, yet each quote
-    prices exactly as it does compiled alone, and every cache the compile
-    reads is one that ``_sched`` and ``_taus`` clear."""
+    prices and differentiates exactly as it does compiled alone, and
+    every cache the compile of a quote set or a position reads is one
+    that ``_sched`` and ``_taus`` clear."""
 
     @_PROPERTY
     @given(_thinned_set())
@@ -741,10 +746,48 @@ class TestCompileByKind:
         whole = bootstrap._Residuals(quotes, REF, disc, companions)
         residuals = whole.on_curves(target, disc, companions)
         weights = whole.table.weights(whole.reads.p)
+        blocks = self._blocks(whole, target, disc, companions)
         for i, q in enumerate(quotes):
             one = bootstrap._Residuals([q], REF, disc, companions)
             assert one.on_curves(target, disc, companions).tobytes() == residuals[i:i + 1].tobytes()
             assert one.table.weights(one.reads.p).tobytes() == weights[i:i + 1].tobytes()
+            alone = self._blocks(one, target, disc, companions)
+            for key, block in blocks.items():
+                row = block[i]
+                if key not in alone:
+                    # a curve the quote does not read
+                    assert not row.any()
+                elif scheme is InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC:
+                    # the slope chain is a matrix product over every row
+                    # at once, so its sums may group differently
+                    want = alone[key][0]
+                    assert np.max(np.abs(row - want)) <= 1e-15 * np.max(np.abs(want))
+                else:
+                    assert row.tobytes() == alone[key][0].tobytes()
+
+    @staticmethod
+    def _blocks(residuals, target, disc, companions) -> dict:
+        """The set's dR/d ln p blocks keyed by the batch they come from."""
+        jacobians = residuals.curve_jacobians(target, disc, companions)
+        return {key: block for key, (_, block) in zip(residuals.reads.curves, jacobians)}
+
+    # every position kind, on dates no quote schedule uses
+    PORTFOLIO = [
+        {"kind": "fra", "forwarding": "fwd_6M", "start": "2027-06-22",
+         "end": "2027-12-22", "strike": 0.027},
+        {"kind": "swap", "forwarding": "fwd_3M", "start": "2026-06-22",
+         "end": "2036-06-22", "fixed_rate": 0.03, "float_tenor_months": 3},
+        {"kind": "caplet", "forwarding": "fwd_6M", "start": "2027-06-22",
+         "end": "2027-12-22", "strike": 0.03},
+        {"kind": "floorlet", "forwarding": "fwd_1M", "start": "2027-06-22",
+         "end": "2027-07-22", "strike": 0.02},
+        {"kind": "cap", "forwarding": "fwd_12M", "start": "2026-07-22",
+         "end": "2031-07-22", "strike": 0.03, "tenor_months": 12},
+        {"kind": "floor", "forwarding": "fwd_1M", "start": "2026-07-22",
+         "end": "2029-07-22", "strike": 0.02, "tenor_months": 1},
+        {"kind": "swaption", "forwarding": "fwd_6M", "start": "2028-06-22",
+         "end": "2038-06-22", "strike": 0.03},
+    ]
 
     def test_schedule_caches_hold_everything_the_compile_reads(self):
         import sys
@@ -766,17 +809,33 @@ class TestCompileByKind:
             for label, quotes in state.quote_sets.items():
                 bootstrap._Residuals(quotes, REF, *pricing_curves(label, curves))
 
+        def compile_every_position():
+            # parsed afresh, so each position compiles again
+            price_portfolio(
+                parse_portfolio(self.PORTFOLIO), curves,
+                volcorr=VolCorrSpec.flat(0.25, 0.12, -0.3),
+                swap_volcorr=SwapVolCorrSpec.flat(0.22, 0.08, -0.25),
+            )
+
+        def misses():
+            return [bootstrap._sched.cache_info().misses, bootstrap._taus.cache_info().misses]
+
         bootstrap._sched.cache_clear()
         bootstrap._taus.cache_clear()
         before = [fn.cache_info() for fn in others]
         compile_every_set()
         assert [fn.cache_info() for fn in others] == before
-        cold = [bootstrap._sched.cache_info(), bootstrap._taus.cache_info()]
-        assert all(info.misses > 0 for info in cold)
-        # compiled again, the same sets miss nothing
+        sets_cold = misses()
+        assert all(sets_cold)
+        # the positions roll schedules no quote reads
+        compile_every_position()
+        assert [fn.cache_info() for fn in others] == before
+        cold = misses()
+        assert [c > s for c, s in zip(cold, sets_cold)] == [True, True]
+        # compiled again, the same sets and positions miss nothing
         compile_every_set()
-        warm = [bootstrap._sched.cache_info(), bootstrap._taus.cache_info()]
-        assert [w.misses for w in warm] == [c.misses for c in cold]
+        compile_every_position()
+        assert misses() == cold
         assert [fn.cache_info() for fn in others] == before
 
 

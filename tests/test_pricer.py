@@ -38,7 +38,7 @@ from multicurve import (
 )
 from multicurve import _cashflows, _kernels, pricer
 from multicurve.synthetic import default_market, true_pillar_curve
-from multicurve.timegrid import cached_accruals, cached_schedule
+from multicurve.timegrid import cached_schedule_serials
 
 import oracles
 
@@ -336,6 +336,11 @@ class TestAnnuity:
         with pytest.raises(ValueError):
             annuity(DISC, [REF.add_days(100)])
 
+    def test_dates_out_of_order_raise(self):
+        d1, d2 = add_months(REF, 6), add_months(REF, 12)
+        with pytest.raises(ValueError, match="before start"):
+            annuity(DISC, [d2, d1])
+
 
 class TestFloatZcb:
     def test_formula(self):
@@ -426,31 +431,25 @@ class TestSwap:
         assert spec.float_schedule() == generate_schedule(REF, spec.end, 6)
         assert spec.fixed_schedule() == generate_schedule(REF, spec.end, 12)
 
-    def test_repricing_reuses_the_cached_schedules(self, monkeypatch):
-        from multicurve import timegrid
+    def test_repricing_reuses_the_cached_schedules(self):
+        def rolled():
+            return cached_schedule_serials.cache_info().misses - before
 
-        rolled = []
-        real = timegrid.generate_schedule
-
-        def counting(*args):
-            rolled.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(timegrid, "generate_schedule", counting)
+        before = cached_schedule_serials.cache_info().misses
         # dates no other test uses, so the first pricing rolls both legs
         spec = make_swap(end=add_months(REF, 12 * 9).add_days(3))
         first = price_swap(DISC, FWD, spec)
-        assert len(rolled) == 2
+        assert rolled() == 2
         positions = parse_portfolio([{
             "kind": "cap", "forwarding": "fwd_6M", "start": REF.add_days(3).iso(),
             "end": add_months(REF, 36).add_days(3).iso(), "strike": 0.03,
         }])
         curves = {"discount": DISC, "fwd_6M": FWD}
         cap = price_position(positions[0], curves)
-        assert len(rolled) == 3
+        assert rolled() == 3
         assert price_swap(DISC, FWD, spec) == first
         assert price_position(positions[0], curves) == cap
-        assert len(rolled) == 3
+        assert rolled() == 3
 
 
 class TestCapletFloorlet:
@@ -643,7 +642,7 @@ class TestWorkPerPosition:
         for row, budget in self.ROWS:
             (pos,) = parse_portfolio([dict(row, forwarding="fwd_1M", notional=1e6)])
             if pos.kind == "cap":
-                assert len(cached_schedule(pos.spec.start, pos.spec.end, 1)) == 37
+                assert len(generate_schedule(pos.spec.start, pos.spec.end, 1)) == 37
             lookups.clear()
             adjustments.clear()
             integrals.clear()
@@ -1056,7 +1055,7 @@ class TestBookGradient:
         start, end = add_months(REF, 12), add_months(REF, 18)
         q = LocatedQuery(FWD.times((start, end)))
         p = FWD.discount_time(q)
-        tau = cached_accruals((start, end), FWD.daycount)[0]
+        tau = year_fraction(start, end, FWD.daycount)
         strike = float(_cashflows.simple_forward(p[0], p[1], tau))
         (pos,) = parse_portfolio([{
             "kind": kind, "forwarding": "fwd_6M", "start": start.iso(),

@@ -11,9 +11,8 @@ from oracles import reference_add_months
 from multicurve import Date, DayCount, ScheduleSpec, add_months, generate_schedule, year_fraction
 from multicurve import timegrid
 from multicurve.timegrid import (
-    cached_accruals,
-    cached_schedule,
     cached_schedule_accruals,
+    cached_schedule_serials,
     roll_months,
     year_fractions,
 )
@@ -244,6 +243,18 @@ class TestYearFractions:
         ])
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("daycount", list(DayCount))
+    def test_end_before_start_raises_as_the_scalar_rule(self, daycount):
+        a, b = Date.of(2027, 1, 1), Date.of(2026, 1, 1)
+        with pytest.raises(ValueError) as scalar:
+            year_fraction(a, b, daycount)
+        # the reversed pair sits among valid ones
+        starts = [Date.of(2025, 1, 1).serial, a.serial, b.serial]
+        ends = [Date.of(2025, 7, 1).serial, b.serial, a.serial]
+        with pytest.raises(ValueError) as array:
+            year_fractions(starts, ends, daycount)
+        assert str(array.value) == str(scalar.value)
+
 
 class TestGenerateSchedule:
     def test_six_month_span_single_period(self):
@@ -323,27 +334,42 @@ class TestScheduleSpec:
 
 
 class TestCachedSchedules:
+    """The two schedule caches quote sets and priced positions share."""
+
     def test_cached_schedule_matches_and_is_shared(self):
         start, end = Date.of(2023, 1, 31), Date.of(2026, 5, 31)
-        dates = cached_schedule(start, end, 3)
-        assert dates == tuple(generate_schedule(start, end, 3))
-        assert cached_schedule(start, end, 3) is dates
+        for months in (1, 3, 6, 12, 60):
+            days = cached_schedule_serials(start.serial, end.serial, months)
+            want = [d.serial for d in generate_schedule(start, end, months)]
+            assert days.dtype == np.int64
+            assert days.tolist() == want
+            assert not days.flags.writeable
+            assert cached_schedule_serials(start.serial, end.serial, months) is days
 
     def test_cached_accruals_match_year_fractions(self):
-        dates = cached_schedule(Date.of(2023, 1, 31), Date.of(2026, 5, 31), 6)
-        taus = cached_accruals(dates, DayCount.THIRTY_360)
-        assert taus == tuple(
-            year_fraction(a, b, DayCount.THIRTY_360) for a, b in zip(dates[:-1], dates[1:])
-        )
-
-    def test_schedule_accruals_keyed_on_the_schedule(self):
         start, end = Date.of(2023, 1, 31), Date.of(2026, 5, 31)
+        dates = generate_schedule(start, end, 6)
         for daycount in DayCount:
             taus = cached_schedule_accruals(start, end, 6, daycount)
-            assert tuple(taus) == cached_accruals(cached_schedule(start, end, 6), daycount)
-            assert cached_schedule_accruals(start, end, 6, daycount) is taus
+            want = [year_fraction(a, b, daycount) for a, b in zip(dates[:-1], dates[1:])]
+            assert taus.tobytes() == np.array(want).tobytes()
+            assert not taus.flags.writeable
+
+    def test_schedule_accruals_keyed_on_the_schedule(self):
+        start, end = Date.of(2024, 2, 29), Date.of(2031, 8, 31)
+        taus = cached_schedule_accruals(start, end, 3, DayCount.THIRTY_360)
+        assert cached_schedule_accruals(start, end, 3, DayCount.THIRTY_360) is taus
+        assert cached_schedule_accruals(start, end, 3, DayCount.ACT_360) is not taus
+        days = cached_schedule_serials(start.serial, end.serial, 3)
+        assert taus.tobytes() == year_fractions(
+            days[:-1], days[1:], DayCount.THIRTY_360
+        ).tobytes()
 
     def test_invalid_schedule_still_raises(self):
         d = Date.of(2022, 1, 1)
         with pytest.raises(ValueError):
-            cached_schedule(d, d, 3)
+            cached_schedule_serials(d.serial, d.serial, 3)
+        with pytest.raises(ValueError):
+            cached_schedule_serials(d.serial, d.serial + 100, 0)
+        with pytest.raises(ValueError):
+            cached_schedule_accruals(d.add_days(1), d, 3, DayCount.ACT_360)
