@@ -664,8 +664,10 @@ def _solve_curve(
     The Jacobian is exact: J = (dR/d ln P at every read of the curve)
     (d ln P/d ln p), from the residuals' leg table and the kernels'
     linear parts of the located batch (``_Residuals.jacobian``), at the
-    cost of no further residual evaluation.  A step is halved while the
-    residual it reaches is non-finite or no smaller (in the sum of
+    cost of no further residual evaluation.  A J that the LU solve finds
+    singular, or a non-finite step, fails the build; the condition
+    number is worked out for the message alone.  A step is halved while
+    the residual it reaches is non-finite or no smaller (in the sum of
     squares) than the current one.
     """
     n = len(chosen)
@@ -708,9 +710,11 @@ def _solve_curve(
             stats.jacobian_evals += 1
             if not np.all(np.isfinite(jac)):
                 raise fail("non-finite Jacobian", r)
-            if np.linalg.cond(jac) > 1.0 / np.finfo(float).eps:
-                raise fail("singular Jacobian", r)
-            step = np.linalg.solve(jac, -r)
+            try:
+                step = np.linalg.solve(jac, -r)
+            except np.linalg.LinAlgError:
+                cond = np.linalg.cond(jac)
+                raise fail(f"singular Jacobian (cond {cond:.3e})", r) from None
             if not np.all(np.isfinite(step)):
                 raise fail("non-finite Newton step", r)
             size = r @ r

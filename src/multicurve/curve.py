@@ -13,6 +13,7 @@ The anchor ``P(t0, t0) = 1`` is implicit and never stored as a pillar.
 from __future__ import annotations
 
 import json
+import weakref
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,6 +35,25 @@ def tenor_months_from_label(label: str) -> int | None:
     return _LABEL_MONTHS.get(label)
 
 
+# Knot-time arrays by their bytes, held only as long as a curve (or a
+# query located on one) holds them: curves on one pillar grid share one
+# read-only array, which compiled queries then recognise by identity.
+_GRIDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _interned(ts: np.ndarray) -> np.ndarray:
+    """The shared read-only array holding the same knot times as ``ts``.
+
+    Two threads interning one new grid at once can at worst leave it two
+    arrays, which queries still match by value."""
+    key = ts.tobytes()
+    grid = _GRIDS.get(key)
+    if grid is None:
+        ts.flags.writeable = False
+        grid = _GRIDS[key] = ts
+    return grid
+
+
 class LocatedQuery:
     """Query times whose place among a curve's knots is kept between lookups.
 
@@ -44,7 +64,9 @@ class LocatedQuery:
     identity first, then by value), so any number of curves sharing a
     pillar grid, such as the curve sets of successive market snapshots
     or of a Jacobian's bumped columns, read it at the cost of the
-    evaluate step alone.
+    evaluate step alone.  ``YieldCurve`` interns its knot times, so
+    curves on one pillar grid hand every query the same array and the
+    identity check is the one that hits.
     """
 
     __slots__ = ("t", "_loc")
@@ -81,6 +103,11 @@ class YieldCurve:
         Accrual convention the curve's simple forward rates quote in.
     tenor_label : str
         One of ``TENOR_LABELS``.
+
+    The knot times (the anchor at 0 and the pillars' internal-clock
+    times) are one read-only array shared by every live curve with the
+    same reference date and pillar dates; an entry goes with the last
+    curve or query that holds it.
     """
 
     __slots__ = (
@@ -131,7 +158,7 @@ class YieldCurve:
         all_dfs = np.empty(len(dates) + 1, dtype=np.float64)
         all_dfs[0] = 1.0
         all_dfs[1:] = dfs
-        self._ts = ts
+        self._ts = _interned(ts)
         self._dfs = all_dfs
         self._lnp = np.log(all_dfs)
         self._aux = _kernels.knot_data(self.interpolation, ts, self._lnp)

@@ -22,7 +22,9 @@ N(x) = erfc(-x / sqrt(2)) / 2 from ``math.erfc``.  ``black``,
 broadcast inputs, so a call costs about a microsecond per element and
 a few microseconds beyond, where a numpy evaluation would pay tens of
 microseconds of fixed cost on the one to forty elements a position
-holds.
+holds.  Compiled positions skip even the broadcast: a swaption calls
+the routine on its floats, and a cap or floor, whose omega is checked
+on compiling, maps it over its periods' floats.
 
 Every instrument is compiled before it is valued.  Compiling turns its
 dates, as serial days, into ``LocatedQuery`` objects, one on the
@@ -39,9 +41,10 @@ QA from ``quanto_mult`` and ``swap_quanto_mult``.  Valuing reads the
 discount factors of each curve through its query and applies the leg
 formulas of ``_cashflows`` (simple forward, floating leg, annuity),
 which the bootstrap quotes share, so a compiled position costs one
-kernel evaluation per curve it reads, some array arithmetic and at
-most one Black call.  A caplet is the one-period cap, and a swap values
-each of its legs once for both its PV and its par rate.
+kernel evaluation per curve it reads, some array arithmetic and one
+Black routine call per option period.  A caplet is the one-period cap,
+and a swap values each of its legs once for both its PV and its par
+rate.
 
 Compiling also gives each instrument its reverse pass: dPV/d ln P at
 every time its queries read, from the same discount factors, for every
@@ -117,7 +120,8 @@ def _black_element(omega, slope, f, k, mu, var) -> float:
     """``black`` of one element, or with ``slope`` true its dBl/dF.
 
     The routine behind ``black`` and ``_black_slope``; a compiled
-    swaption, whose inputs are floats already, calls it directly.  The
+    swaption, whose inputs are floats already, calls it directly, and a
+    compiled cap or floor maps it over its periods' floats.  The
     settings come first so that a ``functools.partial`` of them maps
     over the elements with positional arguments alone.
     """
@@ -426,16 +430,25 @@ def _compile_capfloor(
     t = (serials - disc.reference_date.serial) / 365.0
     if (t[1:] <= t[:-1]).any():
         raise ValueError("cap/floor periods need increasing dates")
+    _check_omega(omega)
     taus = year_fractions(serials[:-1], serials[1:], daycount or fwd.daycount)
     q_f = _query(fwd, serials)
     q_d = LocatedQuery(t[1:])
     qa, variance, drift = _adjustments(volcorr, t[:-1])
-    mu = drift if paper_literal else 0.0
+    # the per-period floats the Black routine maps over beside the
+    # adjusted forwards, as ``black`` would pass them
+    columns = [strikes.tolist(), (drift if paper_literal else np.zeros(n)).tolist(),
+               variance.tolist()]
+    bl = functools.partial(_black_element, omega, False)
+    bl_slope = functools.partial(_black_element, omega, True)
+
+    def per_period(routine, f_adj: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(routine, f_adj.tolist(), *columns), float, count=n)
 
     def value(disc: YieldCurve, fwd: YieldCurve) -> tuple[float, float]:
         p_f = fwd.discount_time(q_f)
         forwards = _cashflows.simple_forward(p_f[:-1], p_f[1:], taus)
-        kernel = black(forwards * qa, strikes, mu, variance, omega)
+        kernel = per_period(bl, forwards * qa)
         pv = float(np.sum(notional * disc.discount_time(q_d) * taus * kernel))
         return pv, pv / notional
 
@@ -445,8 +458,8 @@ def _compile_capfloor(
         ratio = p_f[:-1] / p_f[1:]
         f_adj = _cashflows.simple_forward(p_f[:-1], p_f[1:], taus) * qa
         weight = notional * disc.discount_time(q_d) * taus
-        at_d = weight * black(f_adj, strikes, mu, variance, omega)
-        x = weight * _black_slope(f_adj, strikes, mu, variance, omega) * qa * ratio / taus
+        at_d = weight * per_period(bl, f_adj)
+        x = weight * per_period(bl_slope, f_adj) * qa * ratio / taus
         at_f = _cashflows.ratio_log_gradient(x)
         return float(np.sum(at_d)), ((q_d, at_d), (q_f, at_f))
 
@@ -582,7 +595,8 @@ def price_capfloor(
     ``strike`` and ``volcorr`` may be scalars applied to every period or
     sequences with one entry per period.  The periods are valued as
     arrays: one discount lookup per curve, one adjustment and variance
-    call per distinct spec and one Black call.
+    call per distinct spec and the scalar Black routine mapped over the
+    periods.
     """
     value, _ = _compile_capfloor(
         disc, fwd, _serials(schedule_dates), strike, omega, notional, volcorr, daycount,

@@ -600,6 +600,18 @@ class TestValidation:
         with pytest.raises(BootstrapError):
             bootstrap_curve([depo(6, -3.0)], reference_date=REF)
 
+    def test_singular_jacobian_fails_naming_the_curve(self, monkeypatch):
+        # the LU solve refuses an exactly singular J
+        def singular(self):
+            return np.ones((len(self.quotes), len(self.quotes)))
+
+        monkeypatch.setattr(bootstrap._Residuals, "jacobian", singular)
+        quotes = [depo(6, 0.02), swap(2, 0.025), swap(5, 0.03)]
+        with pytest.raises(
+            BootstrapError, match=r"^fwd_6M curve: singular Jacobian \(cond \S+\) after 1 Newton"
+        ):
+            bootstrap_curve(quotes, reference_date=REF, tenor_label="fwd_6M")
+
 
 class TestQuoteBlindToItsCurve:
     """OIS quotes in a forwarding set read the discounting curve alone,

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multicurve import Date, DayCount, InterpScheme, LocatedQuery, YieldCurve, add_months
-from multicurve import _kernels
+from multicurve import _kernels, curve
 
 REF = Date.of(2023, 6, 15)
 
@@ -124,7 +125,7 @@ class TestLocatedQuery:
 
     def test_locates_once_per_scheme_and_knot_grid(self, monkeypatch):
         c = make_curve()
-        # the same knot times in another array, with other DFs on them
+        # the same knot times (so the same interned array) with other DFs
         moved = YieldCurve(REF, list(zip(c.pillar_dates, c.pillar_dfs**1.1)))
         # another scheme, and other knot times
         other = make_curve(InterpScheme.LINEAR_ZERO)
@@ -145,6 +146,82 @@ class TestLocatedQuery:
 
     def test_empty_query(self):
         assert make_curve().discount_time(LocatedQuery([])).shape == (0,)
+
+
+@st.composite
+def _grid(draw):
+    """A reference date and one to eight pillar dates after it."""
+    ref = REF.add_days(draw(st.integers(0, 400)))
+    days = draw(st.lists(st.integers(1, 12000), min_size=1, max_size=8, unique=True))
+    return ref, [ref.add_days(d) for d in sorted(days)]
+
+
+def _on(grid, scheme, forwards):
+    """The curve on ``grid`` whose log-discounts fall at ``forwards[i]``
+    (a continuously compounded rate) up to pillar i."""
+    ref, dates = grid
+    gaps = np.diff([ref.serial] + [d.serial for d in dates]) / 365.0
+    dfs = np.exp(-np.cumsum(gaps * forwards[: len(dates)]))
+    return YieldCurve(ref, list(zip(dates, dfs)), interpolation=scheme)
+
+
+_FORWARDS = st.lists(st.floats(-0.01, 0.08), min_size=8, max_size=8)
+_INTERNING = settings(derandomize=True, deadline=None, max_examples=100)
+
+
+class TestInternedKnotGrids:
+    """Curves on one pillar grid share one read-only knot-time array, so a
+    located query recognises the grid by identity."""
+
+    @_INTERNING
+    @given(_grid(), _FORWARDS, _FORWARDS, st.sampled_from(ALL_SCHEMES), st.sampled_from(ALL_SCHEMES))
+    def test_one_array_per_grid(self, grid, fwd_a, fwd_b, scheme_a, scheme_b):
+        ref, dates = grid
+        a = _on(grid, scheme_a, fwd_a)
+        b = _on(grid, scheme_b, fwd_b)
+        assert a._ts is b._ts
+        # a pillar a day later, or the same dates seen from a day earlier
+        later = (ref, dates[:-1] + [dates[-1].add_days(1)])
+        earlier = (ref.add_days(-1), dates)
+        for other in (later, earlier):
+            c = _on(other, scheme_a, fwd_a)
+            assert c._ts is not a._ts
+            assert c._ts.tobytes() != a._ts.tobytes()
+
+    def test_read_only(self):
+        c = make_curve()
+        with pytest.raises(ValueError, match="read-only"):
+            c._ts[1] = 0.5
+        assert make_curve(InterpScheme.LINEAR_ZERO)._ts[1] == 90 / 365
+
+    def test_entry_goes_with_its_curves(self):
+        c = YieldCurve(REF, [(REF.add_days(4321), 0.9), (REF.add_days(9876), 0.7)])
+        key = c._ts.tobytes()
+        assert curve._GRIDS[key] is c._ts
+        del c
+        gc.collect()
+        assert key not in curve._GRIDS
+
+    @_INTERNING
+    @given(
+        _grid(), _grid(), _FORWARDS, _FORWARDS,
+        st.permutations(ALL_SCHEMES),
+        st.lists(st.floats(0.0, 40.0), max_size=30),
+    )
+    def test_one_query_across_grids_and_schemes(self, grid_a, grid_b, fwd_a, fwd_b,
+                                                schemes, times):
+        # knot times and points between and past them, from both grids
+        knots = [(d.serial - ref.serial) / 365.0 for ref, dates in (grid_a, grid_b)
+                 for d in dates]
+        t = np.array(times + knots)
+        q = LocatedQuery(t)
+        s1, s2 = schemes[:2]
+        for g, scheme, fwd in (
+            (grid_a, s1, fwd_a), (grid_a, s2, fwd_a), (grid_b, s1, fwd_b),
+            (grid_a, s1, fwd_b), (grid_b, s2, fwd_a), (grid_b, s2, fwd_b),
+        ):
+            c = _on(g, scheme, fwd)
+            assert c.discount_time(q).tobytes() == c.discount_time(t).tobytes()
 
 
 class TestRates:

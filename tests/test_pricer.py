@@ -915,6 +915,48 @@ class TestCompiledPositions:
                 assert len(locates) == 2, pos.kind
                 self.assert_matches_reference(pos, curves, volcorr=vc, swap_volcorr=svc)
 
+    def test_curve_sets_on_one_grid_locate_nothing_and_skip_black(self, monkeypatch):
+        # four curve sets on one pillar grid, as successive snapshots are:
+        # after the first valuation no position or book gradient locates
+        # a query or goes through the broadcasting option kernels
+        vc, svc = self.SPECS[1]
+        positions = self.positions()
+        assert {p.kind for p in positions} == set(pricer._POSITION_KINDS)
+        cubic = InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC
+        sets = [self.curves(cubic, scale=s) for s in (1.0, 0.9, 1.1, 1.2)]
+        grid = sets[0]["discount"]._ts
+        assert all(c._ts is grid for curves in sets for c in curves.values())
+        book = Book(positions, vc, svc)
+        for pos in positions:
+            price_position(pos, sets[0], volcorr=vc, swap_volcorr=svc)
+        book.gradient(sets[0])
+        calls = []
+        for module, name in ((_kernels, "locate"), (pricer, "black"), (pricer, "_black_slope")):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name,
+                lambda *a, name=name, real=real: calls.append(name) or real(*a),
+            )
+        for curves in sets[1:] + sets[:1]:
+            for pos in positions:
+                pv, _ = price_position(pos, curves, volcorr=vc, swap_volcorr=svc)
+                assert math.isfinite(pv)
+            book.gradient(curves)
+        assert calls == []
+
+    def test_cap_forward_checked_on_every_curve_set(self):
+        # the omega is checked on compiling, the forwards on each valuation
+        dates = [add_months(REF, 12), add_months(REF, 18), add_months(REF, 24)]
+        with pytest.raises(ValueError, match="omega"):
+            price_capfloor(DISC, FWD, dates, 0.03, 0)
+        vc = self.SPECS[1][0]
+        (cap,) = parse_portfolio([dict(self.ROWS[6], forwarding="fwd_6M")])
+        price_position(cap, {"discount": DISC, "fwd_6M": FWD}, volcorr=vc)
+        rising = _recurve(FWD, FWD.interpolation, scale=-1.0)
+        assert rising._ts is FWD._ts
+        with pytest.raises(ValueError, match="positive forward"):
+            price_position(cap, {"discount": DISC, "fwd_6M": rising}, volcorr=vc)
+
     def test_compiled_form_is_not_part_of_the_position(self):
         (pos,) = parse_portfolio([dict(self.ROWS[2], forwarding="fwd_6M")])
         (fresh,) = parse_portfolio([dict(self.ROWS[2], forwarding="fwd_6M")])
