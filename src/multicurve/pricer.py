@@ -17,14 +17,14 @@ flags for comparison.
 
 The option kernel is one scalar routine on ``math``: Black's value, or
 its slope in the forward, of one element, with the normal CDF
-N(x) = erfc(-x / sqrt(2)) / 2 from ``math.erfc``.  ``black``,
-``_black_slope`` and ``norm_cdf`` loop it over the elements of their
-broadcast inputs, so a call costs about a microsecond per element and
-a few microseconds beyond, where a numpy evaluation would pay tens of
-microseconds of fixed cost on the one to forty elements a position
-holds.  Compiled positions skip even the broadcast: a swaption calls
-the routine on its floats, and a cap or floor, whose omega is checked
-on compiling, maps it over its periods' floats.
+N(x) = erfc(-x / sqrt(2)) / 2 from ``math.erfc``.  ``black`` and
+``norm_cdf`` loop it over the elements of their broadcast inputs, so a
+call costs about a microsecond per element and a few microseconds
+beyond, where a numpy evaluation would pay tens of microseconds of fixed
+cost on the one to forty elements a position holds.  Compiled positions
+skip even the broadcast: a swaption calls the routine on its floats, and
+a cap or floor, whose omega is checked on compiling, maps it over its
+periods' floats.
 
 Every instrument is compiled before it is valued.  Compiling turns its
 dates, as serial days, into ``LocatedQuery`` objects, one on the
@@ -46,16 +46,18 @@ Black routine call per option period.  A caplet is the one-period cap,
 and a swap values each of its legs once for both its PV and its par
 rate.
 
-Compiling also gives each instrument its reverse pass: dPV/d ln P at
-every time its queries read, from the same discount factors, for every
-position kind.  The options' pass carries Black's slope in the forward,
-dBl/dF = omega N(omega d+) + n(d+) (1 - e^mu) / sqrt(var), whose drift
-term is the paper-literal variant's, and the intrinsic's slope at zero
-variance.  A ``Book`` holds positions with one set of pricing settings:
-called on a curve dict it gives the PV of ``price_position`` summed, and
-``Book.gradient`` gives the book's reverse pass per curve label from one
-valuation, which ``risk`` chains through each curve's d ln P/d ln p into
-the exact book gradient its quote deltas need.
+Each position kind's formulas are written once, in the one function it
+compiles to, ``run``: it values the position and hands back its reverse
+pass, dPV/d ln P at every time its queries read, as a closure over the
+discount factors, adjusted forwards, Black values, leg sums and annuity
+the valuation holds, so that pass reads no curve and values no Black
+formula again.  Valuing alone never calls it; an option's calls Black's
+slope once per period.  A ``Book`` holds positions with one set of
+pricing settings: called on a curve dict it gives the PV of
+``price_position`` summed, and ``Book.gradient`` gives that same PV and
+the book's reverse pass per curve label, which ``risk`` chains through
+each curve's d ln P/d ln p into the exact book gradient its quote
+deltas need.
 
 ``price_position`` keeps the compiled form on the ``Position`` itself,
 keyed on the discounting and forwarding reference dates, the
@@ -119,9 +121,12 @@ def _normal_cdf(x: float) -> float:
 def _black_element(omega, slope, f, k, mu, var) -> float:
     """``black`` of one element, or with ``slope`` true its dBl/dF.
 
-    The routine behind ``black`` and ``_black_slope``; a compiled
-    swaption, whose inputs are floats already, calls it directly, and a
-    compiled cap or floor maps it over its periods' floats.  The
+    The routine behind ``black``; a compiled swaption, whose inputs are
+    floats already, calls it directly, and a compiled cap or floor maps
+    it over its periods' floats.  As K n(d-) = F n(d+) e^mu, dBl/dF =
+    omega N(omega d+) + n(d+) (1 - e^mu) / sqrt(var), the second term the
+    drift's; at zero variance it is the intrinsic's, the
+    out-of-the-money side's at the kink.  The
     settings come first so that a ``functools.partial`` of them maps
     over the elements with positional arguments alone.
     """
@@ -256,35 +261,17 @@ class OptionSpec:
     daycount: DayCount | None = None
 
 
-def _black_slope(forward, strike, drift, variance, omega: int):
-    """dBl/dF of ``black`` in the forward, on the same inputs.
-
-    Bl = omega [F N(omega d+) - K N(omega d-)] and K n(d-) = F n(d+) e^mu,
-    so dBl/dF = omega N(omega d+) + n(d+) (1 - e^mu) / sqrt(var): the
-    second term is the drift's, and vanishes at mu = 0.  With zero
-    variance Bl is the intrinsic, whose slope is omega where
-    omega (ln(F/K) + mu) > 0 and 0 elsewhere, so at its kink the slope
-    is the out-of-the-money side's.
-    """
-    _check_omega(omega)
-    return _per_element(
-        functools.partial(_black_element, omega, True), forward, strike, drift, variance
-    )
-
-
 # ---------------------------------------------------------------------------
 # compiled instruments
 # ---------------------------------------------------------------------------
 # Each ``_compile_*`` reads the dates, accruals and adjustments of one
-# instrument once and returns two closures over them, both reading only
-# discount factors, one located lookup per curve:
+# instrument once and returns one closure over them, ``run(disc, fwd) ->
+# (pv, fair, reverse)``, which reads only discount factors, one located
+# lookup per curve.  ``reverse() -> ((q_d, g_d), (q_f, g_f))`` reads
+# none: g_d and g_f hold dPV/d ln P at every time of the discounting
+# query q_d and of the forwarding query q_f, in query order.
 #
-# * ``value(disc, fwd) -> (pv, fair)``;
-# * ``gradient(disc, fwd) -> (pv, ((q_d, g_d), (q_f, g_f)))``, where g_d
-#   and g_f hold dPV/d ln P at every time of the discounting query q_d
-#   and of the forwarding query q_f, in query order.
-#
-# The curves passed to either must share the compiling curves' reference
+# The curves passed to ``run`` must share the compiling curves' reference
 # dates (and, where the spec leaves it open, the forwarding day count);
 # their pillar dates and DFs may differ.
 
@@ -334,31 +321,29 @@ def _compile_fra(disc: YieldCurve, fwd: YieldCurve, spec: FraSpec, volcorr):
     qa = quanto_mult(volcorr, 0.0, disc.time(spec.start))
     notional, strike = spec.notional, spec.strike
 
-    def value(disc: YieldCurve, fwd: YieldCurve) -> tuple[float, float]:
-        p = fwd.discount_time(q_f)
-        f_adj = float(_cashflows.simple_forward(p[0], p[1], tau)) * qa
-        p_d = float(disc.discount_time(q_d)[0])
-        return notional * p_d * tau * (f_adj - strike), f_adj
-
-    def gradient(disc: YieldCurve, fwd: YieldCurve):
-        # dF/d ln P_f = +-P_f(T1) / (tau P_f(T2))
+    def run(disc: YieldCurve, fwd: YieldCurve):
         p = fwd.discount_time(q_f)
         f_adj = float(_cashflows.simple_forward(p[0], p[1], tau)) * qa
         p_d = disc.discount_time(q_d)
-        pv = notional * p_d * tau * (f_adj - strike)
-        slope = notional * p_d[0] * qa * (p[0] / p[1])
-        return float(pv[0]), ((q_d, pv), (q_f, np.array([slope, -slope])))
+        pv = notional * float(p_d[0]) * tau * (f_adj - strike)
 
-    return value, gradient
+        def reverse():
+            # dF/d ln P_f = +-P_f(T1) / (tau P_f(T2))
+            slope = notional * p_d[0] * qa * (p[0] / p[1])
+            return (q_d, np.array([pv])), (q_f, np.array([slope, -slope]))
+
+        return pv, f_adj, reverse
+
+    return run
 
 
 def _compile_legs(disc: YieldCurve, fwd: YieldCurve, spec: SwapSpec, volcorr):
     """Adjusted floating-leg PV and fixed annuity, per unit notional.
 
     Both legs' payment dates form one discount query.  Gives ``legs``,
-    ``gradient`` and the queries (q_d, q_f): ``gradient`` adds to the
-    two values their dPV/d ln P, the float leg's and the annuity's at
-    every time of q_d and the float leg's at every time of q_f.
+    the two values and their reverse pass, and the queries (q_d, q_f);
+    that pass gives the float leg's and the annuity's dPV/d ln P at every
+    time of q_d and the float leg's at every time of q_f.
     """
     start, end, months = spec.start, spec.end, spec.fixed_frequency_months
     fdays = _sched(start.serial, end.serial, spec.float_tenor_months)
@@ -370,44 +355,40 @@ def _compile_legs(disc: YieldCurve, fwd: YieldCurve, spec: SwapSpec, volcorr):
     # without a spec the coupons skip the multiply by QA altogether
     qa = None if volcorr is None else _adjustments(volcorr, q_f.t[:-1])[0]
 
-    def legs(disc: YieldCurve, fwd: YieldCurve) -> tuple[float, float]:
+    def legs(disc: YieldCurve, fwd: YieldCurve):
         p_d = disc.discount_time(q_d)
-        return (
-            _cashflows.float_leg(p_d[:n], fwd.discount_time(q_f), qa),
-            _cashflows.annuity(taus, p_d[n:]),
-        )
+        p_f = fwd.discount_time(q_f)
+        float_pv = _cashflows.float_leg(p_d[:n], p_f, qa)
 
-    def gradient(disc: YieldCurve, fwd: YieldCurve):
-        p_d = disc.discount_time(q_d)
-        at_pay, at_f = _cashflows.float_leg_log_gradient(
-            p_d[:n], fwd.discount_time(q_f), qa
-        )
-        d_float, d_ann = np.zeros(len(p_d)), np.zeros(len(p_d))
-        d_float[:n] = at_pay
-        d_ann[n:] = taus * p_d[n:]
-        return float(np.sum(at_pay)), float(np.sum(d_ann)), d_float, d_ann, at_f
+        def reverse():
+            at_pay, at_f = _cashflows.float_leg_log_gradient(p_d[:n], p_f, qa)
+            d_float, d_ann = np.zeros(len(p_d)), np.zeros(len(p_d))
+            d_float[:n] = at_pay
+            d_ann[n:] = taus * p_d[n:]
+            return d_float, d_ann, at_f
 
-    return legs, gradient, (q_d, q_f)
+        return float_pv, _cashflows.annuity(taus, p_d[n:]), reverse
+
+    return legs, (q_d, q_f)
 
 
 def _compile_swap(disc: YieldCurve, fwd: YieldCurve, spec: SwapSpec, volcorr):
     """PV of the swap and its par rate."""
-    legs, legs_gradient, (q_d, q_f) = _compile_legs(disc, fwd, spec, volcorr)
+    legs, (q_d, q_f) = _compile_legs(disc, fwd, spec, volcorr)
     sign = 1.0 if spec.payer else -1.0
 
-    def value(disc: YieldCurve, fwd: YieldCurve) -> tuple[float, float]:
-        float_pv, a_d = legs(disc, fwd)
+    def run(disc: YieldCurve, fwd: YieldCurve):
+        float_pv, a_d, legs_reverse = legs(disc, fwd)
         pv = spec.notional * (float_pv - spec.fixed_rate * a_d)
-        return sign * pv, float_pv / a_d
 
-    def gradient(disc: YieldCurve, fwd: YieldCurve):
-        float_pv, a_d, d_float, d_ann, d_float_f = legs_gradient(disc, fwd)
-        scale, k = sign * spec.notional, spec.fixed_rate
-        return scale * (float_pv - k * a_d), (
-            (q_d, scale * (d_float - k * d_ann)), (q_f, scale * d_float_f),
-        )
+        def reverse():
+            d_float, d_ann, d_float_f = legs_reverse()
+            scale = sign * spec.notional
+            return (q_d, scale * (d_float - spec.fixed_rate * d_ann)), (q_f, scale * d_float_f)
 
-    return value, gradient
+        return sign * pv, float_pv / a_d, reverse
+
+    return run
 
 
 def _compile_capfloor(
@@ -445,25 +426,21 @@ def _compile_capfloor(
     def per_period(routine, f_adj: np.ndarray) -> np.ndarray:
         return np.fromiter(map(routine, f_adj.tolist(), *columns), float, count=n)
 
-    def value(disc: YieldCurve, fwd: YieldCurve) -> tuple[float, float]:
-        p_f = fwd.discount_time(q_f)
-        forwards = _cashflows.simple_forward(p_f[:-1], p_f[1:], taus)
-        kernel = per_period(bl, forwards * qa)
-        pv = float(np.sum(notional * disc.discount_time(q_d) * taus * kernel))
-        return pv, pv / notional
-
-    def gradient(disc: YieldCurve, fwd: YieldCurve):
+    def run(disc: YieldCurve, fwd: YieldCurve):
         # period i pays N P_d tau Bl(F_i QA_i), F_i = (ratio_i - 1) / tau_i
         p_f = fwd.discount_time(q_f)
-        ratio = p_f[:-1] / p_f[1:]
         f_adj = _cashflows.simple_forward(p_f[:-1], p_f[1:], taus) * qa
         weight = notional * disc.discount_time(q_d) * taus
         at_d = weight * per_period(bl, f_adj)
-        x = weight * per_period(bl_slope, f_adj) * qa * ratio / taus
-        at_f = _cashflows.ratio_log_gradient(x)
-        return float(np.sum(at_d)), ((q_d, at_d), (q_f, at_f))
+        pv = float(np.sum(at_d))
 
-    return value, gradient
+        def reverse():
+            x = weight * per_period(bl_slope, f_adj) * qa * (p_f[:-1] / p_f[1:]) / taus
+            return (q_d, at_d), (q_f, _cashflows.ratio_log_gradient(x))
+
+        return pv, pv / notional, reverse
+
+    return run
 
 
 def _compile_swaption(
@@ -477,31 +454,30 @@ def _compile_swaption(
     t_exp = disc.time(swap.start)
     if t_exp <= 0.0:
         raise ValueError("swaption expiry must lie after the reference date")
-    legs, legs_gradient, (q_d, q_f) = _compile_legs(disc, fwd, swap, None)
+    legs, (q_d, q_f) = _compile_legs(disc, fwd, swap, None)
     qa = swap_quanto_mult(volcorr, 0.0, t_exp)
     variance = volcorr.variance_integral(0.0, t_exp) if volcorr else 0.0
     mu = volcorr.drift_integral(0.0, t_exp) if (paper_literal and volcorr) else 0.0
-    omega, strike = (1 if swap.payer else -1), swap.fixed_rate
+    omega, strike, notional = (1 if swap.payer else -1), swap.fixed_rate, swap.notional
 
-    def value(disc: YieldCurve, fwd: YieldCurve) -> tuple[float, float]:
-        float_pv, a_d = legs(disc, fwd)
-        kernel = _black_element(omega, False, float_pv / a_d * qa, strike, mu, variance)
-        pv = swap.notional * a_d * kernel
-        return pv, pv / swap.notional
-
-    def gradient(disc: YieldCurve, fwd: YieldCurve):
-        # N A Bl(S QA) with S = L / A: d = (Bl - Bl' S QA) dA + Bl' QA dL
-        float_pv, a_d, d_float, d_ann, d_float_f = legs_gradient(disc, fwd)
+    def run(disc: YieldCurve, fwd: YieldCurve):
+        float_pv, a_d, legs_reverse = legs(disc, fwd)
         rate = float_pv / a_d * qa
         kernel = _black_element(omega, False, rate, strike, mu, variance)
-        slope = _black_element(omega, True, rate, strike, mu, variance) * qa
-        n = swap.notional
-        return n * a_d * kernel, (
-            (q_d, n * ((kernel - slope * float_pv / a_d) * d_ann + slope * d_float)),
-            (q_f, n * slope * d_float_f),
-        )
+        pv = notional * a_d * kernel
 
-    return value, gradient
+        def reverse():
+            # N A Bl(S QA) with S = L / A: d = (Bl - Bl' S QA) dA + Bl' QA dL
+            d_float, d_ann, d_float_f = legs_reverse()
+            slope = _black_element(omega, True, rate, strike, mu, variance) * qa
+            return (
+                (q_d, notional * ((kernel - slope * float_pv / a_d) * d_ann + slope * d_float)),
+                (q_f, notional * slope * d_float_f),
+            )
+
+        return pv, pv / notional, reverse
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +509,7 @@ def price_fra(
     volcorr: VolCorrSpec | None = None,
 ) -> float:
     """PV of a forward rate agreement paying tau * (L - K) at the end date."""
-    return _compile_fra(disc, fwd, spec, volcorr)[0](disc, fwd)[0]
+    return _compile_fra(disc, fwd, spec, volcorr)(disc, fwd)[0]
 
 
 def fair_swap_rate(
@@ -543,7 +519,7 @@ def fair_swap_rate(
     volcorr: VolCorrSpec | list[VolCorrSpec] | None = None,
 ) -> float:
     """Par fixed rate: adjusted floating leg over the fixed annuity."""
-    return _compile_swap(disc, fwd, spec, volcorr)[0](disc, fwd)[1]
+    return _compile_swap(disc, fwd, spec, volcorr)(disc, fwd)[1]
 
 
 def price_swap(
@@ -553,7 +529,7 @@ def price_swap(
     volcorr: VolCorrSpec | list[VolCorrSpec] | None = None,
 ) -> float:
     """PV of the swap; positive when the payer side is in the money."""
-    return _compile_swap(disc, fwd, spec, volcorr)[0](disc, fwd)[0]
+    return _compile_swap(disc, fwd, spec, volcorr)(disc, fwd)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -598,11 +574,10 @@ def price_capfloor(
     call per distinct spec and the scalar Black routine mapped over the
     periods.
     """
-    value, _ = _compile_capfloor(
+    return _compile_capfloor(
         disc, fwd, _serials(schedule_dates), strike, omega, notional, volcorr, daycount,
         paper_literal,
-    )
-    return value(disc, fwd)[0]
+    )(disc, fwd)[0]
 
 
 def price_swaption(
@@ -617,7 +592,7 @@ def price_swaption(
     The adjusted forward swap rate S * QA prices against the strike in
     the Black kernel; a payer swaption is a call (omega +1).
     """
-    return _compile_swaption(disc, fwd, swap, volcorr, paper_literal)[0](disc, fwd)[0]
+    return _compile_swaption(disc, fwd, swap, volcorr, paper_literal)(disc, fwd)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -745,18 +720,15 @@ def price_position(
     settings change; otherwise the curves are read through the compiled
     queries alone.
     """
-    (value, _), disc, fwd = _compiled(
-        pos, curves, volcorr, swap_volcorr, single_curve, paper_literal
-    )
-    pv, fair = value(disc, fwd)
+    run, disc, fwd = _compiled(pos, curves, volcorr, swap_volcorr, single_curve, paper_literal)
+    pv, fair, _ = run(disc, fwd)
     return pos.quantity * pv, fair
 
 
 def _compiled(pos, curves, volcorr, swap_volcorr, single_curve, paper_literal):
-    """The position's compiled (value, gradient) for these settings and
-    the curves' reference dates and forwarding day count, compiled on
-    first use and kept on the position, with its discounting and
-    forwarding curves."""
+    """The position's compiled ``run`` for these settings and the curves'
+    reference dates and forwarding day count, compiled on first use and
+    kept on the position, with its discounting and forwarding curves."""
     disc = curves["discount"]
     fwd = disc if single_curve else curves[pos.forwarding]
     key = (
@@ -824,16 +796,18 @@ class Book:
         Each position's discounting reads go to ``discount`` and its
         forwarding reads to its forwarding label (``discount`` too with
         ``single_curve``); per label, the positions' queries are joined
-        into one.  The PV is the gradient pass's own sum, which can
-        differ from the book's value in the last bits.
+        into one.  The PV is the book's value on ``curves``, the same
+        float as calling the book: each position is valued once, and
+        its reverse pass runs on that valuation.
         """
         single_curve = self.settings[2]
         total = 0.0
         parts: dict[str, list] = {}
         for pos in self.positions:
-            (_, gradient), disc, fwd = _compiled(pos, curves, *self.settings)
-            pv, ((q_d, g_d), (q_f, g_f)) = gradient(disc, fwd)
+            run, disc, fwd = _compiled(pos, curves, *self.settings)
+            pv, _, reverse = run(disc, fwd)
             total += pos.quantity * pv
+            (q_d, g_d), (q_f, g_f) = reverse()
             label = "discount" if single_curve else pos.forwarding
             for key, q, g in (("discount", q_d, g_d), (label, q_f, g_f)):
                 parts.setdefault(key, []).append((q, pos.quantity * g))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import pickle
 
@@ -232,16 +233,24 @@ _ELEMENT = st.tuples(
 )
 
 
+def _black_slope(forward, strike, drift, variance, omega):
+    """dBl/dF: the scalar Black routine's slope branch over the broadcast
+    elements, as ``black`` runs its value branch."""
+    return pricer._per_element(
+        functools.partial(pricer._black_element, omega, True), forward, strike, drift, variance
+    )
+
+
 class TestBlackElementwise:
-    """``black`` and ``_black_slope`` evaluate one scalar routine per
-    element of their broadcast inputs."""
+    """``black`` and the slope branch of its scalar routine evaluate that
+    routine once per element of their broadcast inputs."""
 
     @_PROPERTY
     @given(st.lists(_ELEMENT, min_size=1, max_size=20), st.sampled_from([1, -1]))
     def test_arrays_equal_scalar_calls_bit_for_bit(self, elements, omega):
         f, m, mu, var = (np.array(c) for c in zip(*elements))
         k = f * m
-        for kernel in (black, pricer._black_slope):
+        for kernel in (black, _black_slope):
             got = kernel(f, k, mu, var, omega)
             assert got.shape == f.shape
             assert got.tolist() == [
@@ -269,10 +278,10 @@ class TestBlackElementwise:
         f, m, mu, var = element
         k, h = f * m, 1e-6 * f
         diff = (black(f + h, k, mu, var, omega) - black(f - h, k, mu, var, omega)) / (2.0 * h)
-        assert abs(pricer._black_slope(f, k, mu, var, omega) - diff) <= 1e-7
+        assert abs(_black_slope(f, k, mu, var, omega) - diff) <= 1e-7
 
     def test_zero_variance_slope_is_the_intrinsic_one(self):
-        slope = pricer._black_slope
+        slope = _black_slope
         assert slope(0.05, 0.04, 0.0, 0.0, 1) == 1.0
         assert slope(0.04, 0.05, 0.0, 0.0, -1) == -1.0
         assert slope(0.04, 0.05, 0.0, 0.0, 1) == 0.0
@@ -282,7 +291,7 @@ class TestBlackElementwise:
             assert black(0.04, 0.04, 0.0, 0.0, omega) == 0.0
             assert slope(0.04, 0.04, 0.0, 0.0, omega) == 0.0
 
-    @pytest.mark.parametrize("kernel", [black, pricer._black_slope])
+    @pytest.mark.parametrize("kernel", [black, _black_slope])
     def test_nan_passes_through(self, kernel):
         for i in range(4):
             args = [0.04, 0.03, 0.0, 0.01]
@@ -291,7 +300,7 @@ class TestBlackElementwise:
         got = kernel(np.array([0.04, math.nan, 0.05]), 0.03, 0.0, 0.01, -1)
         assert np.isnan(got).tolist() == [False, True, False]
 
-    @pytest.mark.parametrize("kernel", [black, pricer._black_slope])
+    @pytest.mark.parametrize("kernel", [black, _black_slope])
     def test_nan_passes_through_at_zero_variance(self, kernel):
         assert math.isnan(kernel(math.nan, 0.03, 0.0, 0.0, 1))
         assert math.isnan(kernel(0.03, 0.03, math.nan, 0.0, -1))
@@ -299,7 +308,7 @@ class TestBlackElementwise:
         got = kernel(np.array([0.04, math.nan, 0.02]), 0.03, 0.0, 0.0, 1)
         assert np.isnan(got).tolist() == [False, True, False]
 
-    @pytest.mark.parametrize("kernel", [black, pricer._black_slope])
+    @pytest.mark.parametrize("kernel", [black, _black_slope])
     def test_invalid_inputs_raise(self, kernel):
         for args in (
             (0.0, 0.03, 0.0, 0.01), (-0.01, 0.03, 0.0, 0.01),
@@ -931,7 +940,7 @@ class TestCompiledPositions:
             price_position(pos, sets[0], volcorr=vc, swap_volcorr=svc)
         book.gradient(sets[0])
         calls = []
-        for module, name in ((_kernels, "locate"), (pricer, "black"), (pricer, "_black_slope")):
+        for module, name in ((_kernels, "locate"), (pricer, "black")):
             real = getattr(module, name)
             monkeypatch.setattr(
                 module, name,
@@ -1059,7 +1068,7 @@ class TestBookGradient:
     @staticmethod
     def assert_matches_differences(book, curves):
         pv, reads = book.gradient(curves)
-        assert pv == pytest.approx(book(curves), rel=1e-12, abs=1e-15)
+        assert pv == book(curves)
         for label, (q, g) in reads.items():
             times, want = oracles.reference_book_gradient(book, curves, label, 1e-6)
             got = np.bincount(np.searchsorted(times, q.t), g, len(times))
@@ -1089,6 +1098,31 @@ class TestBookGradient:
                     for pos in positions:
                         book = Book([pos], vc, svc, single_curve, paper_literal)
                         self.assert_matches_differences(book, curves)
+
+    def test_valuing_leaves_the_reverse_pass_uncalled(self, monkeypatch):
+        # a book of every kind, compiled with the routine recorded: pricing
+        # takes no slope, one gradient one per option period and swaption
+        vc, svc = self.SPECS[1]
+        slopes = []
+        real = pricer._black_element
+        monkeypatch.setattr(
+            pricer, "_black_element",
+            lambda omega, slope, *a: slopes.append(slope) or real(omega, slope, *a),
+        )
+        positions = TestCompiledPositions().positions()
+        curves = TestCompiledPositions.curves(InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC)
+        for pos in positions:
+            price_position(pos, curves, volcorr=vc, swap_volcorr=svc)
+        assert slopes and not any(slopes)
+        want = sum(
+            len(cached_schedule_serials(p.spec.start.serial, p.spec.end.serial,
+                                        p.tenor_months)) - 1
+            if p.kind in ("cap", "floor") else 1
+            for p in positions if p.kind not in ("fra", "swap")
+        )
+        slopes.clear()
+        Book(positions, vc, svc).gradient(curves)
+        assert slopes.count(True) == want == slopes.count(False)
 
     @pytest.mark.parametrize("kind,omega", [("caplet", 1), ("floorlet", -1)])
     def test_intrinsic_kink_takes_the_out_of_the_money_side(self, kind, omega):
