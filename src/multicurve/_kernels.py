@@ -3,21 +3,31 @@
 Every discount-factor lookup is split in two steps:
 
 * ``locate`` reads only the query times and the knot times.  It does
-  the search, picks each query's segment and turns the query's place in
-  it into per-query weights (the cubic's four Hermite coefficients, or
-  the linear schemes' segment width and offset), and it records the
-  queries beyond the last knot and the queries that sit exactly on a
-  knot.  The result, a ``Located``, stays valid for as long as the
-  scheme and the knot times stay the same.
+  the search, picks each query's column of the knot table and turns the
+  query's place in its segment into one ``(k, m)`` block of weights, k
+  per query, and it records the queries that sit exactly on a knot.  The
+  result, a ``Located``, stays valid for as long as the scheme and the
+  knot times stay the same.
 * ``eval_log_cubic``/``eval_log_linear``/``eval_linear_zero`` read the
-  knot values: they gather the log-discounts (and the scheme's knot
-  data from ``knot_data``) at the located indices, combine them with
-  the stored weights, exponentiate and put the stored discount factors
-  back on exact knots.
+  knot values through the table ``knot_data`` builds once per curve:
+  one ``take`` of each query's column, one in-place multiply by the
+  weight block and one sum over its k rows (``np.add.reduce`` along the
+  first axis adds row by row, left to right), then ``exp`` and the
+  stored discount factors put back on exact knots.  The cubic's table
+  is (ln p_j, S_j, ln p_j+1, S_j+1) per segment, S the cubic's knot
+  slopes, against the four Hermite coefficients; the linear schemes'
+  is (value, slope) per segment, log-discount or zero rate, against
+  (1, offset into the segment), with one more column past the last knot
+  for the extrapolation; a third ``linzero`` weight row, -t, turns the
+  summed zero rate into ln P.  A lookup then costs four or five numpy
+  calls whatever its scheme and size, where reading the knot arrays at
+  each query's segment and combining them term by term took fourteen.
 
 ``evaluate`` is ``locate`` followed by ``apply``, the one place that
 picks a scheme's evaluate step, so an ad-hoc lookup and a located one
-run the same arithmetic.  ``YieldCurve`` and the bootstrap residuals
+run the same arithmetic.  It works through at most ``BLOCK`` queries at
+a time, so a daily read over decades keeps its temporaries small (see
+``BLOCK`` for the size).  ``YieldCurve`` and the bootstrap residuals
 both go through these, so no other module branches on the scheme to
 evaluate a curve.  ``apply`` looks the ``eval_*`` kernels up as module
 globals on every call, so a kernel replaced on this module is the one
@@ -41,8 +51,8 @@ per-query weight g, such as a residual's dR/d ln P, into G (A + B S').
 Kernel contract, shared by all schemes:
 
 * ``t`` are query times (years, ACT/365F from the curve reference),
-  all >= 0; the caller validates this.  Each ``eval_*`` takes the
-  query times first, then their ``Located``.
+  all >= 0 and finite; the caller validates this.  Each ``eval_*`` takes
+  the query times first, then their ``Located``.
 * ``ts``/``dfs`` are knot times and discount factors with the implicit
   anchor ``ts[0] = 0, dfs[0] = 1`` already prepended.
 * A query that lands exactly on a knot returns the stored discount
@@ -66,8 +76,10 @@ from .interp import (
 )
 
 __all__ = [
+    "BLOCK",
     "Located",
     "locate",
+    "join",
     "eval_log_cubic",
     "eval_log_linear",
     "eval_linear_zero",
@@ -78,30 +90,41 @@ __all__ = [
     "log_jacobian",
 ]
 
+# Queries per block of an ad-hoc ``evaluate``.  The largest temporary of
+# a block, the cubic's gathered (4, BLOCK) table, then takes 4,000 x 4 x
+# 8 = 128,000 bytes, just under glibc's 128 KiB mmap threshold, so every
+# temporary comes from the heap instead of fresh zeroed pages: a daily
+# read over thirty years in one piece faults in each of its pages anew.
+BLOCK = 4000
+
+_CUBIC = InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC
+_LINZERO = InterpScheme.LINEAR_ZERO
+
 
 class Located:
     """Query times placed among one scheme's knot times.
 
-    ``j`` is each query's segment (knots ``j`` and ``j + 1``).  ``w``
-    holds the per-query weight arrays: for the cubic the four Hermite
-    coefficients of ``lnp[j]``, ``drv[j]``, ``lnp[j+1]``, ``drv[j+1]``,
-    with the rows past the last knot set to ``(0, 0, 1, t - ts[-1])``;
-    for the linear schemes the segment width ``h`` and the offset ``dt``
-    from the segment start (from the last knot past it).  ``ext`` lists
-    the rows past the last knot (linear schemes only) and ``hits`` the
-    (rows, knots) of exact knot hits; either is None when empty.
-    ``lin`` holds the lookup's linear parts once ``linear_parts`` has
-    built them.
+    ``j`` is each query's column of the scheme's knot table (segment
+    ``j``, between knots ``j`` and ``j + 1``; for the linear schemes
+    ``len(ts) - 1`` past the last knot).  ``w`` is the ``(k, m)`` block
+    of weights on the table's k rows: for the cubic the four Hermite
+    coefficients of (ln p_j, S_j, ln p_j+1, S_j+1), with the rows past
+    the last knot set to ``(0, 0, 1, t - ts[-1])``; for ``loglinear``
+    ``(1, dt)``, ``dt`` the offset from the segment start (from the last
+    knot past it); for ``linzero`` ``(1, dt, -t)``, the third row the
+    factor that turns the zero rate into -ln P, and ``(-ts[-1], -dt, 1)``
+    past the last knot.  ``hits`` holds the (rows, knots) of exact knot
+    hits, or None.  ``lin`` holds the lookup's linear parts once
+    ``linear_parts`` has built them.
     """
 
-    __slots__ = ("scheme", "ts", "j", "w", "ext", "hits", "lin")
+    __slots__ = ("scheme", "ts", "j", "w", "hits", "lin")
 
-    def __init__(self, scheme, ts, j, w, ext, hits):
+    def __init__(self, scheme, ts, j, w, hits):
         self.scheme = scheme
         self.ts = ts
         self.j = j
         self.w = w
-        self.ext = ext
         self.hits = hits
         self.lin = None
 
@@ -115,8 +138,9 @@ def locate(scheme: InterpScheme, t: np.ndarray, ts: np.ndarray) -> Located:
     after the first that it reaches does), and its segment is ``lo``
     capped at the last interior segment.
     """
+    n = ts.shape[0]
     lo = ts[1:].searchsorted(t, side="right")
-    j = np.minimum(lo, ts.shape[0] - 2)
+    j = np.minimum(lo, n - 2)
     hits = ext = None
     hit = ts[lo] == t
     if hit.any():
@@ -126,101 +150,139 @@ def locate(scheme: InterpScheme, t: np.ndarray, ts: np.ndarray) -> Located:
     if past.any():
         ext = np.flatnonzero(past)
     tj = ts[j]
-    h = (ts[1:] - ts[:-1])[j]
-    dt = t - tj
-    if scheme is not InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC:
+    if scheme is not _CUBIC:
+        w = np.empty((3 if scheme is _LINZERO else 2, t.shape[0]))
+        w[0] = 1.0
+        dt = np.subtract(t, tj, out=w[1])
+        if scheme is _LINZERO:
+            np.negative(t, out=w[2])
         if ext is not None:
+            j[ext] = n - 1
             dt[ext] = t[ext] - ts[-1]
-        return Located(scheme, ts, j, (h, dt), ext, hits)
+            if scheme is _LINZERO:
+                # -zr[-1] tn - f_end dt as zr[-1] (-tn) + f_end (-dt), times 1
+                w[0, ext] = -ts[-1]
+                w[1, ext] = -dt[ext]
+                w[2, ext] = 1.0
+        return Located(scheme, ts, j, w, hits)
     # the Hermite coefficients (1+2s)u^2, h(su)u, s^2(3-2s), h s^2(s-1)
     # of the fused kernel, product by product and in its order (up to the
     # order of two operands), built in place to keep large batches lean
-    s = dt
+    h = (ts[1:] - ts[:-1])[j]
+    s = t - tj
     s /= h
     u = 1.0 - s
     ss = s * s
-    c0 = 2.0 * s
+    w = np.empty((4, t.shape[0]))
+    c0, c1, c2, c3 = w
+    np.multiply(s, 2.0, out=c0)
     c0 += 1.0
     c0 *= u
     c0 *= u
-    c1 = s * u
+    np.multiply(s, u, out=c1)
     c1 *= u
     c1 *= h
-    c2 = 2.0 * s
+    np.multiply(s, 2.0, out=c2)
     np.subtract(3.0, c2, out=c2)
     c2 *= ss
-    c3 = s
-    c3 -= 1.0
+    np.subtract(s, 1.0, out=c3)
     c3 *= ss
     c3 *= h
     if ext is not None:
         # lnp[-1] + drv[-1] * (t - ts[-1]) through the same four terms
-        c0[ext] = 0.0
-        c1[ext] = 0.0
+        w[:2, ext] = 0.0
         c2[ext] = 1.0
         c3[ext] = t[ext] - ts[-1]
-    return Located(scheme, ts, j, (c0, c1, c2, c3), None, hits)
+    return Located(scheme, ts, j, w, hits)
 
 
-def _finish(y, dfs, hits):
-    # exponentiate in place, then put the stored df back on exact knots
+def join(locs: list[Located]) -> Located:
+    """One ``Located`` for the queries of ``locs`` in turn, all located
+    for one scheme on one knot-time array: their columns and weight
+    blocks side by side and their exact hits offset to the joined rows."""
+    first = locs[0]
+    if len(locs) == 1:
+        return first
+    hits, start = [], 0
+    for loc in locs:
+        if loc.hits is not None:
+            hits.append((loc.hits[0] + start, loc.hits[1]))
+        start += loc.j.shape[0]
+    return Located(
+        first.scheme,
+        first.ts,
+        np.concatenate([loc.j for loc in locs]),
+        np.concatenate([loc.w for loc in locs], axis=1),
+        tuple(map(np.concatenate, zip(*hits))) if hits else None,
+    )
+
+
+def _combine(table, loc, dfs, w, scale=None):
+    # each query's table column times its weights ``w``, the rows added
+    # in order (c0 x0 + c1 x1 + ..., as the fused kernels add them, since
+    # a reduction over the first axis adds whole rows), times ``scale``
+    # if given; then exponentiated in place, and the stored df put back
+    # on exact knots
+    y = table.take(loc.j, axis=1)
+    y *= w
+    y = np.add.reduce(y)
+    if scale is not None:
+        y *= scale
     out = np.exp(y, out=y)
+    hits = loc.hits
     if hits is not None:
         out[hits[0]] = dfs[hits[1]]
     return out
 
 
-def eval_log_cubic(t, loc, dfs, lnp, drv):
-    j, (c0, c1, c2, c3) = loc.j, loc.w
-    y = c0 * lnp[j]
-    y += c1 * drv[j]
-    y += c2 * lnp[1:][j]
-    y += c3 * drv[1:][j]
-    return _finish(y, dfs, loc.hits)
+def eval_log_cubic(t, loc, dfs, table):
+    return _combine(table, loc, dfs, loc.w)
 
 
-def eval_log_linear(t, loc, dfs, lnp):
-    j, (h, dt), ext = loc.j, loc.w, loc.ext
-    slope = (lnp[1:][j] - lnp[j]) / h
-    y = lnp[j] + slope * dt
-    # the last interior segment slope doubles as the extrapolation forward
-    if ext is not None:
-        y[ext] = lnp[-1] + slope[ext] * dt[ext]
-    return _finish(y, dfs, loc.hits)
+def eval_log_linear(t, loc, dfs, table):
+    # ln p_j + slope_j dt, the last slope carried past the last knot
+    return _combine(table, loc, dfs, loc.w)
 
 
-def eval_linear_zero(t, loc, dfs, zr):
-    j, (h, dt), ext = loc.j, loc.w, loc.ext
-    slope = (zr[1:][j] - zr[j]) / h
-    z = zr[j] + slope * dt
-    y = -z * t
-    if ext is not None:
-        # continue at the instantaneous forward implied by the last segment
-        tn = loc.ts[-1]
-        f_end = zr[-1] + tn * slope[ext[0]]
-        y[ext] = -zr[-1] * tn - f_end * dt[ext]
-    return _finish(y, dfs, loc.hits)
+def eval_linear_zero(t, loc, dfs, table):
+    # -(zr_j + slope_j dt) t; past the last knot the frozen forward
+    w = loc.w
+    return _combine(table, loc, dfs, w[:2], w[2])
 
 
-def apply(t, loc: Located, dfs, lnp, aux) -> np.ndarray:
+def apply(t, loc: Located, dfs, table) -> np.ndarray:
     """Discount factors at the located times ``t`` through the scheme's
-    evaluate step; ``aux`` is what ``knot_data`` built for the knots."""
+    evaluate step; ``table`` is what ``knot_data`` built for the knots."""
     scheme = loc.scheme
-    if scheme is InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC:
-        return eval_log_cubic(t, loc, dfs, lnp, aux)
-    if scheme is InterpScheme.LINEAR_ZERO:
-        return eval_linear_zero(t, loc, dfs, aux)
-    return eval_log_linear(t, loc, dfs, lnp)
+    if scheme is _CUBIC:
+        return eval_log_cubic(t, loc, dfs, table)
+    if scheme is _LINZERO:
+        return eval_linear_zero(t, loc, dfs, table)
+    return eval_log_linear(t, loc, dfs, table)
 
 
-def knot_data(scheme: InterpScheme, ts: np.ndarray, lnp: np.ndarray):
-    """Per-knot data the scheme's kernel reads beside the log-discounts:
-    monotone cubic slopes, zero rates, or None for log-linear."""
-    if scheme is InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC:
-        return monotone_cubic_slopes(ts, lnp)
-    if scheme is InterpScheme.LINEAR_ZERO:
-        return zero_rates_from_logdf(ts, lnp)
-    return None
+def knot_data(scheme: InterpScheme, ts: np.ndarray, lnp: np.ndarray) -> np.ndarray:
+    """The scheme's knot table, one column per segment: (ln p_j, S_j,
+    ln p_j+1, S_j+1) for the cubic, S its monotone slopes; (value,
+    slope) of the log-discounts (``loglinear``) or zero rates
+    (``linzero``), plus a last column for the extrapolation: the last
+    log-discount and the last segment's slope, or the last zero rate
+    and the frozen instantaneous forward."""
+    if scheme is _CUBIC:
+        drv = monotone_cubic_slopes(ts, lnp)
+        table = np.empty((4, ts.shape[0] - 1))
+        table[0] = lnp[:-1]
+        table[1] = drv[:-1]
+        table[2] = lnp[1:]
+        table[3] = drv[1:]
+        return table
+    y = lnp if scheme is not _LINZERO else zero_rates_from_logdf(ts, lnp)
+    table = np.empty((2, ts.shape[0]))
+    table[0] = y
+    slope = table[1]
+    np.divide(y[1:] - y[:-1], ts[1:] - ts[:-1], out=slope[:-1])
+    slope[-1] = slope[-2] if scheme is not _LINZERO else y[-1] + ts[-1] * slope[-2]
+    return table
 
 
 def linear_parts(t, loc: Located):
@@ -234,15 +296,21 @@ def linear_parts(t, loc: Located):
     """
     if loc.lin is not None:
         return loc.lin
-    ts, j, ext = loc.ts, loc.j, loc.ext
+    ts = loc.ts
+    j = np.minimum(loc.j, ts.shape[0] - 2)
     cols = np.stack((j, j + 1))
     b = None
-    if loc.scheme is InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC:
+    if loc.scheme is _CUBIC:
         c0, c1, c2, c3 = loc.w
         a, b = np.stack((c0, c2)), np.stack((c1, c3))
     else:
-        h, dt = loc.w
-        w = dt / h
+        ext = np.flatnonzero(t > ts[-1])
+        if not ext.size:
+            ext = None
+        dt = t - ts[j]
+        if ext is not None:
+            dt[ext] = t[ext] - ts[-1]
+        w = dt / (ts[1:] - ts[:-1])[j]
         if loc.scheme is InterpScheme.LOG_LINEAR_DISCOUNT:
             a = np.stack((1.0 - w, w))
             if ext is not None:
@@ -288,11 +356,17 @@ def log_jacobian(t, loc: Located, lnp, g, rows, n_rows: int) -> np.ndarray:
     return out
 
 
-def evaluate(scheme: InterpScheme, t, ts, dfs, lnp, aux) -> np.ndarray:
-    """Discount factors at times ``t``: locate, then the scheme's
-    evaluate step."""
+def evaluate(scheme: InterpScheme, t, ts, dfs, table) -> np.ndarray:
+    """Discount factors at times ``t`` (any shape): locate, then the
+    scheme's evaluate step, ``BLOCK`` queries at a time."""
     t = np.ascontiguousarray(t, dtype=np.float64)
-    if t.ndim != 1:
-        flat = t.reshape(-1)
-        return apply(flat, locate(scheme, flat, ts), dfs, lnp, aux).reshape(t.shape)
-    return apply(t, locate(scheme, t, ts), dfs, lnp, aux)
+    flat = t.reshape(-1)
+    m = flat.shape[0]
+    if m <= BLOCK:
+        out = apply(flat, locate(scheme, flat, ts), dfs, table)
+    else:
+        out = np.empty(m)
+        for i in range(0, m, BLOCK):
+            part = flat[i:i + BLOCK]
+            out[i:i + BLOCK] = apply(part, locate(scheme, part, ts), dfs, table)
+    return out.reshape(t.shape)

@@ -431,11 +431,11 @@ class _Residuals:
         """R with the solved curve given by its knot times ``ts`` and
         discount factors ``dfs``, anchor included."""
         lnp = np.log(dfs)
-        aux = _kernels.knot_data(scheme, ts, lnp)
+        table = _kernels.knot_data(scheme, ts, lnp)
         reads = self.reads
         q = reads.queries[_OWN]
         loc = q.located(scheme, ts)
-        reads.p[_OWN] = _kernels.apply(q.t, loc, dfs, lnp, aux)
+        reads.p[_OWN] = _kernels.apply(q.t, loc, dfs, table)
         reads.curves[_OWN] = None
         self._pillars = (loc, lnp)
         return self._evaluate()

@@ -54,17 +54,24 @@ def _interned(ts: np.ndarray) -> np.ndarray:
     return grid
 
 
+def _check_times(t: np.ndarray) -> None:
+    """Raise unless every time in the float array ``t`` is finite and >= 0
+    (a NaN fails the first comparison)."""
+    if t.size and not (t.min() >= 0.0 and t.max() < np.inf):
+        raise ValueError("cannot discount before the reference date or at a non-finite time")
+
+
 class LocatedQuery:
     """Query times whose place among a curve's knots is kept between lookups.
 
     The times are on the internal clock of the curves that read the
-    query, and are checked to be >= 0 once, here.  The query keeps one
-    ``_kernels.Located`` for one (scheme, knot-time array) and locates
-    again only when a curve's scheme or knot times differ (compared by
-    identity first, then by value), so any number of curves sharing a
-    pillar grid, such as the curve sets of successive market snapshots
-    or of a Jacobian's bumped columns, read it at the cost of the
-    evaluate step alone.  ``YieldCurve`` interns its knot times, so
+    query, and are checked to be finite and >= 0 once, here.  The query
+    keeps one ``_kernels.Located`` for one (scheme, knot-time array) and
+    locates again only when a curve's scheme or knot times differ
+    (compared by identity first, then by value), so any number of curves
+    sharing a pillar grid, such as the curve sets of successive market
+    snapshots or of a Jacobian's bumped columns, read it at the cost of
+    the evaluate step alone.  ``YieldCurve`` interns its knot times, so
     curves on one pillar grid hand every query the same array and the
     identity check is the one that hits.
     """
@@ -73,10 +80,21 @@ class LocatedQuery:
 
     def __init__(self, t):
         t = np.ascontiguousarray(t, dtype=np.float64).reshape(-1)
-        if t.size and t.min() < 0.0:
-            raise ValueError("cannot discount before the reference date")
+        _check_times(t)
         self.t = t
         self._loc = None
+
+    @classmethod
+    def join(cls, queries: list["LocatedQuery"], curve: "YieldCurve") -> "LocatedQuery":
+        """One query for the times of ``queries`` in turn, already located
+        on ``curve``: each part's own located lookup (kept, or made now)
+        joined, so the joined query reads ``curve`` and every curve on
+        its pillar grid without a search."""
+        scheme, ts = curve.interpolation, curve._ts
+        joined = cls.__new__(cls)
+        joined.t = np.concatenate([q.t for q in queries])
+        joined._loc = _kernels.join([q.located(scheme, ts) for q in queries])
+        return joined
 
     def located(self, scheme: InterpScheme, ts: np.ndarray) -> _kernels.Located:
         loc = self._loc
@@ -107,7 +125,13 @@ class YieldCurve:
     The knot times (the anchor at 0 and the pillars' internal-clock
     times) are one read-only array shared by every live curve with the
     same reference date and pillar dates; an entry goes with the last
-    curve or query that holds it.
+    curve or query that holds it.  Beside them the curve keeps its knot
+    table (``_kernels.knot_data``: per segment the log-discounts and
+    monotone slopes the cubic reads, or the log-discount or zero-rate
+    values and slopes of the linear schemes), built once, so a lookup
+    gathers each query's column of it and weighs it in one pass.  Times
+    are checked to be finite and >= 0; an ad-hoc lookup is located and
+    evaluated in blocks of ``_kernels.BLOCK`` queries.
     """
 
     __slots__ = (
@@ -120,7 +144,7 @@ class YieldCurve:
         "_ts",
         "_dfs",
         "_lnp",
-        "_aux",
+        "_table",
     )
 
     def __init__(
@@ -161,7 +185,7 @@ class YieldCurve:
         self._ts = _interned(ts)
         self._dfs = all_dfs
         self._lnp = np.log(all_dfs)
-        self._aux = _kernels.knot_data(self.interpolation, ts, self._lnp)
+        self._table = _kernels.knot_data(self.interpolation, ts, self._lnp)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -174,21 +198,20 @@ class YieldCurve:
         return (serials - self.reference_date.serial) / 365.0
 
     def discount_time(self, t) -> float | np.ndarray:
-        """Discount factor at internal-clock time(s) ``t`` >= 0.
+        """Discount factor at internal-clock time(s) ``t``, finite and >= 0.
 
         ``t`` may also be a ``LocatedQuery``, which gives an array and
-        skips the search while this curve's knot times match the ones
-        the query was last located on.
+        skips the search while this curve's knot times are the ones the
+        query was last located on.
         """
         if isinstance(t, LocatedQuery):
-            loc = t.located(self.interpolation, self._ts)
-            return _kernels.apply(t.t, loc, self._dfs, self._lnp, self._aux)
+            loc = t._loc
+            if loc is None or loc.ts is not self._ts or loc.scheme is not self.interpolation:
+                loc = t.located(self.interpolation, self._ts)
+            return _kernels.apply(t.t, loc, self._dfs, self._table)
         arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        if arr.size and arr.min() < 0.0:
-            raise ValueError("cannot discount before the reference date")
-        out = _kernels.evaluate(
-            self.interpolation, arr, self._ts, self._dfs, self._lnp, self._aux
-        )
+        _check_times(arr)
+        out = _kernels.evaluate(self.interpolation, arr, self._ts, self._dfs, self._table)
         if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
             return float(out[0])
         return out

@@ -24,7 +24,12 @@ beyond, where a numpy evaluation would pay tens of microseconds of fixed
 cost on the one to forty elements a position holds.  Compiled positions
 skip even the broadcast: a swaption calls the routine on its floats, and
 a cap or floor, whose omega is checked on compiling, maps it over its
-periods' floats.
+periods' floats.  For the same reason a cap, floor or FRA turns each
+curve read into floats at once (one ``tolist`` per read) and works its
+forwards, weights and Black values as floats, product by product in the
+order the array arithmetic would take, so the values are the arrays'
+to the last bit; a cap's period values are then summed by one numpy
+``sum``.  Swap and swaption legs stay arrays, one ``np.dot`` per leg.
 
 Every instrument is compiled before it is valued.  Compiling turns its
 dates, as serial days, into ``LocatedQuery`` objects, one on the
@@ -322,14 +327,14 @@ def _compile_fra(disc: YieldCurve, fwd: YieldCurve, spec: FraSpec, volcorr):
     notional, strike = spec.notional, spec.strike
 
     def run(disc: YieldCurve, fwd: YieldCurve):
-        p = fwd.discount_time(q_f)
-        f_adj = float(_cashflows.simple_forward(p[0], p[1], tau)) * qa
-        p_d = disc.discount_time(q_d)
-        pv = notional * float(p_d[0]) * tau * (f_adj - strike)
+        p1, p2 = fwd.discount_time(q_f).tolist()
+        f_adj = _cashflows.simple_forward(p1, p2, tau) * qa
+        (p_d,) = disc.discount_time(q_d).tolist()
+        pv = notional * p_d * tau * (f_adj - strike)
 
         def reverse():
             # dF/d ln P_f = +-P_f(T1) / (tau P_f(T2))
-            slope = notional * p_d[0] * qa * (p[0] / p[1])
+            slope = notional * p_d * qa * (p1 / p2)
             return (q_d, np.array([pv])), (q_f, np.array([slope, -slope]))
 
         return pv, f_adj, reverse
@@ -416,27 +421,33 @@ def _compile_capfloor(
     q_f = _query(fwd, serials)
     q_d = LocatedQuery(t[1:])
     qa, variance, drift = _adjustments(volcorr, t[:-1])
+    taus, qa = taus.tolist(), qa.tolist()
     # the per-period floats the Black routine maps over beside the
     # adjusted forwards, as ``black`` would pass them
     columns = [strikes.tolist(), (drift if paper_literal else np.zeros(n)).tolist(),
                variance.tolist()]
     bl = functools.partial(_black_element, omega, False)
     bl_slope = functools.partial(_black_element, omega, True)
-
-    def per_period(routine, f_adj: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(routine, f_adj.tolist(), *columns), float, count=n)
+    forward = _cashflows.simple_forward
 
     def run(disc: YieldCurve, fwd: YieldCurve):
-        # period i pays N P_d tau Bl(F_i QA_i), F_i = (ratio_i - 1) / tau_i
-        p_f = fwd.discount_time(q_f)
-        f_adj = _cashflows.simple_forward(p_f[:-1], p_f[1:], taus) * qa
-        weight = notional * disc.discount_time(q_d) * taus
-        at_d = weight * per_period(bl, f_adj)
-        pv = float(np.sum(at_d))
+        # period i pays N P_d tau Bl(F_i QA_i), F_i = (ratio_i - 1) / tau_i,
+        # worked on floats in the order the array arithmetic would take
+        p_f = fwd.discount_time(q_f).tolist()
+        p_d = disc.discount_time(q_d).tolist()
+        f_adj = [forward(a, b, tau) * x for a, b, tau, x in zip(p_f, p_f[1:], taus, qa)]
+        weight = [notional * d * tau for d, tau in zip(p_d, taus)]
+        at_d = np.array([w * v for w, v in zip(weight, map(bl, f_adj, *columns))])
+        pv = float(at_d.sum())
 
         def reverse():
-            x = weight * per_period(bl_slope, f_adj) * qa * (p_f[:-1] / p_f[1:]) / taus
-            return (q_d, at_d), (q_f, _cashflows.ratio_log_gradient(x))
+            x = [
+                w * v * q * (a / b) / tau
+                for w, v, q, a, b, tau in zip(
+                    weight, map(bl_slope, f_adj, *columns), qa, p_f, p_f[1:], taus
+                )
+            ]
+            return (q_d, at_d), (q_f, _cashflows.ratio_log_gradient(np.array(x)))
 
         return pv, pv / notional, reverse
 
@@ -569,10 +580,11 @@ def price_capfloor(
     """Sum of caplets/floorlets over consecutive schedule periods.
 
     ``strike`` and ``volcorr`` may be scalars applied to every period or
-    sequences with one entry per period.  The periods are valued as
-    arrays: one discount lookup per curve, one adjustment and variance
-    call per distinct spec and the scalar Black routine mapped over the
-    periods.
+    sequences with one entry per period.  Valuing takes one discount
+    lookup per curve, one adjustment and variance call per distinct spec,
+    and works each period's adjusted forward, discounted accrual and
+    Black value (the scalar routine mapped over the periods) on floats;
+    one numpy sum adds the periods.
     """
     return _compile_capfloor(
         disc, fwd, _serials(schedule_dates), strike, omega, notional, volcorr, daycount,
@@ -796,9 +808,11 @@ class Book:
         Each position's discounting reads go to ``discount`` and its
         forwarding reads to its forwarding label (``discount`` too with
         ``single_curve``); per label, the positions' queries are joined
-        into one.  The PV is the book's value on ``curves``, the same
-        float as calling the book: each position is valued once, and
-        its reverse pass runs on that valuation.
+        into one, located already on that label's curve from the
+        positions' own lookups, so chaining it through the curve's
+        d ln P/d ln p searches no knot again.  The PV is the book's value
+        on ``curves``, the same float as calling the book: each position
+        is valued once, and its reverse pass runs on that valuation.
         """
         single_curve = self.settings[2]
         total = 0.0
@@ -813,7 +827,7 @@ class Book:
                 parts.setdefault(key, []).append((q, pos.quantity * g))
         out = {
             label: (
-                LocatedQuery(np.concatenate([q.t for q, _ in pairs])),
+                LocatedQuery.join([q for q, _ in pairs], curves[label]),
                 np.concatenate([g for _, g in pairs]),
             )
             for label, pairs in parts.items()

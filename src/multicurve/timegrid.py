@@ -260,10 +260,12 @@ def generate_schedule(start: Date, end: Date, frequency_months: int) -> list[Dat
 
     The end date is always included; a non-integral number of periods
     produces a short final stub.  Each roll adds ``i * frequency`` months
-    to the anchor so month-end clamping does not accumulate drift.
+    to the anchor so month-end clamping does not accumulate drift.  The
+    dates are ``cached_schedule_serials`` of the two dates' serial days,
+    so a schedule asked for again is not rolled again.
     """
-    rolls = _interior_rolls(start, end, frequency_months)
-    return [start, *map(Date, rolls.tolist()), end]
+    serials = cached_schedule_serials(start.serial, end.serial, frequency_months)
+    return list(map(Date, serials.tolist()))
 
 
 def _interior_rolls(start: Date, end: Date, frequency_months: int) -> np.ndarray:
@@ -284,12 +286,15 @@ def _interior_rolls(start: Date, end: Date, frequency_months: int) -> np.ndarray
 
 @lru_cache(maxsize=4096)
 def cached_schedule_serials(start: int, end: int, frequency_months: int) -> np.ndarray:
-    """``generate_schedule`` between the serial days ``start`` and ``end``
-    as a read-only int64 array of serial days, memoised on them.
+    """The schedule between the serial days ``start`` and ``end`` as a
+    read-only int64 array of serial days, memoised on them: the one place
+    a schedule is rolled.
 
-    Quote sets and priced positions read their schedules from here, so
-    every bumped or re-marked curve set reprices the same swaps without
-    rolling their dates again."""
+    Quote sets and priced positions read their schedules from here, and
+    ``generate_schedule`` hands them out as dates, so every bumped or
+    re-marked curve set reprices the same swaps, and every snapshot of a
+    market quotes the same maturities, without rolling their dates
+    again."""
     rolls = _interior_rolls(Date(start), Date(end), frequency_months)
     serials = np.concatenate(([start], rolls, [end]))
     serials.flags.writeable = False

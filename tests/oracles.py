@@ -223,6 +223,22 @@ def reference_eval_log_cubic(t, ts, dfs, lnp, drv):
     return out
 
 
+def reference_knots(scheme, ts, dfs):
+    """What the fused kernel of ``scheme`` reads beside the knot times and
+    discount factors: (ln p, cubic slopes), (ln p,) or (zero rates,),
+    from ln p = log(dfs) as the curves and the bootstrap take it."""
+    import numpy as np
+
+    from multicurve.interp import InterpScheme, monotone_cubic_slopes, zero_rates_from_logdf
+
+    lnp = np.log(dfs)
+    if scheme is InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC:
+        return lnp, monotone_cubic_slopes(ts, lnp)
+    if scheme is InterpScheme.LINEAR_ZERO:
+        return (zero_rates_from_logdf(ts, lnp),)
+    return (lnp,)
+
+
 def _reference_locate(t, ts):
     t = np.ascontiguousarray(t, dtype=np.float64)
     lo = np.maximum(np.searchsorted(ts, t, side="right") - 1, 0)
@@ -380,8 +396,8 @@ def reference_log_jacobian(scheme, t, ts, lnp, h):
     from multicurve.interp import InterpScheme
 
     def ln_p(y):
-        aux = _kernels.knot_data(scheme, ts, y)
-        return np.log(_kernels.evaluate(scheme, t, ts, np.exp(y), y, aux))
+        table = _kernels.knot_data(scheme, ts, y)
+        return np.log(_kernels.evaluate(scheme, t, ts, np.exp(y), table))
 
     branches = None
     if scheme is InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC:
@@ -809,10 +825,9 @@ class _ReferenceWorkspace:
 
     def df(self, t):
         if self.stale:
-            self.lnp = np.log(self.dfs)
-            self.aux = _kernels.knot_data(self.scheme, self.ts, self.lnp)
+            self.table = _kernels.knot_data(self.scheme, self.ts, np.log(self.dfs))
             self.stale = False
-        return _kernels.evaluate(self.scheme, t, self.ts, self.dfs, self.lnp, self.aux)
+        return _kernels.evaluate(self.scheme, t, self.ts, self.dfs, self.table)
 
 
 def reference_bootstrap_curve(quotes, config=None, discount_curve=None,

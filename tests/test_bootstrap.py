@@ -15,6 +15,7 @@ from oracles import (
     reference_eval_log_linear,
     reference_fair_quote,
     reference_instrument_pv,
+    reference_knots,
     reference_newton_jacobian,
     reference_repricing_errors,
 )
@@ -443,9 +444,9 @@ class TestSplitKernelsInTheSolve:
         split = MarketState(REF, sets, cfg).base_curves()
         calls = []
         for name, fused in self.FUSED.items():
-            def on_knots(t, loc, dfs, *knots, fused=fused):
+            def on_knots(t, loc, dfs, table, fused=fused):
                 calls.append(1)
-                return fused(t, loc.ts, dfs, *knots)
+                return fused(t, loc.ts, dfs, *reference_knots(loc.scheme, loc.ts, dfs))
 
             monkeypatch.setattr(_kernels, name, on_knots)
         again = MarketState(REF, sets, cfg).base_curves()

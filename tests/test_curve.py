@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,8 +145,34 @@ class TestLocatedQuery:
         with pytest.raises(ValueError, match="before the reference date"):
             LocatedQuery([0.5, -1e-9])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_times(self, bad):
+        c = make_curve()
+        for t in (bad, np.array([2.0, bad]), np.array([[bad]])):
+            with pytest.raises(ValueError, match="non-finite time"):
+                c.discount_time(t)
+        with pytest.raises(ValueError, match="non-finite time"):
+            LocatedQuery([bad, 2.0])
+
     def test_empty_query(self):
         assert make_curve().discount_time(LocatedQuery([])).shape == (0,)
+
+
+def test_large_ad_hoc_read_keeps_its_temporaries_small():
+    # 50,000 times read in one piece would allocate several 400 KB
+    # arrays and the cubic's (4, 50,000) gather; read in blocks, the
+    # peak is the output and one block's temporaries
+    t = np.linspace(0.0, 12.0, 50_000)
+    for scheme in ALL_SCHEMES:
+        c = make_curve(scheme)
+        tracemalloc.start()
+        try:
+            out = c.discount_time(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == t.shape
+        assert peak < 2.5 * t.nbytes, (scheme, peak)
 
 
 @st.composite

@@ -9,6 +9,7 @@ from oracles import (
     reference_eval_linear_zero,
     reference_eval_log_cubic,
     reference_eval_log_linear,
+    reference_knots,
     reference_log_jacobian,
     reference_monotone_cubic_slopes,
     reference_slope_jacobian,
@@ -71,17 +72,18 @@ class TestCubicKernel:
             [0.0, 0.5, 1.0, 2.0, 5.0, 10.0],
         )
         self.drv = monotone_cubic_slopes(self.ts, self.lnp)
+        self.table = _kernels.knot_data(CUBIC, self.ts, self.lnp)
 
     def test_matches_scipy_pchip_between_knots(self):
         ref = PchipInterpolator(self.ts, self.lnp)
         t = np.linspace(0.01, 9.99, 777)
         loc = _kernels.locate(CUBIC, t, self.ts)
-        mine = _kernels.eval_log_cubic(t, loc, self.dfs, self.lnp, self.drv)
+        mine = _kernels.eval_log_cubic(t, loc, self.dfs, self.table)
         np.testing.assert_allclose(mine, np.exp(ref(t)), rtol=1e-13)
 
     def test_exact_at_knots_bit_for_bit(self):
         loc = _kernels.locate(CUBIC, self.ts, self.ts)
-        out = _kernels.eval_log_cubic(self.ts, loc, self.dfs, self.lnp, self.drv)
+        out = _kernels.eval_log_cubic(self.ts, loc, self.dfs, self.table)
         assert np.array_equal(out, self.dfs)
 
     def test_flat_forward_extrapolation(self):
@@ -90,7 +92,7 @@ class TestCubicKernel:
         for u in (0.5, 2.0, 10.0):
             t = np.array([10.0 + u])
             got = _kernels.eval_log_cubic(
-                t, _kernels.locate(CUBIC, t, self.ts), self.dfs, self.lnp, self.drv
+                t, _kernels.locate(CUBIC, t, self.ts), self.dfs, self.table
             )[0]
             expected = self.dfs[-1] * math.exp(self.drv[-1] * u)
             assert got == pytest.approx(expected, rel=1e-14)
@@ -101,7 +103,7 @@ class TestCubicKernel:
             t0 = self.ts[k]
             grid = np.array([t0 - 2 * eps, t0 - eps, t0 + eps, t0 + 2 * eps])
             loc = _kernels.locate(CUBIC, grid, self.ts)
-            p = _kernels.eval_log_cubic(grid, loc, self.dfs, self.lnp, self.drv)
+            p = _kernels.eval_log_cubic(grid, loc, self.dfs, self.table)
             left = (math.log(p[1]) - math.log(p[0])) / eps
             right = (math.log(p[3]) - math.log(p[2])) / eps
             assert left == pytest.approx(right, abs=5e-6)
@@ -142,7 +144,9 @@ class TestLeanFormsMatchReference:
                 rng.uniform(0.0, ts[-1], 40), ts, ts[-1] + rng.uniform(0.0, 20.0, 5),
             ])
             rng.shuffle(t)
-            got = _kernels.eval_log_cubic(t, _kernels.locate(CUBIC, t, ts), dfs, ys, drv)
+            got = _kernels.eval_log_cubic(
+                t, _kernels.locate(CUBIC, t, ts), dfs, _kernels.knot_data(CUBIC, ts, ys)
+            )
             want = reference_eval_log_cubic(t, ts, dfs, ys, drv)
             assert got.tobytes() == want.tobytes(), (ts, ys, t)
 
@@ -152,21 +156,24 @@ class TestLogLinearKernel:
         # between (1y, 0.98) and (2y, 0.95) the log-linear midpoint is
         # sqrt(0.98 * 0.95)
         ts, dfs, lnp = _curve_arrays([1.0, 0.98, 0.95], [0.0, 1.0, 2.0])
+        table = _kernels.knot_data(LOGLIN, ts, lnp)
         t = np.array([1.5])
-        got = _kernels.eval_log_linear(t, _kernels.locate(LOGLIN, t, ts), dfs, lnp)[0]
+        got = _kernels.eval_log_linear(t, _kernels.locate(LOGLIN, t, ts), dfs, table)[0]
         assert got == pytest.approx(math.sqrt(0.98 * 0.95), rel=1e-15)
         assert got == pytest.approx(0.9648834126, abs=1e-9)
 
     def test_exact_at_knots(self):
         ts, dfs, lnp = _curve_arrays([1.0, 0.97, 0.92, 0.84], [0.0, 1.0, 3.0, 7.0])
-        out = _kernels.eval_log_linear(ts, _kernels.locate(LOGLIN, ts, ts), dfs, lnp)
+        table = _kernels.knot_data(LOGLIN, ts, lnp)
+        out = _kernels.eval_log_linear(ts, _kernels.locate(LOGLIN, ts, ts), dfs, table)
         assert np.array_equal(out, dfs)
 
     def test_extrapolation_continues_last_segment(self):
         ts, dfs, lnp = _curve_arrays([1.0, 0.98, 0.95], [0.0, 1.0, 2.0])
+        table = _kernels.knot_data(LOGLIN, ts, lnp)
         slope = (lnp[2] - lnp[1]) / 1.0
         t = np.array([3.5])
-        got = _kernels.eval_log_linear(t, _kernels.locate(LOGLIN, t, ts), dfs, lnp)[0]
+        got = _kernels.eval_log_linear(t, _kernels.locate(LOGLIN, t, ts), dfs, table)[0]
         assert got == pytest.approx(0.95 * math.exp(slope * 1.5), rel=1e-14)
 
 
@@ -174,31 +181,34 @@ class TestLinearZeroKernel:
     def test_midpoint_averages_zero_rates(self):
         ts, dfs, lnp = _curve_arrays([1.0, 0.98, 0.95], [0.0, 1.0, 2.0])
         zr = zero_rates_from_logdf(ts, lnp)
+        table = _kernels.knot_data(LINZERO, ts, lnp)
         z_mid = 0.5 * (zr[1] + zr[2])
         t = np.array([1.5])
-        got = _kernels.eval_linear_zero(t, _kernels.locate(LINZERO, t, ts), dfs, zr)[0]
+        got = _kernels.eval_linear_zero(t, _kernels.locate(LINZERO, t, ts), dfs, table)[0]
         assert got == pytest.approx(math.exp(-z_mid * 1.5), rel=1e-14)
 
     def test_short_end_flat_zero(self):
         ts, dfs, lnp = _curve_arrays([1.0, 0.98, 0.95], [0.0, 1.0, 2.0])
         zr = zero_rates_from_logdf(ts, lnp)
+        table = _kernels.knot_data(LINZERO, ts, lnp)
         t = np.array([0.25])
-        got = _kernels.eval_linear_zero(t, _kernels.locate(LINZERO, t, ts), dfs, zr)[0]
+        got = _kernels.eval_linear_zero(t, _kernels.locate(LINZERO, t, ts), dfs, table)[0]
         assert got == pytest.approx(math.exp(-zr[1] * 0.25), rel=1e-14)
 
     def test_exact_at_knots(self):
         ts, dfs, lnp = _curve_arrays([1.0, 0.99, 0.96, 0.9], [0.0, 0.7, 2.3, 6.1])
-        zr = zero_rates_from_logdf(ts, lnp)
-        out = _kernels.eval_linear_zero(ts, _kernels.locate(LINZERO, ts, ts), dfs, zr)
+        table = _kernels.knot_data(LINZERO, ts, lnp)
+        out = _kernels.eval_linear_zero(ts, _kernels.locate(LINZERO, ts, ts), dfs, table)
         assert np.array_equal(out, dfs)
 
     def test_extrapolation_freezes_instantaneous_forward(self):
         ts, dfs, lnp = _curve_arrays([1.0, 0.98, 0.95], [0.0, 1.0, 2.0])
         zr = zero_rates_from_logdf(ts, lnp)
+        table = _kernels.knot_data(LINZERO, ts, lnp)
         slope = (zr[2] - zr[1]) / 1.0
         f_end = zr[2] + 2.0 * slope
         t = np.array([3.0])
-        got = _kernels.eval_linear_zero(t, _kernels.locate(LINZERO, t, ts), dfs, zr)[0]
+        got = _kernels.eval_linear_zero(t, _kernels.locate(LINZERO, t, ts), dfs, table)[0]
         assert got == pytest.approx(math.exp(-zr[2] * 2.0 - f_end * 1.0), rel=1e-14)
 
 
@@ -223,10 +233,20 @@ class TestLocatedEvaluationMatchesFusedReference:
     """Locate-then-evaluate against the single-pass kernels in ``oracles``."""
 
     FUSED = {
-        CUBIC: lambda t, ts, dfs, lnp, aux: reference_eval_log_cubic(t, ts, dfs, lnp, aux),
-        LOGLIN: lambda t, ts, dfs, lnp, aux: reference_eval_log_linear(t, ts, dfs, lnp),
-        LINZERO: lambda t, ts, dfs, lnp, aux: reference_eval_linear_zero(t, ts, dfs, aux),
+        CUBIC: reference_eval_log_cubic,
+        LOGLIN: reference_eval_log_linear,
+        LINZERO: reference_eval_linear_zero,
     }
+
+    def _check(self, ts, dfs, t):
+        lnp = np.log(dfs)
+        for scheme, fused in self.FUSED.items():
+            table = _kernels.knot_data(scheme, ts, lnp)
+            want = fused(t, ts, dfs, *reference_knots(scheme, ts, dfs))
+            located = _kernels.apply(t, _kernels.locate(scheme, t, ts), dfs, table)
+            assert located.tobytes() == want.tobytes(), (scheme, ts, dfs, t)
+            ad_hoc = _kernels.evaluate(scheme, t, ts, dfs, table)
+            assert ad_hoc.tobytes() == want.tobytes(), (scheme, ts, dfs, t)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(_knots_and_queries())
@@ -234,15 +254,16 @@ class TestLocatedEvaluationMatchesFusedReference:
     @example((np.array([0.0, 2.0]), np.array([1.0, 0.95]), np.array([0.0, 2.0, 0.7, 3.5])))
     @example((np.array([0.0, 1.0, 3.0]), np.array([1.0, 0.98, 0.9]), np.empty(0)))
     def test_bit_for_bit_property(self, case):
-        ts, dfs, t = case
-        lnp = np.log(dfs)
-        for scheme, fused in self.FUSED.items():
-            aux = _kernels.knot_data(scheme, ts, lnp)
-            want = fused(t, ts, dfs, lnp, aux)
-            located = _kernels.apply(t, _kernels.locate(scheme, t, ts), dfs, lnp, aux)
-            assert located.tobytes() == want.tobytes(), (scheme, ts, dfs, t)
-            ad_hoc = _kernels.evaluate(scheme, t, ts, dfs, lnp, aux)
-            assert ad_hoc.tobytes() == want.tobytes(), (scheme, ts, dfs, t)
+        self._check(*case)
+
+    def test_daily_read_over_thirty_years_in_blocks(self):
+        # every day of 10,959 on a 30Y pillar grid, the last few past its
+        # last pillar: an ad-hoc read of three blocks
+        ts = np.concatenate(([0.0, 1 / 12, 0.25, 0.5], np.arange(1.0, 31.0)))
+        dfs = np.exp(-ts * (0.02 + 0.01 * np.sin(ts)))
+        t = np.arange(10959) / 365.0
+        assert t.size > 2 * _kernels.BLOCK
+        self._check(ts, dfs, t)
 
 
 @st.composite

@@ -14,6 +14,7 @@ from multicurve import (
     DayCount,
     InstrumentKind,
     InstrumentQuote,
+    LocatedQuery,
     MarketState,
     SwapVolCorrSpec,
     VolCorrSpec,
@@ -34,7 +35,7 @@ from multicurve import (
     write_ladder_csv,
     year_fraction,
 )
-from multicurve import _cashflows, bootstrap, risk
+from multicurve import _cashflows, _kernels, bootstrap, risk
 from multicurve.risk import HEDGE_CSV_HEADER, LADDER_CSV_HEADER
 from multicurve.synthetic import (
     SyntheticMarket,
@@ -297,6 +298,34 @@ class TestWorkCounts:
         stats = state.risk_stats()
         assert stats["book_valuations"] == 1
         assert stats["gradient"] == "exact"
+
+    def test_second_book_gradient_locates_nothing(self, monkeypatch):
+        # each label's joined read is located already, on the curve the
+        # book was valued on: the gradient chains it without a search, and
+        # gives what a freshly located join gives, bit for bit
+        state = MarketState(REF, make_quote_sets())
+        vc, svc = VolCorrSpec.flat(0.2, 0.1, -0.3), SwapVolCorrSpec.flat(0.25, 0.1, 0.4)
+        positions = parse_portfolio([
+            {"kind": "cap", "forwarding": "fwd_3M", "start": "2026-09-15",
+             "end": "2029-09-15", "strike": 0.03, "tenor_months": 3},
+            {"kind": "swaption", "forwarding": "fwd_6M", "start": "2027-06-15",
+             "end": "2032-06-15", "strike": 0.035},
+        ]) + criterion_08_positions()
+        book = Book(positions, vc, svc)
+        first = state._book_gradient(book)
+        calls = []
+        real = _kernels.locate
+        monkeypatch.setattr(_kernels, "locate", lambda *a: calls.append(1) or real(*a))
+        second = state._book_gradient(book)
+        assert calls == []
+        assert second.tobytes() == first.tobytes()
+        monkeypatch.undo()
+        base = state.base_curves()
+        _, reads = book.gradient(base)
+        for label, (q, g) in reads.items():
+            rows = np.zeros(len(g), np.intp)
+            fresh = base[label].log_jacobian(LocatedQuery(q.t), g, rows, 1)
+            assert base[label].log_jacobian(q, g, rows, 1).tobytes() == fresh.tobytes()
 
     def test_ladder_compiles_no_quote(self, monkeypatch):
         # J evaluates the residuals compiled by the base build

@@ -310,14 +310,27 @@ class TestGenerateSchedule:
 
     def test_invalid_inputs(self):
         d = Date.of(2022, 1, 1)
-        with pytest.raises(ValueError):
+        frequency = "schedule frequency must be a positive number of months"
+        with pytest.raises(ValueError, match=frequency):
             generate_schedule(d, d.add_days(100), 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=frequency):
             generate_schedule(d, d.add_days(100), -3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="schedule start 2022-01-01 must precede end 2022-01-01"):
             generate_schedule(d, d, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="schedule start 2022-01-02 must precede end 2022-01-01"):
             generate_schedule(d.add_days(1), d, 3)
+
+    def test_schedule_is_the_cached_serials(self):
+        # dates no other test uses, so the first call rolls and the second
+        # reads the cache
+        start, end = Date.of(2031, 5, 17), Date.of(2043, 8, 17)
+        before = cached_schedule_serials.cache_info().misses
+        dates = generate_schedule(start, end, 6)
+        assert [d.serial for d in dates] == cached_schedule_serials(
+            start.serial, end.serial, 6
+        ).tolist()
+        assert generate_schedule(start, end, 6) == dates
+        assert cached_schedule_serials.cache_info().misses - before == 1
 
 
 class TestScheduleSpec:
