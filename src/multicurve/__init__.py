@@ -98,5 +98,23 @@ from .credit import (
 
 __version__ = "0.1.0"
 
+
+def clear_caches() -> None:
+    """Empty every memo the package keeps of market structure: the two
+    schedule caches of ``timegrid``, the compiled quote sets of
+    ``bootstrap`` and the daily grids of ``basis``.  Values never
+    depend on them, so this only makes the next compile or table cold.
+    What a curve keeps of itself (its knot table, its daily reads) goes
+    with the curve."""
+    from . import basis, bootstrap, timegrid
+
+    for memo in (
+        timegrid.cached_schedule_serials,
+        timegrid.cached_schedule_accruals,
+        bootstrap._compiled,
+        basis._day_grid,
+    ):
+        memo.cache_clear()
+
 # the one backend every interpolation kernel runs on
 KERNEL_BACKEND = "numpy"

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -108,10 +109,10 @@ def _interval_basis(
     zero.
 
     Each curve is read at the starts and at the ends, or, given the
-    ``stride`` of evenly spaced starts, once over every day from the
-    first start to the last end: the starts are then every stride-th
-    day of that read and the ends are gathered from it by index (the
-    values are the same, a lookup being element by element)."""
+    ``stride`` of evenly spaced starts, sliced from its
+    ``daily_discounts``: the starts are then every stride-th day of it
+    and the ends are gathered from it by index (the values are the same,
+    a lookup being element by element)."""
     ref = fwd.reference_date.serial
     if stride is None:
         t1, t2 = (starts - ref) / 365.0, (ends - ref) / 365.0
@@ -129,12 +130,13 @@ def _interval_basis(
 
 
 def _span_reads(curves, ref: int, starts, ends, stride: int) -> list:
-    first = starts[0]
-    t = (np.arange(first, ends[-1] + 1) - ref) / 365.0
-    i2 = ends - first
+    """Each curve's discount factors at the starts, which run from the
+    reference day ``ref`` every ``stride`` days, and at the ends, sliced
+    from its ``daily_discounts``."""
+    i2 = ends - ref
     out = []
     for curve in curves:
-        p = curve.discount_time(t)
+        p = curve.daily_discounts()
         out += [p[: starts.size * stride : stride], p[i2]]
     return out
 
@@ -188,6 +190,27 @@ def swap_forward_exchange_rate(
     return a_f / a_d
 
 
+# Day grids kept: the four tenors of a market's daily tables, on a few
+# curve spans.  A 30Y daily grid is two arrays of 11k days, 0.18 MB.
+_DAY_GRIDS = 16
+
+
+@lru_cache(maxsize=_DAY_GRIDS)
+def _day_grid(ref: int, last: int, tenor_months: int, stride_days: int):
+    """The interval starts and ends of a rolling ``tenor_months`` table
+    from the serial day ``ref`` while the ends stay on or before
+    ``last``, every ``stride_days``: two read-only int64 arrays of
+    serial days, memoised on the four arguments."""
+    anchor = int(roll_months(last, -tenor_months))
+    if anchor < ref:
+        raise ValueError("curves too short for the requested tenor")
+    starts = np.arange(ref, anchor + 1, stride_days, dtype=np.int64)
+    ends = roll_months(starts, tenor_months)
+    starts.flags.writeable = False
+    ends.flags.writeable = False
+    return starts, ends
+
+
 def basis_term_structure(
     fwd: YieldCurve,
     disc: YieldCurve,
@@ -200,22 +223,24 @@ def basis_term_structure(
     interval end stays inside both curves' pillar ranges.  Where the
     discounting forward is exactly zero the multiplicative basis is
     undefined and reported as NaN; the additive basis is still finite.
-    When the days from the first start to the last end are no more than
-    the starts and ends together (always so daily), each curve is read
-    once over those days instead of at the starts and at the ends.
+
+    The starts and ends (``t1``, ``t2``) are rolled once per reference
+    day, last day, tenor and stride and shared, read-only, by every
+    table on that grid, as ``timegrid.cached_schedule_serials`` shares
+    schedules.  When the days from the first start to the last end are
+    no more than the starts and ends together (always so daily), both
+    are sliced from each curve's ``daily_discounts``, which a curve
+    reads once for all the tables it takes part in: four daily tables
+    against one discounting curve read it once, not four times.
     """
     _check_pair(fwd, disc)
     if tenor_months <= 0 or stride_days <= 0:
         raise ValueError("tenor and stride must be positive")
     ref = fwd.reference_date.serial
     last = min(fwd.pillar_dates[-1], disc.pillar_dates[-1]).serial
-    anchor = int(roll_months(last, -tenor_months))
-    if anchor < ref:
-        raise ValueError("curves too short for the requested tenor")
-    starts = np.arange(ref, anchor + 1, stride_days, dtype=np.int64)
-    ends = roll_months(starts, tenor_months)
-    # one read per curve over the day span when it is no longer than the
-    # starts and ends read apart (always so at a daily stride)
+    starts, ends = _day_grid(ref, last, tenor_months, stride_days)
+    # one read per curve over its days when the span is no longer than
+    # the starts and ends read apart (always so at a daily stride)
     span = ends[-1] - starts[0] + 1 <= starts.size + ends.size
     mult, add, fwd_d = _interval_basis(
         fwd, disc, starts, ends, stride_days if span else None

@@ -2,23 +2,30 @@
 
 Each quote pins the discount factor at its end date (the pillar).  A
 curve's pillar log-discounts ln p solve R(ln p) = 0, where R holds every
-quote's fair value minus its quote in rate space.  A build compiles
-its quote set once (``_compile_quotes``), a group of quotes of one kind
-at a time over arrays, into the rows of one leg table,
-``_cashflows.LegTable``, inside one residual object, ``_Residuals``.
-Compiling registers the serial days each group reads with a ``_Reads``,
-curve by curve and each on that curve's own clock: every segment of a
-group's reads goes onto its curve's batch as one block, and the rows
-keep the positions it lands at.  The batches become one located query
-per curve, and the table prices every quote off its slices with the leg
+quote's fair value minus its quote in rate space.  A quote set compiles
+(``_compile_quotes``), a group of quotes of one kind at a time over
+arrays, into one ``_Layout``: the rows of one leg table,
+``_cashflows.LegTable``, and the serial days each group reads, curve by
+curve and each on that curve's own clock.  Every segment of a group's
+reads goes onto its curve's batch as one block, and the rows keep the
+positions it lands at.  The batches become one located query per
+curve, and the table prices every quote off its slices with the leg
 arithmetic of ``_cashflows``, one ``np.dot`` per leg and no Python call
-per quote.  While solving, R costs one knot-data build and one kernel
-call over the solved curve's times; the fixed curves (discounting,
-basis companions) are read once each.  The same object then runs the
-closure check on the finished curve, and ``risk`` keeps it for the
-blocks of its quote Jacobian and the PV weights of its hedges.  A
-quote that reads nothing on the curve being built cannot pin it, and
-the build fails naming it.
+per quote.
+
+A layout depends on the set's dates, kinds, tenors and conventions,
+never on its quote values, so it is kept in a bounded LRU keyed on that
+structure (``_compiled``) and shared by every set of the same
+structure: each fresh market snapshot, bumped rebuild, repricing check
+and hedge valuation of a market compiles nothing after the first.  The
+residual object, ``_Residuals``, holds what is its own: the rates and
+the discount factors read off the curves.  While solving, R costs one
+knot-data build and one kernel call over the solved curve's times; the
+fixed curves (discounting, basis companions) are read once each.  The
+same object then runs the closure check on the finished curve, and
+``risk`` keeps it for the blocks of its quote Jacobian and the PV
+weights of its hedges.  A quote that reads nothing on the curve being
+built cannot pin it, and the build fails naming it.
 
 Damped Newton solves all pillars of a curve together from a seed (a
 nearby curve, the discounting curve or the quotes' own rates), on the
@@ -45,6 +52,7 @@ import io
 import logging
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -183,42 +191,98 @@ class BootstrapConfig:
 # months.
 _OWN, _DISC = "own", "disc"
 
+# Compiled layouts kept, least recently used dropped first.  A market
+# compiles one set per curve, and hedging it one one-quote set per hedge:
+# the 56-quote market of the acceptance tests needs 5 + 56 layouts.  Its
+# five sets hold 1 MB with their located lookups (the 1M set, 4,100
+# reads, 0.55 MB), a one-quote set about 15 kB, so at worst, the sets of
+# a dozen such markets on different reference dates, 64 layouts hold
+# about 13 MB.
+_LAYOUTS = 64
 
-class _Reads:
-    """The times a compiled quote set reads, batched per curve.
 
-    Each curve has a key (``_OWN``, ``_DISC`` or a companion's tenor
-    months) and the reference date its times count from, so every curve
-    is read on its own clock; ``disc`` is the key discounting reads go
-    to, ``_OWN`` when the set discounts on its own curve.  ``add``
-    appends one group of quotes' serial days on one curve to that
-    curve's batch as one block, recording the quote behind each read
-    (``owner``), and gives each quote's first position there.  ``seal``
-    makes each batch, as times on its curve's clock, one
-    ``LocatedQuery`` (a curve no quote reads gets none and is never
-    read) and reads the fixed curves given here.  ``load`` puts a
-    curve's discount factors at its batch into ``p``, keyed like the
-    batches, unless that curve object is the one read there last.
+class _Structure:
+    """What compiling a quote set reads, as a hashable key.
+
+    That is the reference date, the clocks of the fixed curves the set
+    can read (the discounting curve's reference date, or None when the
+    set discounts on its own curve, and the tenor and reference date of
+    each companion a basis swap's far leg names, in the order given)
+    and, per quote, its kind, tenors, start and end days, fixed
+    frequency and two day counts.  Quote values and convexities are not
+    in it, nor are companions no quote reads: sets that differ only
+    there share one compiled layout.  ``quotes`` rides along for a miss
+    to compile from; neither the hash nor equality looks at it.
     """
 
-    __slots__ = ("clocks", "disc", "fixed", "days", "owner", "queries", "p", "curves")
+    __slots__ = ("key", "quotes", "_hash")
 
-    def __init__(
-        self,
-        ref: Date,
-        discounting: YieldCurve | None = None,
-        companions: dict[int, YieldCurve] | None = None,
-    ):
-        self.fixed = dict(companions or {})
-        if discounting is not None:
-            self.fixed[_DISC] = discounting
-        self.disc = _OWN if discounting is None else _DISC
-        self.clocks = {_OWN: ref} | {k: c.reference_date for k, c in self.fixed.items()}
+    def __init__(self, quotes, ref, discounting, companions):
+        self.quotes = quotes
+        far = {q.second_tenor for q in quotes if q.kind is InstrumentKind.BASIS_SWAP}
+        self.key = (
+            ref.serial,
+            None if discounting is None else discounting.reference_date.serial,
+            tuple(
+                (k, c.reference_date.serial)
+                for k, c in (companions or {}).items() if k in far
+            ),
+            tuple(
+                (q.kind, q.underlying_tenor, q.second_tenor, q.start.serial,
+                 q.end.serial, q.fixed_frequency, q.daycount, q.float_daycount)
+                for q in quotes
+            ),
+        )
+        self._hash = hash(self.key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self.key == other.key
+
+
+class _Layout:
+    """A quote set compiled: the times it reads, batched per curve, and
+    the leg table pricing it off them.  It depends on the set's
+    structure alone and is shared, read-only, by every set of that
+    structure (see ``_compiled``).
+
+    Each curve has a key (``_OWN``, ``_DISC`` or a companion's tenor
+    months) and the reference date its times count from (``clocks``, as
+    serial days), so every curve is read on its own clock; ``disc`` is
+    the key discounting reads go to, ``_OWN`` when the set discounts on
+    its own curve.  While compiling, ``add`` appends one group of
+    quotes' serial days on one curve to that curve's batch as one block,
+    recording the quote behind each read (``owner``), and gives each
+    quote's first position there.  Then each batch, as times on its
+    curve's clock, becomes one ``LocatedQuery`` in ``queries`` (a curve
+    no quote reads gets none and is never read).  ``blind`` lists the
+    quotes (by index) that read nothing on the solved curve.
+    """
+
+    __slots__ = ("clocks", "disc", "days", "owner", "queries", "table", "blind")
+
+    def __init__(self, structure: _Structure):
+        ref, disc, companions, _ = structure.key
+        self.clocks = {_OWN: ref} | dict(companions)
+        if disc is not None:
+            self.clocks[_DISC] = disc
+        self.disc = _OWN if disc is None else _DISC
         self.days: dict = {key: [] for key in self.clocks}
         self.owner: dict = {key: np.zeros(0, dtype=np.intp) for key in self.clocks}
-        self.queries: dict = {}
-        self.p: dict = {}
-        self.curves: dict = {}
+        quotes = structure.quotes
+        n = len(quotes)
+        self.table = _cashflows.LegTable(_OWN)
+        _compile_quotes(quotes, self, self.table)
+        self.queries = {
+            key: LocatedQuery((np.concatenate(days) - self.clocks[key]) / 365.0)
+            for key, days in self.days.items() if days
+        }
+        self.days = None
+        self.table.seal(self.disc, n)
+        own = np.bincount(self.owner[_OWN], minlength=n)
+        self.blind = np.flatnonzero(own == 0).tolist()
 
     def add(self, key, quotes: list[int], days: list[np.ndarray]) -> list[int]:
         """Quote ``quotes[j]`` reads the serial days ``days[j]`` on the
@@ -229,21 +293,13 @@ class _Reads:
         self.owner[key] = np.concatenate((self.owner[key], np.repeat(quotes, sizes)))
         return first[:-1]
 
-    def seal(self) -> None:
-        """Locate the batches and read the fixed curves."""
-        for key, days in self.days.items():
-            if days:
-                self.queries[key] = LocatedQuery(
-                    (np.concatenate(days) - self.clocks[key].serial) / 365.0
-                )
-        for key, curve in self.fixed.items():
-            if key in self.queries:
-                self.load(key, curve)
 
-    def load(self, key, curve: YieldCurve) -> None:
-        if curve is not self.curves.get(key):
-            self.p[key] = curve.discount_time(self.queries[key])
-            self.curves[key] = curve
+@lru_cache(maxsize=_LAYOUTS)
+def _compiled(structure: _Structure) -> _Layout:
+    """The layout of every quote set of ``structure``, compiled on its
+    first use and kept in a bounded LRU.  A set that fails to compile
+    raises its ``BootstrapError`` and leaves nothing behind."""
+    return _Layout(structure)
 
 
 # Deposits, FRAs and futures compile alike, as money-market quotes.
@@ -251,14 +307,14 @@ _MONEY_MARKET = (InstrumentKind.DEPOSIT, InstrumentKind.FRA, InstrumentKind.FUTU
 
 
 def _compile_quotes(
-    quotes: list[InstrumentQuote], reads: _Reads, table: _cashflows.LegTable
+    quotes: list[InstrumentQuote], layout: _Layout, table: _cashflows.LegTable
 ) -> None:
     """Append the rows of every quote of a set to ``table``, a group of
     quotes of one kind at a time.
 
-    Compiling registers every date a row reads with ``reads``, on the
+    Compiling registers every date a row reads with ``layout``, on the
     curve it comes from: the curve projecting the quote's own tenor,
-    the discounting curve (``reads.disc``) or, for the far leg of a
+    the discounting curve (``layout.disc``) or, for the far leg of a
     basis swap, the companion of that tenor.  A group puts each segment
     of its reads (a leg's payment or schedule days, an OIS pair, an
     annuity's payment days) on its curve with one ``add``, in row order,
@@ -276,7 +332,7 @@ def _compile_quotes(
         kind = q.kind
         if kind is InstrumentKind.BASIS_SWAP:
             short, long = sorted((q.underlying_tenor, q.second_tenor))
-            kind = (_projecting(q, short, reads), _projecting(q, long, reads))
+            kind = (_projecting(q, short, layout), _projecting(q, long, layout))
         elif kind in _MONEY_MARKET:
             kind = "mm"
         elif kind is InstrumentKind.SWAP:
@@ -286,13 +342,13 @@ def _compile_quotes(
         else:
             raise BootstrapError(f"unknown instrument kind {kind!r}")
         groups.setdefault(kind, []).append(i)
-    disc = reads.disc
+    disc = layout.disc
     for kind, idx in groups.items():
         qs = [quotes[i] for i in idx]
         if kind == "mm":
             pairs = np.array([(q.start.serial, q.end.serial) for q in qs])
-            f = reads.add(_OWN, idx, list(pairs))
-            d = reads.add(disc, idx, list(pairs[:, 1:]))
+            f = layout.add(_OWN, idx, list(pairs))
+            d = layout.add(disc, idx, list(pairs[:, 1:]))
             tau = [year_fraction(q.start, q.end, q.daycount) for q in qs]
             table.money_market(idx, f, d, tau)
             continue
@@ -317,14 +373,14 @@ def _compile_quotes(
             fixed = [(t[0], q.float_daycount) for t, q in zip(tenors, qs)]
             annuity = legs[0][2]
         for sign, proj, dates in legs:
-            d = reads.add(disc, idx, [x[1:] for x in dates])
-            f = reads.add(proj, idx, dates)
+            d = layout.add(disc, idx, [x[1:] for x in dates])
+            f = layout.add(proj, idx, dates)
             table.float_leg(idx, sign, proj, d, f, [len(x) - 1 for x in dates])
         if kind == "ois":
             pairs = np.array([(q.start.serial, q.end.serial) for q in qs])
-            table.ois(idx, reads.add(disc, idx, list(pairs)))
+            table.ois(idx, layout.add(disc, idx, list(pairs)))
         taus = [_taus(q.start, q.end, m, dc) for q, (m, dc) in zip(qs, fixed)]
-        table.annuity(idx, reads.add(disc, idx, [x[1:] for x in annuity]), taus)
+        table.annuity(idx, layout.add(disc, idx, [x[1:] for x in annuity]), taus)
 
 
 def _schedules(qs: list[InstrumentQuote], months: list[int]) -> list[np.ndarray]:
@@ -332,11 +388,11 @@ def _schedules(qs: list[InstrumentQuote], months: list[int]) -> list[np.ndarray]
     return [_sched(q.start.serial, q.end.serial, m) for q, m in zip(qs, months)]
 
 
-def _projecting(q: InstrumentQuote, months: int, reads: _Reads):
+def _projecting(q: InstrumentQuote, months: int, layout: _Layout):
     """Key of the curve projecting the ``months`` leg of a basis swap."""
     if months == q.underlying_tenor:
         return _OWN
-    if months in reads.clocks:
+    if months in layout.clocks:
         return months
     raise BootstrapError(
         f"basis swap leg needs a companion curve for the {months}M tenor"
@@ -345,14 +401,18 @@ def _projecting(q: InstrumentQuote, months: int, reads: _Reads):
 
 class _Residuals:
     """Residual vector R of a quote set: each quote's fair value minus its
-    rate, futures in rate space, compiled once per build.
+    rate, futures in rate space.
 
-    ``_compile_quotes`` compiles the set once into one ``LegTable``
-    against one ``_Reads``, which batches the times the set reads on
-    every curve: the curve being solved, the discounting curve and each
-    basis companion, the fixed ones read once on compiling.  An
-    evaluation reads each curve once, in one batch, and the table prices
-    every quote off its slices of the batches:
+    The set's compiled ``_Layout`` (its ``LegTable``, batches and
+    ``owner``) comes from ``_compiled``, keyed on the set's structure,
+    so a set is compiled once however many times it is re-marked,
+    bumped or repriced.  What depends on the quote values and the
+    curves is this object's own: the rates, the batches of discount
+    factors read so far (``p``, keyed like the layout's queries), the
+    curve read into each (``curves``) and the last solve's located
+    pillars.  The fixed curves (discounting, basis companions) are read
+    once, here.  An evaluation reads each curve once, in one batch, and
+    the table prices every quote off its slices of the batches:
 
     * ``on_pillars``, while solving, evaluates the solved curve's batch
       on its pillar log-discounts through the kernels, exactly as a
@@ -375,7 +435,10 @@ class _Residuals:
     the solved curve, so cannot pin it.
     """
 
-    __slots__ = ("quotes", "rates", "table", "owner", "blind", "reads", "_pillars")
+    __slots__ = (
+        "quotes", "rates", "layout", "table", "owner", "blind", "p", "curves",
+        "_pillars",
+    )
 
     def __init__(
         self,
@@ -385,17 +448,28 @@ class _Residuals:
         companions: dict[int, YieldCurve] | None = None,
     ):
         self.quotes = list(quotes)
-        n = len(self.quotes)
         self.rates = np.array([q.implied_rate() for q in self.quotes])
-        self.reads = reads = _Reads(ref, discounting, companions)
-        self.table = _cashflows.LegTable(_OWN)
-        _compile_quotes(self.quotes, reads, self.table)
-        reads.seal()
-        self.table.seal(reads.disc, n)
-        self.owner = reads.owner
-        own = np.bincount(self.owner[_OWN], minlength=n)
-        self.blind = [q for q, k in zip(self.quotes, own) if not k]
+        self.layout = layout = _compiled(
+            _Structure(self.quotes, ref, discounting, companions)
+        )
+        self.table, self.owner = layout.table, layout.owner
+        self.blind = [self.quotes[i] for i in layout.blind]
+        self.p: dict = {}
+        self.curves: dict = {}
         self._pillars = None
+        fixed = dict(companions or {})
+        if discounting is not None:
+            fixed[_DISC] = discounting
+        for key, curve in fixed.items():
+            if key in layout.queries:
+                self._read(key, curve)
+
+    def _read(self, key, curve: YieldCurve) -> None:
+        """Put ``curve``'s discount factors at the ``key`` batch into
+        ``p``, unless that curve object is the one read there last."""
+        if curve is not self.curves.get(key):
+            self.p[key] = curve.discount_time(self.layout.queries[key])
+            self.curves[key] = curve
 
     def load(
         self,
@@ -405,15 +479,14 @@ class _Residuals:
     ) -> dict:
         """Read the curves, ``target`` projecting the quotes' own tenor;
         gives the batches by curve key."""
-        reads = self.reads
-        for key in reads.queries:
+        for key in self.layout.queries:
             if key == _OWN:
-                reads.load(key, target)
+                self._read(key, target)
             elif key == _DISC:
-                reads.load(key, discounting)
+                self._read(key, discounting)
             else:
-                reads.load(key, companions[key])
-        return reads.p
+                self._read(key, companions[key])
+        return self.p
 
     def on_curves(
         self,
@@ -432,11 +505,10 @@ class _Residuals:
         discount factors ``dfs``, anchor included."""
         lnp = np.log(dfs)
         table = _kernels.knot_data(scheme, ts, lnp)
-        reads = self.reads
-        q = reads.queries[_OWN]
+        q = self.layout.queries[_OWN]
         loc = q.located(scheme, ts)
-        reads.p[_OWN] = _kernels.apply(q.t, loc, dfs, table)
-        reads.curves[_OWN] = None
+        self.p[_OWN] = _kernels.apply(q.t, loc, dfs, table)
+        self.curves[_OWN] = None
         self._pillars = (loc, lnp)
         return self._evaluate()
 
@@ -446,8 +518,8 @@ class _Residuals:
         solved curve, times d ln P/d ln p = A + B S' of the located
         batch, summed per quote."""
         loc, lnp = self._pillars
-        g = self.table.log_gradient(self.reads.p, _OWN)
-        t = self.reads.queries[_OWN].t
+        g = self.table.log_gradient(self.p, _OWN)
+        t = self.layout.queries[_OWN].t
         return _kernels.log_jacobian(
             t, loc, lnp, g, self.owner[_OWN], len(self.quotes)
         )[:, 1:]
@@ -462,19 +534,19 @@ class _Residuals:
         reads, at the curves given as to ``load``: per batch, the table's
         dR/d ln P at each read chained through that curve's
         d ln P/d ln p and summed onto the quote behind the read."""
-        reads = self.reads
+        queries = self.layout.queries
         p = self.load(target, discounting, companions)
         return [
             (curve, curve.log_jacobian(
-                reads.queries[key], self.table.log_gradient(p, key),
+                queries[key], self.table.log_gradient(p, key),
                 self.owner[key], len(self.quotes),
             ))
-            for key, curve in reads.curves.items()
+            for key, curve in self.curves.items()
         ]
 
     def _evaluate(self) -> np.ndarray:
         try:
-            return self.table.fairs(self.reads.p) - self.rates
+            return self.table.fairs(self.p) - self.rates
         except ZeroDivisionError:
             # an annuity that underflowed to zero: no finite residual here
             return np.full(len(self.quotes), np.nan)

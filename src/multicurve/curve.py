@@ -74,6 +74,13 @@ class LocatedQuery:
     the evaluate step alone.  ``YieldCurve`` interns its knot times, so
     curves on one pillar grid hand every query the same array and the
     identity check is the one that hits.
+
+    A query may be shared: the bootstrap's compiled quote sets hold
+    theirs for every market state of the same structure.  Its times are
+    never changed, and every read checks the kept lookup against its own
+    curve's scheme and knot times, locating again when they differ, so
+    a state reading a shared query gets what a query of its own would
+    give, whatever other states read it in between.
     """
 
     __slots__ = ("t", "_loc")
@@ -132,6 +139,11 @@ class YieldCurve:
     gathers each query's column of it and weighs it in one pass.  Times
     are checked to be finite and >= 0; an ad-hoc lookup is located and
     evaluated in blocks of ``_kernels.BLOCK`` queries.
+
+    ``daily_discounts`` reads the curve once at every day from its
+    reference date through its last pillar and keeps the result,
+    read-only, for the curve's life: daily basis tables of several
+    tenors against one discounting curve read it once between them.
     """
 
     __slots__ = (
@@ -145,6 +157,7 @@ class YieldCurve:
         "_dfs",
         "_lnp",
         "_table",
+        "_days",
     )
 
     def __init__(
@@ -186,6 +199,7 @@ class YieldCurve:
         self._dfs = all_dfs
         self._lnp = np.log(all_dfs)
         self._table = _kernels.knot_data(self.interpolation, ts, self._lnp)
+        self._days = None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -215,6 +229,19 @@ class YieldCurve:
         if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
             return float(out[0])
         return out
+
+    def daily_discounts(self) -> np.ndarray:
+        """Discount factors at every day from the reference date through
+        the last pillar, entry d at time d / 365; read on the first call
+        and kept, read-only.  Each value is the one ``discount_time``
+        gives at that time, a lookup being element by element."""
+        days = self._days
+        if days is None:
+            n = self.pillar_dates[-1].serial - self.reference_date.serial
+            days = self.discount_time(np.arange(n + 1) / 365.0)
+            days.flags.writeable = False
+            self._days = days
+        return days
 
     def log_jacobian(
         self, q: LocatedQuery, g: np.ndarray, rows: np.ndarray, n_rows: int

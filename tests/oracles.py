@@ -853,12 +853,12 @@ def reference_bootstrap_curve(quotes, config=None, discount_curve=None,
         # each quote compiles alone and reads its own times of the solved
         # curve through the workspace; compiling reads the fixed curves once
         one = _Residuals([q], ref, discount_curve, companions)
-        reads = one.reads
+        queries = one.layout.queries
 
         def value():
-            if _OWN in reads.queries:
-                reads.p[_OWN] = ws.df(reads.queries[_OWN].t)
-            return one.table.fairs(reads.p)[0]
+            if _OWN in queries:
+                one.p[_OWN] = ws.df(queries[_OWN].t)
+            return one.table.fairs(one.p)[0]
 
         return value
 

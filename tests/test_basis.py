@@ -23,6 +23,7 @@ from multicurve import (
     pillar_interval_basis,
     swap_forward_exchange_rate,
     write_basis_csv,
+    clear_caches,
     year_fraction,
 )
 from multicurve import basis as basis_mod
@@ -193,12 +194,13 @@ class TestSerialDayTables:
 
 
 class TestDaySpanRead:
-    """At a daily stride a table reads each curve once over the day span
-    and gathers both interval ends from it; the values are those of
-    reading the starts and the ends apart."""
+    """At a daily stride a table slices each curve's days, read once over
+    the curve's life, and gathers both interval ends from them; the
+    values are those of reading the starts and the ends apart."""
 
     @pytest.mark.parametrize("scheme", list(InterpScheme))
     def test_bit_identical_to_two_reads(self, scheme, monkeypatch):
+        clear_caches()
         curves = MarketState(
             REF, make_quote_sets(), BootstrapConfig(interpolation=scheme)
         ).base_curves()
@@ -207,24 +209,86 @@ class TestDaySpanRead:
         real = YieldCurve.discount_time
 
         def counting(curve, t):
-            reads.append(np.size(t))
+            reads.append((curve, np.size(t)))
             return real(curve, t)
 
+        def days(curve):
+            return curve.pillar_dates[-1].serial - REF.serial + 1
+
+        read_daily = set()
         for months in (1, 3, 6, 12):
             fwd = curves[f"fwd_{months}M"]
             for stride in (1, 2, 45):
                 reads.clear()
                 monkeypatch.setattr(YieldCurve, "discount_time", counting)
                 got = basis_term_structure(fwd, disc, months, stride)
+                first_reads = list(reads)
+                reads.clear()
+                again = basis_term_structure(fwd, disc, months, stride)
                 monkeypatch.undo()
                 want = basis_mod._interval_basis(fwd, disc, got.t1, got.t2)
                 for a, b in zip((got.mult, got.add, got.fwd_disc), want):
                     assert a.tobytes() == b.tobytes()
+                for a, b in zip((again.mult, again.add, again.fwd_disc), want):
+                    assert a.tobytes() == b.tobytes()
                 span = int(got.t2[-1] - got.t1[0]) + 1
                 if span <= 2 * len(got):
-                    assert reads == [span, span]
+                    # each curve's days are read on its first such table
+                    # alone, and the same table again reads nothing
+                    assert first_reads == [
+                        (c, days(c)) for c in (fwd, disc) if c not in read_daily
+                    ]
+                    read_daily |= {fwd, disc}
+                    assert reads == []
                 else:
-                    assert stride > 1 and reads == [len(got)] * 4
+                    assert stride > 1
+                    assert first_reads == reads == [
+                        (c, len(got)) for c in (fwd, fwd, disc, disc)
+                    ]
+                # the same grid, rolled once
+                assert again.t1 is got.t1 and again.t2 is got.t2
+
+    def test_four_tables_read_each_curve_once(self, monkeypatch):
+        clear_caches()
+        curves = MarketState(REF, make_quote_sets()).base_curves()
+        disc = curves["discount"]
+        reads, rolls = [], []
+        real_read, real_roll = YieldCurve.discount_time, basis_mod.roll_months
+        monkeypatch.setattr(
+            YieldCurve, "discount_time",
+            lambda curve, t: reads.append(curve) or real_read(curve, t),
+        )
+        monkeypatch.setattr(
+            basis_mod, "roll_months", lambda *a: rolls.append(1) or real_roll(*a)
+        )
+        labels = ("fwd_1M", "fwd_3M", "fwd_6M", "fwd_12M")
+        tables = [basis_term_structure(curves[lbl], disc, int(lbl[4:-1])) for lbl in labels]
+        # five reads, one per curve, where each table read two curves
+        assert reads == [curves["fwd_1M"], disc] + [curves[lbl] for lbl in labels[1:]]
+        cold_rolls = len(rolls)
+        assert cold_rolls == 2 * len(labels)
+        # the grids are kept: new curves on the same span roll nothing
+        fresh = MarketState(REF, make_quote_sets()).base_curves()
+        for lbl in labels:
+            basis_term_structure(fresh[lbl], fresh["discount"], int(lbl[4:-1]))
+        assert len(rolls) == cold_rolls
+        monkeypatch.undo()
+        for c in curves.values():
+            assert not c.daily_discounts().flags.writeable
+        for t in tables:
+            assert not t.t1.flags.writeable and not t.t2.flags.writeable
+            with pytest.raises(ValueError):
+                t.t1[0] = 0
+
+    def test_daily_discounts_are_the_curve_read_at_each_day(self):
+        fwd, disc = analytic_pair(5)
+        days = disc.daily_discounts()
+        assert disc.daily_discounts() is days
+        n = disc.pillar_dates[-1].serial - REF.serial
+        assert len(days) == n + 1
+        want = disc.discount_time(np.arange(n + 1) / 365.0)
+        assert days.tobytes() == want.tobytes()
+        assert days[0] == 1.0
 
 
 class TestPillarIntervalBasis:

@@ -47,7 +47,7 @@ from multicurve import (
     write_quotes_csv,
     year_fraction,
 )
-from multicurve import _kernels, bootstrap
+from multicurve import _kernels, bootstrap, clear_caches
 from multicurve.risk import MarketState, pricing_curves
 from multicurve.synthetic import (
     SyntheticMarket,
@@ -692,7 +692,8 @@ class TestFairQuoteAndPv:
 
 class TestQuoteSetCompiledOnce:
     """One forwarding build compiles each chosen quote once, for the solve
-    and the closure check together, and reads every curve in one batch."""
+    and the closure check together, and reads every curve in one batch;
+    a second build of the same set compiles nothing and reads the same."""
 
     def test_forwarding_build(self, monkeypatch):
         sets = make_quote_sets()
@@ -704,6 +705,7 @@ class TestQuoteSetCompiledOnce:
         kw = dict(discount_curve=disc, companions={6: fwd6}, reference_date=REF,
                   tenor_label="fwd_3M")
         seed = bootstrap_curve(quotes, **kw)
+        clear_caches()
         compiled, reads = [], []
         real_compile, real_lookup = bootstrap._compile_quotes, YieldCurve.discount_time
 
@@ -718,12 +720,176 @@ class TestQuoteSetCompiledOnce:
         monkeypatch.setattr(bootstrap, "_compile_quotes", counting_compile)
         monkeypatch.setattr(YieldCurve, "discount_time", counting_lookup)
         built = bootstrap_curve(quotes, start_curve=seed, **kw)
+        cold_compiled, cold_reads = list(compiled), list(reads)
+        compiled.clear()
+        reads.clear()
+        again = bootstrap_curve(quotes, start_curve=seed, **kw)
         monkeypatch.undo()
-        assert compiled == select_pillar_instruments(quotes)
+        assert cold_compiled == select_pillar_instruments(quotes)
         # one read each of the seed, the two fixed curves and (closure
         # check) the finished curve
-        assert [sum(r is c for r in reads) for c in (seed, disc, fwd6, built)] == [1] * 4
+        assert [sum(r is c for r in cold_reads) for c in (seed, disc, fwd6, built)] == [1] * 4
+        assert len(cold_reads) == 4
+        # the set's layout is kept: the same build compiles nothing, reads
+        # the same curves once each and gives the same curve
+        assert compiled == []
+        assert [sum(r is c for r in reads) for c in (seed, disc, fwd6, again)] == [1] * 4
         assert len(reads) == 4
+        assert again.pillar_dfs.tobytes() == built.pillar_dfs.tobytes()
+
+
+def _layout_misses() -> int:
+    return bootstrap._compiled.cache_info().misses
+
+
+class TestCompiledLayoutMemo:
+    """A quote set's compiled layout is keyed on everything the compile
+    reads and nothing else: any structural field changed alone compiles
+    afresh; a quote value or convexity, or a companion no basis swap
+    reads, changed alone does not; and a kept layout prices exactly as
+    a cold compile does.  The companion a basis swap reads is named by
+    the quote's second tenor, so changing it is the "second tenor"
+    case."""
+
+    @staticmethod
+    def _market():
+        curves = _base_state(InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC).base_curves()
+        quotes = [
+            InstrumentQuote(InstrumentKind.DEPOSIT, 3, REF, add_months(REF, 3), 0.012),
+            InstrumentQuote(InstrumentKind.FUTURES, 3, add_months(REF, 3),
+                            add_months(REF, 6), 98.6, convexity=1e-5),
+            InstrumentQuote(InstrumentKind.SWAP, 3, REF, add_months(REF, 60), 0.03,
+                            fixed_frequency=12, daycount=DayCount.THIRTY_360),
+            InstrumentQuote(InstrumentKind.BASIS_SWAP, 3, REF, add_months(REF, 120),
+                            0.001, second_tenor=6),
+        ]
+        companions = {6: curves["fwd_6M"], 12: curves["fwd_12M"]}
+        return curves, quotes, curves["discount"], companions
+
+    @staticmethod
+    def _moved(curve: YieldCurve, days: int) -> YieldCurve:
+        """The curve's pillars on a reference date ``days`` later."""
+        ref = Date(curve.reference_date.serial + days)
+        return YieldCurve(ref, list(zip(curve.pillar_dates, curve.pillar_dfs)),
+                          curve.interpolation, curve.daycount, curve.tenor_label)
+
+    # each changes one structural field alone: (quotes, ref, disc, companions)
+    CHANGES = {
+        "reference date": lambda q, ref, d, c: (q, Date(ref.serial - 1), d, c),
+        "discounting given": lambda q, ref, d, c: (q, ref, None, c),
+        "discounting clock": lambda q, ref, d, c: (
+            q, ref, TestCompiledLayoutMemo._moved(d, -1), c),
+        "companion clock": lambda q, ref, d, c: (
+            q, ref, d, {6: TestCompiledLayoutMemo._moved(c[6], -1), 12: c[12]}),
+        "kind": lambda q, ref, d, c: (
+            [replace(q[0], kind=InstrumentKind.FRA)] + q[1:], ref, d, c),
+        "underlying tenor": lambda q, ref, d, c: (
+            q[:2] + [replace(q[2], underlying_tenor=6)] + q[3:], ref, d, c),
+        "second tenor": lambda q, ref, d, c: (
+            q[:3] + [replace(q[3], second_tenor=12)], ref, d, c),
+        "start": lambda q, ref, d, c: (
+            [q[0], replace(q[1], start=Date(q[1].start.serial + 1))] + q[2:], ref, d, c),
+        "end": lambda q, ref, d, c: (
+            [replace(q[0], end=Date(q[0].end.serial + 1))] + q[1:], ref, d, c),
+        "fixed frequency": lambda q, ref, d, c: (
+            q[:2] + [replace(q[2], fixed_frequency=6)] + q[3:], ref, d, c),
+        "day count": lambda q, ref, d, c: (
+            q[:2] + [replace(q[2], daycount=DayCount.ACT_365_FIXED)] + q[3:], ref, d, c),
+        "float day count": lambda q, ref, d, c: (
+            q[:3] + [replace(q[3], float_daycount=DayCount.ACT_365_FIXED)], ref, d, c),
+    }
+
+    @pytest.mark.parametrize("field", list(CHANGES))
+    def test_each_structural_field_changed_alone_misses(self, field):
+        _, quotes, disc, companions = self._market()
+        clear_caches()
+        base = bootstrap._Residuals(quotes, REF, disc, companions)
+        assert bootstrap._Residuals(quotes, REF, disc, companions).layout is base.layout
+        before = _layout_misses()
+        changed = bootstrap._Residuals(*self.CHANGES[field](quotes, REF, disc, companions))
+        assert _layout_misses() == before + 1
+        assert changed.layout is not base.layout
+
+    @pytest.mark.parametrize("field", ["quote", "convexity"])
+    def test_value_or_convexity_changed_alone_hits(self, field):
+        curves, quotes, disc, companions = self._market()
+        base = bootstrap._Residuals(quotes, REF, disc, companions)
+        moved = [replace(q, **{field: getattr(q, field) + 1e-3}) for q in quotes]
+        before = _layout_misses()
+        hit = bootstrap._Residuals(moved, REF, disc, companions)
+        assert _layout_misses() == before
+        assert hit.layout is base.layout
+        # the rates are the hit's own
+        assert hit.rates.tolist() == [q.implied_rate() for q in moved]
+        assert base.rates.tolist() == [q.implied_rate() for q in quotes]
+
+    @pytest.mark.parametrize("change", ["dropped", "tenor", "clock"])
+    def test_unread_companion_changed_alone_hits(self, change):
+        curves, quotes, disc, companions = self._market()
+        base = bootstrap._Residuals(quotes, REF, disc, companions)
+        # no quote's far leg is on the 12M curve
+        other = {
+            "dropped": {6: companions[6]},
+            "tenor": {6: companions[6], 1: companions[12]},
+            "clock": {6: companions[6], 12: self._moved(companions[12], -1)},
+        }[change]
+        before = _layout_misses()
+        hit = bootstrap._Residuals(quotes, REF, disc, other)
+        assert _layout_misses() == before and hit.layout is base.layout
+        target = curves["fwd_3M"]
+        assert (hit.on_curves(target, disc, other).tobytes()
+                == base.on_curves(target, disc, companions).tobytes())
+
+    @pytest.mark.parametrize("scheme", list(InterpScheme))
+    def test_hit_prices_as_a_cold_compile_bit_for_bit(self, scheme):
+        state = _base_state(scheme)
+        curves = state.base_curves()
+
+        def evaluate(label):
+            chosen = select_pillar_instruments(state.quote_sets[label])
+            disc, companions = pricing_curves(label, curves)
+            res = bootstrap._Residuals(chosen, REF, disc, companions)
+            curve = curves[label]
+            ts = np.concatenate(([0.0], curve.times(curve.pillar_dates)))
+            dfs = np.concatenate(([1.0], curve.pillar_dfs * 1.0001))
+            r = res.on_pillars(scheme, ts, dfs)
+            out = [r, res.jacobian(), res.on_curves(curve, disc, companions)]
+            out += [block for _, block in res.curve_jacobians(curve, disc, companions)]
+            return res.layout, [x.tobytes() for x in out]
+
+        for label in state.build_order:
+            clear_caches()
+            cold_layout, cold = evaluate(label)
+            before = _layout_misses()
+            hit_layout, hit = evaluate(label)
+            assert _layout_misses() == before and hit_layout is cold_layout
+            assert hit == cold
+
+    def test_compile_errors_are_raised_on_every_miss(self):
+        _, quotes, disc, _ = self._market()
+        for _ in range(2):
+            with pytest.raises(BootstrapError, match="companion curve for the 6M"):
+                bootstrap._Residuals(quotes, REF, disc, {12: disc})
+
+    def test_lru_holds_at_most_its_bound(self):
+        clear_caches()
+        bound = bootstrap._LAYOUTS
+        sets = [
+            [InstrumentQuote(InstrumentKind.DEPOSIT, 1, REF, Date(REF.serial + k), 0.01)]
+            for k in range(1, bound + 11)
+        ]
+        for quotes in sets:
+            bootstrap._Residuals(quotes, REF)
+            assert bootstrap._compiled.cache_info().currsize <= bound
+        info = bootstrap._compiled.cache_info()
+        assert info.maxsize == bound and info.currsize == bound
+        assert info.misses == len(sets)
+        # the least recently used went first: the oldest set compiles again,
+        # the newest does not
+        bootstrap._Residuals(sets[-1], REF)
+        assert _layout_misses() == len(sets)
+        bootstrap._Residuals(sets[0], REF)
+        assert _layout_misses() == len(sets) + 1
 
 
 _EVERY_QUOTE = [q for quotes in make_quote_sets().values() for q in quotes]
@@ -745,7 +911,8 @@ class TestCompileByKind:
     """A quote set compiles a group of one kind at a time, yet each quote
     prices and differentiates exactly as it does compiled alone, and
     every cache the compile of a quote set or a position reads is one
-    that ``_sched`` and ``_taus`` clear."""
+    that ``_sched`` and ``_taus`` clear, beside the compiled sets' own
+    memo; ``clear_caches`` empties them all."""
 
     @_PROPERTY
     @given(_thinned_set())
@@ -758,12 +925,12 @@ class TestCompileByKind:
         target = curves[label]
         whole = bootstrap._Residuals(quotes, REF, disc, companions)
         residuals = whole.on_curves(target, disc, companions)
-        weights = whole.table.weights(whole.reads.p)
+        weights = whole.table.weights(whole.p)
         blocks = self._blocks(whole, target, disc, companions)
         for i, q in enumerate(quotes):
             one = bootstrap._Residuals([q], REF, disc, companions)
             assert one.on_curves(target, disc, companions).tobytes() == residuals[i:i + 1].tobytes()
-            assert one.table.weights(one.reads.p).tobytes() == weights[i:i + 1].tobytes()
+            assert one.table.weights(one.p).tobytes() == weights[i:i + 1].tobytes()
             alone = self._blocks(one, target, disc, companions)
             for key, block in blocks.items():
                 row = block[i]
@@ -782,7 +949,7 @@ class TestCompileByKind:
     def _blocks(residuals, target, disc, companions) -> dict:
         """The set's dR/d ln p blocks keyed by the batch they come from."""
         jacobians = residuals.curve_jacobians(target, disc, companions)
-        return {key: block for key, (_, block) in zip(residuals.reads.curves, jacobians)}
+        return {key: block for key, (_, block) in zip(residuals.curves, jacobians)}
 
     # every position kind, on dates no quote schedule uses
     PORTFOLIO = [
@@ -816,7 +983,8 @@ class TestCompileByKind:
         }
         schedule_caches = {id(bootstrap._sched), id(bootstrap._taus)}
         assert schedule_caches <= set(caches)
-        others = [fn for key, fn in caches.items() if key not in schedule_caches]
+        memos = schedule_caches | {id(bootstrap._compiled)}
+        others = [fn for key, fn in caches.items() if key not in memos]
 
         def compile_every_set():
             for label, quotes in state.quote_sets.items():
@@ -833,13 +1001,15 @@ class TestCompileByKind:
         def misses():
             return [bootstrap._sched.cache_info().misses, bootstrap._taus.cache_info().misses]
 
-        bootstrap._sched.cache_clear()
-        bootstrap._taus.cache_clear()
+        clear_caches()
+        assert [caches[key].cache_info().currsize for key in memos] == [0] * 3
         before = [fn.cache_info() for fn in others]
         compile_every_set()
         assert [fn.cache_info() for fn in others] == before
         sets_cold = misses()
         assert all(sets_cold)
+        n_sets = len(state.quote_sets)
+        assert bootstrap._compiled.cache_info().misses == n_sets
         # the positions roll schedules no quote reads
         compile_every_position()
         assert [fn.cache_info() for fn in others] == before
@@ -849,6 +1019,15 @@ class TestCompileByKind:
         compile_every_set()
         compile_every_position()
         assert misses() == cold
+        assert [fn.cache_info() for fn in others] == before
+        # the sets' layouts were kept, so that compile ran no compile; run
+        # cold again, it still reads every schedule from the two caches
+        layouts = bootstrap._compiled.cache_info()
+        assert (layouts.misses, layouts.hits) == (n_sets, n_sets)
+        bootstrap._compiled.cache_clear()
+        compile_every_set()
+        assert misses() == cold
+        assert bootstrap._compiled.cache_info().misses == n_sets
         assert [fn.cache_info() for fn in others] == before
 
 

@@ -1,5 +1,7 @@
 import io
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,10 +19,13 @@ from multicurve import (
     LocatedQuery,
     MarketState,
     SwapVolCorrSpec,
+    InterpScheme,
     VolCorrSpec,
     YieldCurve,
     add_months,
+    basis_term_structure,
     bump_quote,
+    clear_caches,
     delta_ladder,
     hedge_ratios,
     hedged_pv_fn,
@@ -36,6 +41,7 @@ from multicurve import (
     year_fraction,
 )
 from multicurve import _cashflows, _kernels, bootstrap, risk
+from multicurve import basis as basis_mod
 from multicurve.risk import HEDGE_CSV_HEADER, LADDER_CSV_HEADER
 from multicurve.synthetic import (
     SyntheticMarket,
@@ -399,6 +405,154 @@ class TestWorkCounts:
         gross = sum(abs(e.delta_per_bp) for e in delta_ladder(state, pv_fn))
         for got, ref in zip(residual, want):
             assert abs(got.delta_per_bp - ref.delta_per_bp) <= 1e-6 * gross
+
+
+def _moved_sets(base_rate: float) -> dict:
+    """The default market's quote sets at another base rate: the same
+    structure, other values."""
+    return make_quote_sets(SyntheticMarket(REF, base_rate=base_rate))
+
+
+class TestCompiledSetsShared:
+    """States whose quote sets share a structure share its compiled
+    layouts; each keeps its own results."""
+
+    @staticmethod
+    def _results(state, book):
+        curves = state.base_curves()
+        matrix, _, cond, _ = state._jacobian()
+        deltas = [e.delta_per_bp for e in delta_ladder(state, book)]
+        return (
+            [curves[label].pillar_dfs.tobytes() for label in state.build_order],
+            matrix.tobytes(), cond, np.array(deltas).tobytes(),
+        )
+
+    def test_earlier_state_unmoved_by_later_states(self):
+        book = Book(criterion_08_positions())
+        clear_caches()
+        cold = self._results(MarketState(REF, _moved_sets(0.011)), book)
+        clear_caches()
+        early = MarketState(REF, _moved_sets(0.011))
+        early.base_curves()
+        before = bootstrap._compiled.cache_info()
+        # later states on the same structure: other values, another scheme
+        later = [
+            MarketState(REF, _moved_sets(0.012)),
+            MarketState(REF, _moved_sets(0.011),
+                        BootstrapConfig(interpolation=InterpScheme.LOG_LINEAR_DISCOUNT)),
+        ]
+        for state in later:
+            self._results(state, book)
+        assert bootstrap._compiled.cache_info().misses == before.misses
+        # the early state's J and deltas, taken only now, and its curves
+        assert self._results(early, book) == cold
+        # and a second pass of the later states leaves it alone again
+        for state in later:
+            state.build({("fwd_3M", 2): bump_quote(state.quote_sets["fwd_3M"][2], 1e-4)})
+        assert self._results(early, book) == cold
+
+    def test_states_built_in_threads_match_states_built_alone(self):
+        # states on one structure share its layouts and their located
+        # lookups; threads switching often, under two schemes, must each
+        # still get what a state built alone gets
+        schemes = [InterpScheme.LOG_DISCOUNT_MONOTONE_CUBIC, InterpScheme.LOG_LINEAR_DISCOUNT]
+        rates = (0.009, 0.011)
+
+        def run(scheme, rate):
+            state = MarketState(REF, _moved_sets(rate), BootstrapConfig(interpolation=scheme))
+            curves = state.base_curves()
+            return ([curves[lbl].pillar_dfs.tobytes() for lbl in state.build_order],
+                    state._jacobian()[0].tobytes())
+
+        cases = [(s, r) for s in schemes for r in rates]
+        want = {case: run(*case) for case in cases}
+        got, errors = [], []
+
+        def worker(k):
+            try:
+                for i in range(3):
+                    case = cases[(k + i) % len(cases)]
+                    got.append((case, run(*case)))
+            except Exception as exc:  # reported below, with the thread's case
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(got) == 12
+        for case, result in got:
+            assert result == want[case]
+
+    def test_hedged_pv_fn_compiles_each_hedge_once(self, monkeypatch):
+        state, pv_fn = _two_curve_state_and_book()
+        rows = hedge_ratios(state, pv_fn, _all_locations(state))
+        curves = state.base_curves()
+        hedged = hedged_pv_fn(pv_fn, rows)
+        # cold: the book's own two quotes are hedges too, so every quote
+        # valued is a hedge, and each compiles on its first valuation alone
+        clear_caches()
+        compiled = []
+        real = bootstrap._compile_quotes
+
+        def counting(qs, *args):
+            compiled.extend(qs)
+            return real(qs, *args)
+
+        monkeypatch.setattr(bootstrap, "_compile_quotes", counting)
+        pvs = [hedged(curves) for _ in range(3)]
+        monkeypatch.undo()
+        assert sorted(map(quote_fingerprint, compiled)) == sorted(
+            quote_fingerprint(r.quote) for r in rows
+        )
+        assert pvs[1] == pvs[0] and pvs[2] == pvs[0]
+
+    def test_remark_op_after_a_warm_up_compiles_and_rolls_nothing(self, monkeypatch):
+        # the benchmark's re-mark: build five curves from a new snapshot and
+        # publish the four daily basis tables against discounting
+        labels = ("fwd_1M", "fwd_3M", "fwd_6M", "fwd_12M")
+
+        def remark(sets):
+            curves = MarketState(REF, sets).base_curves()
+            return [
+                basis_term_structure(curves[lbl], curves["discount"], int(lbl[4:-1]))
+                for lbl in labels
+            ]
+
+        clear_caches()
+        remark(_moved_sets(0.010))
+        counts = {"compile": 0, "roll": 0}
+        daily = []
+        real_compile, real_roll = bootstrap._compile_quotes, basis_mod.roll_months
+        real_daily = YieldCurve.daily_discounts
+
+        def counted(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapped
+
+        def counting_daily(curve):
+            if curve._days is None:
+                daily.append(curve.tenor_label)
+            return real_daily(curve)
+
+        monkeypatch.setattr(bootstrap, "_compile_quotes", counted("compile", real_compile))
+        monkeypatch.setattr(basis_mod, "roll_months", counted("roll", real_roll))
+        monkeypatch.setattr(YieldCurve, "daily_discounts", counting_daily)
+        tables = remark(_moved_sets(0.012))
+        monkeypatch.undo()
+        assert counts == {"compile": 0, "roll": 0}
+        assert sorted(daily) == sorted(("discount",) + labels)
+        assert all(np.all(np.isfinite(t.mult)) for t in tables)
 
 
 def _five_curve_state_and_book(config=None):

@@ -2,6 +2,7 @@
 
     python tools/parity.py digest OUT.json [--root CHECKOUT]
     python tools/parity.py compare PARENT.json CHANGE.json
+    python tools/parity.py faults OUT.json [--root CHECKOUT] [--seed 1]
 
 ``digest`` imports ``multicurve`` from ``src/`` of the checkout (the one
 holding this file by default) and the benchmark's input generators from
@@ -13,6 +14,10 @@ its ``perfbench/``, and writes every float below as a hex string
   interpolation schemes;
 * the four daily basis tables (1M/3M/6M/12M against discounting) of
   one ``remark`` op, seed 1;
+* the pillar discount factors and the four basis tables of ``remark``
+  ops 0-7 of seed 1, run one after another in the same process, so
+  that every op after the first reads the compiled quote sets and day
+  grids its predecessors left in the package's memos;
 * every ``price_position`` row, PV and fair rate or premium, of the
   ``book`` workload's 200 positions (seed 1) on each of its four curve
   sets;
@@ -28,6 +33,13 @@ its ``perfbench/``, and writes every float below as a hex string
 equal and differing, the worst absolute and relative gaps and the first
 differing names; it exits 1 when any float differs or is missing from
 either side.
+
+``faults`` records the minor page faults (``ru_minflt`` of this
+process) and the wall time of each op of a plain ``remark`` loop, with
+the protocol beside them: the seed, ``WARM_UP`` ops run first and not
+recorded, then ``--ops`` ops one after another, no output check between
+them, the op's result dropped before the next starts.  A fault count is
+only comparable with another taken under the same protocol.
 """
 
 from __future__ import annotations
@@ -41,6 +53,8 @@ import sys
 import tempfile
 
 SEEDS = (1, 2, 3)
+REMARK_OPS = 8  # remark ops of seed 1 digested in one process
+WARM_UP = 20    # faults: ops run before the recorded ones
 
 
 def _floats(values) -> list[str]:
@@ -85,6 +99,15 @@ def digest(root: str) -> dict[str, list[str]]:
         for table in tables:
             for field in ("mult", "add", "fwd_disc"):
                 out[f"basis/{table.forwarding_label}/{field}"] = _floats(getattr(table, field))
+        for i in range(REMARK_OPS):
+            _, curves, tables = remark[1].op(i)
+            for label, curve in curves.items():
+                out[f"remark/op{i}/pillars/{label}"] = _floats(curve.pillar_dfs)
+            for table in tables:
+                for field in ("mult", "add", "fwd_disc"):
+                    out[f"remark/op{i}/basis/{table.forwarding_label}/{field}"] = _floats(
+                        getattr(table, field)
+                    )
 
         book = bw.Book()
         book.setup(1, work)
@@ -126,6 +149,47 @@ def digest(root: str) -> dict[str, list[str]]:
     return out
 
 
+def faults(root: str, seed: int, ops: int) -> dict:
+    """Minor faults and milliseconds of each op of a plain ``remark``
+    loop, with its protocol."""
+    import platform
+    import resource
+    import statistics
+    from time import perf_counter
+
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    import bench_workloads as bw
+    import numpy as np
+
+    def minflt() -> int:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    counts, ms = [], []
+    with tempfile.TemporaryDirectory() as work:
+        wl = bw.Remark()
+        wl.setup(seed, work)
+        for i in range(WARM_UP):
+            wl.op(i)
+        for i in range(WARM_UP, WARM_UP + ops):
+            f0, t0 = minflt(), perf_counter()
+            out = wl.op(i)
+            t1, f1 = perf_counter(), minflt()
+            del out
+            counts.append(f1 - f0)
+            ms.append((t1 - t0) * 1e3)
+    return {
+        "protocol": {
+            "workload": "remark", "seed": seed, "warm_up_ops": WARM_UP, "ops": ops,
+            "check_between_ops": False, "counter": "getrusage(RUSAGE_SELF).ru_minflt",
+            "python": platform.python_version(), "numpy": np.__version__,
+        },
+        "faults_per_op": counts,
+        "ms_per_op": [round(x, 4) for x in ms],
+        "median_faults": statistics.median(counts),
+        "median_ms": round(statistics.median(ms), 4),
+    }
+
+
 def compare(a: dict[str, list[str]], b: dict[str, list[str]]) -> int:
     equal = differ = missing = 0
     worst_abs = worst_rel = 0.0
@@ -165,10 +229,22 @@ def main(argv=None) -> int:
     c = sub.add_parser("compare", help="compare two digests float by float")
     c.add_argument("a")
     c.add_argument("b")
+    f = sub.add_parser("faults", help="record faults per op of a plain remark loop")
+    f.add_argument("out")
+    f.add_argument("--root", default=d.get_default("root"))
+    f.add_argument("--seed", type=int, default=1)
+    f.add_argument("--ops", type=int, default=200)
     args = parser.parse_args(argv)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    if args.mode == "faults":
+        out = faults(os.path.abspath(args.root), args.seed, args.ops)
+        with open(args.out, "w") as fh:
+            json.dump(out, fh, indent=1)
+        print(f"remark seed {args.seed}: median {out['median_faults']} minor faults, "
+              f"{out['median_ms']} ms per op over {args.ops} ops; wrote {args.out}")
+        return 0
     if args.mode == "digest":
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = "1"
         out = digest(os.path.abspath(args.root))
         with open(args.out, "w") as fh:
             json.dump(out, fh, indent=0, sort_keys=True)
