@@ -3,33 +3,34 @@
 Each quote pins the discount factor at its end date (the pillar).  A
 curve's pillar log-discounts ln p solve R(ln p) = 0, where R holds every
 quote's fair value minus its quote in rate space.  A quote set compiles
-(``_compile_quotes``), a group of quotes of one kind at a time over
-arrays, into one ``_Layout``: the rows of one leg table,
-``_cashflows.LegTable``, and the serial days each group reads, curve by
+into one table, a ``_Layout``, a group of quotes of one kind at a time
+over arrays: its rows (money-market forwards, float legs, overnight
+legs and annuities) and the serial days each group reads, curve by
 curve and each on that curve's own clock.  Every segment of a group's
 reads goes onto its curve's batch as one block, and the rows keep the
 positions it lands at.  The batches become one located query per
-curve, and the table prices every quote off its slices with the leg
+curve, and the layout prices every quote off its slices with the leg
 arithmetic of ``_cashflows``, one ``np.dot`` per leg and no Python call
 per quote.
 
-A layout depends on the set's dates, kinds, tenors and conventions,
-never on its quote values, so it is kept in a bounded LRU keyed on that
-structure (``_compiled``) and shared by every set of the same
-structure: each fresh market snapshot, bumped rebuild, repricing check
-and hedge valuation of a market compiles nothing after the first.  The
-residual object, ``_Residuals``, holds what is its own: the rates and
-the discount factors read off the curves.  While solving, R costs one
-knot-data build and one kernel call over the solved curve's times; the
-fixed curves (discounting, basis companions) are read once each.  The
-same object then runs the closure check on the finished curve, and
-``risk`` keeps it for the blocks of its quote Jacobian and the PV
-weights of its hedges.  A quote that reads nothing on the curve being
+A layout is compiled from the set's structure alone (``_structure``:
+its dates, kinds, tenors and conventions, never its quote values), so
+it is kept in a bounded LRU keyed on that structure (``_compiled``) and
+shared by every set of the same structure: each fresh market
+snapshot, bumped rebuild, repricing check and hedge valuation of a
+market compiles nothing after the first.  The residual object,
+``_Residuals``, holds what is its own: the rates and the discount
+factors read off the curves.  While solving, R costs one knot-data
+build and one kernel call over the solved curve's times; the fixed
+curves (discounting, basis companions) are read once each.  The same
+object then runs the closure check on the finished curve, and ``risk``
+keeps it for the blocks of its quote Jacobian and the PV weights of
+its hedges.  A quote that reads nothing on the curve being
 built cannot pin it, and the build fails naming it.
 
 Damped Newton solves all pillars of a curve together from a seed (a
 nearby curve, the discounting curve or the quotes' own rates), on the
-exact Jacobian J = dR/d ln P . d ln P/d ln p: the table differentiates
+exact Jacobian J = dR/d ln P . d ln P/d ln p: the layout differentiates
 every row in one batched pass at each read of the solved curve, and the
 kernels give d ln P/d ln p = A + B S'(ln p) from the located batch
 (``_kernels.linear_parts``).  An iteration costs one residual
@@ -200,8 +201,17 @@ _OWN, _DISC = "own", "disc"
 # about 13 MB.
 _LAYOUTS = 64
 
+# Deposits, FRAs and futures compile alike, as money-market quotes.
+_GROUP = {
+    InstrumentKind.DEPOSIT: "mm",
+    InstrumentKind.FRA: "mm",
+    InstrumentKind.FUTURES: "mm",
+    InstrumentKind.SWAP: "swap",
+    InstrumentKind.OIS: "ois",
+}
 
-class _Structure:
+
+def _structure(quotes, ref: Date, discounting, companions) -> tuple:
     """What compiling a quote set reads, as a hashable key.
 
     That is the reference date, the clocks of the fixed curves the set
@@ -211,208 +221,325 @@ class _Structure:
     and, per quote, its kind, tenors, start and end days, fixed
     frequency and two day counts.  Quote values and convexities are not
     in it, nor are companions no quote reads: sets that differ only
-    there share one compiled layout.  ``quotes`` rides along for a miss
-    to compile from; neither the hash nor equality looks at it.
+    there share one compiled layout.
     """
-
-    __slots__ = ("key", "quotes", "_hash")
-
-    def __init__(self, quotes, ref, discounting, companions):
-        self.quotes = quotes
-        far = {q.second_tenor for q in quotes if q.kind is InstrumentKind.BASIS_SWAP}
-        self.key = (
-            ref.serial,
-            None if discounting is None else discounting.reference_date.serial,
-            tuple(
-                (k, c.reference_date.serial)
-                for k, c in (companions or {}).items() if k in far
-            ),
-            tuple(
-                (q.kind, q.underlying_tenor, q.second_tenor, q.start.serial,
-                 q.end.serial, q.fixed_frequency, q.daycount, q.float_daycount)
-                for q in quotes
-            ),
-        )
-        self._hash = hash(self.key)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return self.key == other.key
+    far = {q.second_tenor for q in quotes if q.kind is InstrumentKind.BASIS_SWAP}
+    return (
+        ref.serial,
+        None if discounting is None else discounting.reference_date.serial,
+        tuple(
+            (k, c.reference_date.serial)
+            for k, c in (companions or {}).items() if k in far
+        ),
+        tuple(
+            (q.kind, q.underlying_tenor, q.second_tenor, q.start.serial,
+             q.end.serial, q.fixed_frequency, q.daycount, q.float_daycount)
+            for q in quotes
+        ),
+    )
 
 
 class _Layout:
-    """A quote set compiled: the times it reads, batched per curve, and
-    the leg table pricing it off them.  It depends on the set's
-    structure alone and is shared, read-only, by every set of that
+    """A quote set compiled, from its ``_structure`` alone: the times it
+    reads, batched per curve, and the rows pricing every quote off them
+    as one table.  It is shared, read-only, by every set of that
     structure (see ``_compiled``).
 
     Each curve has a key (``_OWN``, ``_DISC`` or a companion's tenor
-    months) and the reference date its times count from (``clocks``, as
+    months) and the reference date its times count from (its clock, as
     serial days), so every curve is read on its own clock; ``disc`` is
     the key discounting reads go to, ``_OWN`` when the set discounts on
-    its own curve.  While compiling, ``add`` appends one group of
-    quotes' serial days on one curve to that curve's batch as one block,
-    recording the quote behind each read (``owner``), and gives each
-    quote's first position there.  Then each batch, as times on its
-    curve's clock, becomes one ``LocatedQuery`` in ``queries`` (a curve
-    no quote reads gets none and is never read).  ``blind`` lists the
-    quotes (by index) that read nothing on the solved curve.
+    its own curve.  The constructor compiles a group of quotes of one
+    kind at a time, and each segment of a group's reads (a leg's payment
+    or schedule days, an OIS pair, an annuity's payment days) goes onto
+    its curve's batch as one block, recording the quote behind each read
+    (``owner``); the rows keep the positions it lands at:
+
+    * money market (deposit, FRA, futures before convexity): the simple
+      forward over its pair (T1, T2) on the own curve, with PV weight
+      P_d(T2) * tau;
+    * swap: a float leg projected off the own curve over its fixed
+      annuity; overnight index swap: the telescoped leg
+      P_d(start) - P_d(end) over its annuity; basis swap: its long leg
+      minus its short leg, each projected off the curve of its tenor,
+      over the short leg's spread annuity.  The annuity is their PV
+      weight.
+
+    Each batch, as times on its curve's clock, becomes one
+    ``LocatedQuery`` in ``queries`` (a curve no quote reads gets none
+    and is never read), and the rows become index arrays.  ``blind``
+    lists the quotes (by index) that read nothing on the solved curve.
+
+    ``fairs`` prices every row at once: the money-market rows as one
+    array of simple forwards, each leg and annuity as one ``np.dot``
+    over its slices (``_cashflows.float_legs``, ``annuities``), and each
+    swap-type quote as its signed leg and OIS rows over its annuity.
+    ``log_gradient`` differentiates all rows in one batched pass.
     """
 
-    __slots__ = ("clocks", "disc", "days", "owner", "queries", "table", "blind")
-
-    def __init__(self, structure: _Structure):
-        ref, disc, companions, _ = structure.key
-        self.clocks = {_OWN: ref} | dict(companions)
+    def __init__(self, structure: tuple):
+        ref, disc, companions, quotes = structure
+        clocks = {_OWN: ref} | dict(companions)
         if disc is not None:
-            self.clocks[_DISC] = disc
-        self.disc = _OWN if disc is None else _DISC
-        self.days: dict = {key: [] for key in self.clocks}
-        self.owner: dict = {key: np.zeros(0, dtype=np.intp) for key in self.clocks}
-        quotes = structure.quotes
-        n = len(quotes)
-        self.table = _cashflows.LegTable(_OWN)
-        _compile_quotes(quotes, self, self.table)
+            clocks[_DISC] = disc
+        self.disc = disc = _OWN if disc is None else _DISC
+        self.n = len(quotes)
+        size = dict.fromkeys(clocks, 0)
+        days: dict = {key: [] for key in clocks}
+        owner: dict = {key: [np.zeros(0, dtype=np.intp)] for key in clocks}
+
+        def read(key, idx: list[int], segments: list) -> list[int]:
+            """Quote ``idx[j]`` reads the serial days ``segments[j]`` on
+            the ``key`` curve; gives the position of each one's first."""
+            sizes = list(map(len, segments))
+            first = list(accumulate(sizes, initial=size[key]))
+            size[key] = first.pop()
+            days[key] += segments
+            owner[key].append(np.repeat(idx, sizes))
+            return first
+
+        groups: dict = {}
+        for i, (kind, tenor, second, *_) in enumerate(quotes):
+            if kind is InstrumentKind.BASIS_SWAP:
+                # grouped by the curves projecting the short and long legs
+                kind = tuple(
+                    _projecting(tenor, m, clocks) for m in sorted((tenor, second))
+                )
+            else:
+                kind = _GROUP[kind]
+            groups.setdefault(kind, []).append(i)
+        # rows: money market (quote, T1 read, P_d read, tau); annuity
+        # (quote, first payment read, accruals), one per swap-type quote, k
+        # numbering them; OIS (k, P_d(start) read); float legs (k, sign,
+        # payment read, schedule read, coupons) by projecting curve
+        mm, ann, ois, legs = [], [], [], {}
+        for kind, idx in groups.items():
+            qs = [quotes[i] for i in idx]
+            if kind == "mm":
+                mm = list(zip(
+                    idx, read(_OWN, idx, [q[3:5] for q in qs]),
+                    read(disc, idx, [q[4:5] for q in qs]),
+                    [year_fraction(Date(q[3]), Date(q[4]), q[6]) for q in qs],
+                ))
+                continue
+            k = range(len(ann), len(ann) + len(idx))
+            if kind == "swap" or kind == "ois":
+                fixed = [(q[5], q[6]) for q in qs]
+                annuity = _schedules(qs, [m for m, _ in fixed])
+                signed = [] if kind == "ois" else [
+                    (1.0, _OWN, _schedules(qs, [q[1] for q in qs]))
+                ]
+            else:
+                short, long = kind
+                tenors = [sorted(q[1:3]) for q in qs]
+                signed = [
+                    (-1.0, short, _schedules(qs, [t[0] for t in tenors])),
+                    (1.0, long, _schedules(qs, [t[1] for t in tenors])),
+                ]
+                # the spread annuity pays on the short leg's schedule
+                fixed = [(t[0], q[7]) for t, q in zip(tenors, qs)]
+                annuity = signed[0][2]
+            for sign, proj, dates in signed:
+                d = read(disc, idx, [x[1:] for x in dates])
+                f = read(proj, idx, dates)
+                legs.setdefault(proj, []).extend(
+                    (j, sign, pay, at, len(x) - 1) for j, pay, at, x in zip(k, d, f, dates)
+                )
+            if kind == "ois":
+                ois += zip(k, read(disc, idx, [q[3:5] for q in qs]))
+            taus = [_taus(q[3], q[4], m, dc) for q, (m, dc) in zip(qs, fixed)]
+            ann += zip(idx, read(disc, idx, [x[1:] for x in annuity]), taus)
+
+        self.owner = {key: np.concatenate(parts) for key, parts in owner.items()}
         self.queries = {
-            key: LocatedQuery((np.concatenate(days) - self.clocks[key]) / 365.0)
-            for key, days in self.days.items() if days
+            key: LocatedQuery((np.concatenate(d) - clocks[key]) / 365.0)
+            for key, d in days.items() if d
         }
-        self.days = None
-        self.table.seal(self.disc, n)
-        own = np.bincount(self.owner[_OWN], minlength=n)
+        own = np.bincount(self.owner[_OWN], minlength=self.n)
         self.blind = np.flatnonzero(own == 0).tolist()
 
-    def add(self, key, quotes: list[int], days: list[np.ndarray]) -> list[int]:
-        """Quote ``quotes[j]`` reads the serial days ``days[j]`` on the
-        ``key`` curve; gives the position of each quote's first read."""
-        sizes = list(map(len, days))
-        first = list(accumulate(sizes, initial=len(self.owner[key])))
-        self.days[key] += days
-        self.owner[key] = np.concatenate((self.owner[key], np.repeat(quotes, sizes)))
-        return first[:-1]
+        q, f, d, tau = zip(*mm) if mm else ((),) * 4
+        self.mm_q, self.mm_f, self.mm_d = (np.array(x, dtype=np.intp) for x in (q, f, d))
+        self.mm_f1 = self.mm_f + 1
+        self.mm_tau = np.array(tau, dtype=float)
+        q, first, taus = zip(*ann) if ann else ((),) * 3
+        self.ann_q = np.array(q, dtype=np.intp)
+        self.ann_tau = np.concatenate(taus or [()])
+        sizes = [len(t) for t in taus]
+        self.ann_k = np.arange(len(ann)).repeat(sizes)
+        self.ann = [(t, slice(d, d + size)) for t, d, size in zip(taus, first, sizes)]
+        rows = [leg for rows in legs.values() for leg in rows]
+        k, sign, d, f, n = zip(*rows) if rows else ((),) * 5
+        # every run of reads the evaluation gathers, in one pass: the
+        # annuities' payment reads, then coupon i of each leg paying at its
+        # payment read i and projecting off its schedule reads i, i + 1
+        runs = _spans(first + d + f, sizes + list(n) * 2)
+        m, c = len(self.ann_k), sum(n)
+        self.ann_d, cd, cf = runs[:m], runs[m:m + c], runs[m + c:]
+        n_array = np.array(n, dtype=np.intp)
+        ck = np.array(k, dtype=np.intp).repeat(n_array)
+        cs = np.array(sign, dtype=float).repeat(n_array)
+        ends = list(accumulate(n, initial=0))
+        self.groups, self.coupons, leg = {}, {}, 0
+        for key, rows in legs.items():
+            self.groups[key] = [
+                (slice(d, d + n), slice(f, f + n)) for _, _, d, f, n in rows
+            ]
+            a, b = ends[leg], ends[leg + len(rows)]
+            leg += len(rows)
+            # per coupon: its schedule reads, payment read, annuity and sign
+            self.coupons[key] = (cf[a:b], cf[a:b] + 1, cd[a:b], ck[a:b], cs[a:b])
+        ois_k, s = zip(*ois) if ois else ((), ())
+        self.ois_k = np.array(ois_k, dtype=np.intp)
+        self.ois_s = np.array(s, dtype=np.intp)
+        self.ois_s1 = self.ois_s + 1
+        # a quote's leg and OIS rows in row order, as fairs sums them
+        self.row_k = np.array(k + ois_k, dtype=np.intp)
+        self.row_sign = np.array(sign + (1.0,) * len(ois))
+
+    def fairs(self, p: dict) -> np.ndarray:
+        """Every quote's fair value in rate space on the batches ``p``;
+        raises ``ZeroDivisionError`` where an annuity is zero."""
+        fair = np.empty(self.n)
+        if self.mm_q.size:
+            own = p[_OWN]
+            fair[self.mm_q] = _cashflows.simple_forward(
+                own[self.mm_f], own[self.mm_f1], self.mm_tau
+            )
+        if self.ann:
+            p_d = p[self.disc]
+            rows = [
+                _cashflows.float_legs(p_d, p[k], legs) for k, legs in self.groups.items()
+            ]
+            if self.ois_s.size:
+                rows.append(p_d[self.ois_s] - p_d[self.ois_s1])
+            # a quote's rows summed in row order onto 0, then divided as
+            # Python floats: a zero annuity raises, an overflow gives inf
+            numerators = np.bincount(
+                self.row_k, np.concatenate(rows) * self.row_sign, len(self.ann)
+            )
+            a = _cashflows.annuities(self.ann, p_d)
+            fair[self.ann_q] = [n / x for n, x in zip(numerators.tolist(), a)]
+        return fair
+
+    def weights(self, p: dict) -> np.ndarray:
+        """Every quote's PV per unit notional of a unit move in its fair
+        value: P_d(end) * tau for money-market quotes, the annuity for
+        the others."""
+        w = np.empty(self.n)
+        if self.mm_q.size:
+            w[self.mm_q] = p[self.disc][self.mm_d] * self.mm_tau
+        if self.ann:
+            w[self.ann_q] = _cashflows.annuities(self.ann, p[self.disc])
+        return w
+
+    def log_gradient(self, p: dict, key) -> np.ndarray:
+        """dR/d ln P at every read of the ``key`` batch, R being the
+        residual of the quote that made the read, on the batches ``p``.
+
+        One vectorised pass over all rows, with no call per quote:
+        money-market pairs give +-P1 / (tau P2); a coupon
+        c = P_f(t_{i-1}) / P_f(t_i) - 1 paid at P_d(t_i) gives
+        P_d (1 + c) at t_{i-1}, -P_d (1 + c) at t_i and P_d c at the
+        payment, scaled by its leg's sign over the annuity A; an OIS
+        leg gives +-P_d / A; and each annuity read -(fair / A) tau P_d.
+        The coupon terms are ``_cashflows.float_leg_log_gradient``'s,
+        scattered through index arrays over every row at once, since a
+        set's legs sit at arbitrary slices of shared batches.
+        """
+        idx, val = [], []
+        if self.mm_q.size and key == _OWN:
+            own, f, f1 = p[key], self.mm_f, self.mm_f1
+            x = own[f] / (self.mm_tau * own[f1])
+            idx += [f, f1]
+            val += [x, -x]
+        if self.ann:
+            # the annuity and OIS rows read the discounting batch alone
+            disc, m = self.disc, len(self.ann)
+            p_d = p[disc]
+            ann_pv = np.bincount(self.ann_k, self.ann_tau * p_d[self.ann_d], m)
+            numerators = np.zeros(m)
+            for gkey, (cf, cf1, cd, k, sign) in self.coupons.items():
+                if gkey != key and disc != key:
+                    continue
+                p_f = p[gkey]
+                ratio = p_f[cf] / p_f[cf1]
+                pay = sign * p_d[cd]
+                coupon = pay * (ratio - 1.0)
+                scale = 1.0 / ann_pv[k]
+                if gkey == key:
+                    pay *= ratio * scale
+                    idx += [cf, cf1]
+                    val += [pay, -pay]
+                if disc == key:
+                    numerators += np.bincount(k, coupon, m)
+                    idx.append(cd)
+                    val.append(coupon * scale)
+            if disc == key:
+                s, s1 = self.ois_s, self.ois_s1
+                p1, p2 = p_d[s], p_d[s1]
+                numerators += np.bincount(self.ois_k, p1 - p2, m)
+                a = ann_pv[self.ois_k]
+                fair = numerators / ann_pv
+                idx += [s, s1, self.ann_d]
+                val += [
+                    p1 / a,
+                    -p2 / a,
+                    -(fair / ann_pv)[self.ann_k] * self.ann_tau * p_d[self.ann_d],
+                ]
+        if not idx:
+            return np.zeros(len(p[key]))
+        return np.bincount(np.concatenate(idx), np.concatenate(val), len(p[key]))
 
 
 @lru_cache(maxsize=_LAYOUTS)
-def _compiled(structure: _Structure) -> _Layout:
+def _compiled(structure: tuple) -> _Layout:
     """The layout of every quote set of ``structure``, compiled on its
     first use and kept in a bounded LRU.  A set that fails to compile
     raises its ``BootstrapError`` and leaves nothing behind."""
     return _Layout(structure)
 
 
-# Deposits, FRAs and futures compile alike, as money-market quotes.
-_MONEY_MARKET = (InstrumentKind.DEPOSIT, InstrumentKind.FRA, InstrumentKind.FUTURES)
-
-
-def _compile_quotes(
-    quotes: list[InstrumentQuote], layout: _Layout, table: _cashflows.LegTable
-) -> None:
-    """Append the rows of every quote of a set to ``table``, a group of
-    quotes of one kind at a time.
-
-    Compiling registers every date a row reads with ``layout``, on the
-    curve it comes from: the curve projecting the quote's own tenor,
-    the discounting curve (``layout.disc``) or, for the far leg of a
-    basis swap, the companion of that tenor.  A group puts each segment
-    of its reads (a leg's payment or schedule days, an OIS pair, an
-    annuity's payment days) on its curve with one ``add``, in row order,
-    and the rows keep the batch positions it gives.
-
-    A money-market quote (deposit, FRA, futures before convexity) is
-    one row: the simple forward over its own-curve pair, with PV weight
-    P_d(end) * tau.  A swap is a float leg over its fixed annuity, an
-    overnight index swap the telescoped leg P_d(start) - P_d(end) over
-    its annuity, and a basis swap its long leg minus its short leg over
-    the short leg's spread annuity; the annuity is their PV weight.
-    """
-    groups: dict = {}
-    for i, q in enumerate(quotes):
-        kind = q.kind
-        if kind is InstrumentKind.BASIS_SWAP:
-            short, long = sorted((q.underlying_tenor, q.second_tenor))
-            kind = (_projecting(q, short, layout), _projecting(q, long, layout))
-        elif kind in _MONEY_MARKET:
-            kind = "mm"
-        elif kind is InstrumentKind.SWAP:
-            kind = "swap"
-        elif kind is InstrumentKind.OIS:
-            kind = "ois"
-        else:
-            raise BootstrapError(f"unknown instrument kind {kind!r}")
-        groups.setdefault(kind, []).append(i)
-    disc = layout.disc
-    for kind, idx in groups.items():
-        qs = [quotes[i] for i in idx]
-        if kind == "mm":
-            pairs = np.array([(q.start.serial, q.end.serial) for q in qs])
-            f = layout.add(_OWN, idx, list(pairs))
-            d = layout.add(disc, idx, list(pairs[:, 1:]))
-            tau = [year_fraction(q.start, q.end, q.daycount) for q in qs]
-            table.money_market(idx, f, d, tau)
-            continue
-        # swap-type: per float leg its sign, projecting curve and each
-        # quote's schedule; each quote's annuity day count and schedule
-        if kind == "swap" or kind == "ois":
-            fixed = [(q.fixed_frequency, q.daycount) for q in qs]
-            annuity = _schedules(qs, [m for m, _ in fixed])
-            legs = [] if kind == "ois" else [
-                (1.0, _OWN, _schedules(qs, [q.underlying_tenor for q in qs]))
-            ]
-        else:
-            # basis swaps, grouped by the curves projecting their short and
-            # long legs
-            short, long = kind
-            tenors = [sorted((q.underlying_tenor, q.second_tenor)) for q in qs]
-            legs = [
-                (-1.0, short, _schedules(qs, [t[0] for t in tenors])),
-                (1.0, long, _schedules(qs, [t[1] for t in tenors])),
-            ]
-            # the spread annuity pays on the short leg's schedule
-            fixed = [(t[0], q.float_daycount) for t, q in zip(tenors, qs)]
-            annuity = legs[0][2]
-        for sign, proj, dates in legs:
-            d = layout.add(disc, idx, [x[1:] for x in dates])
-            f = layout.add(proj, idx, dates)
-            table.float_leg(idx, sign, proj, d, f, [len(x) - 1 for x in dates])
-        if kind == "ois":
-            pairs = np.array([(q.start.serial, q.end.serial) for q in qs])
-            table.ois(idx, layout.add(disc, idx, list(pairs)))
-        taus = [_taus(q.start, q.end, m, dc) for q, (m, dc) in zip(qs, fixed)]
-        table.annuity(idx, layout.add(disc, idx, [x[1:] for x in annuity]), taus)
-
-
-def _schedules(qs: list[InstrumentQuote], months: list[int]) -> list[np.ndarray]:
+def _schedules(qs: list[tuple], months: list[int]) -> list[np.ndarray]:
     """The serial days of each quote's schedule rolling every ``months``."""
-    return [_sched(q.start.serial, q.end.serial, m) for q, m in zip(qs, months)]
+    return [_sched(q[3], q[4], m) for q, m in zip(qs, months)]
 
 
-def _projecting(q: InstrumentQuote, months: int, layout: _Layout):
-    """Key of the curve projecting the ``months`` leg of a basis swap."""
-    if months == q.underlying_tenor:
+def _projecting(tenor: int, months: int, clocks: dict):
+    """Key of the curve projecting the ``months`` leg of a basis swap on
+    the ``tenor`` index."""
+    if months == tenor:
         return _OWN
-    if months in layout.clocks:
+    if months in clocks:
         return months
     raise BootstrapError(
         f"basis swap leg needs a companion curve for the {months}M tenor"
     )
 
 
+def _spans(starts: list[int], sizes: list[int]) -> np.ndarray:
+    """The positions covered by runs of ``sizes`` beginning at ``starts``,
+    run after run: the index array of many slices, built in one pass."""
+    shift = [a - b for a, b in zip(starts, accumulate(sizes, initial=0))]
+    index = np.array(shift, dtype=np.intp).repeat(sizes)
+    index += np.arange(index.size)
+    return index
+
+
 class _Residuals:
     """Residual vector R of a quote set: each quote's fair value minus its
     rate, futures in rate space.
 
-    The set's compiled ``_Layout`` (its ``LegTable``, batches and
-    ``owner``) comes from ``_compiled``, keyed on the set's structure,
-    so a set is compiled once however many times it is re-marked,
-    bumped or repriced.  What depends on the quote values and the
-    curves is this object's own: the rates, the batches of discount
-    factors read so far (``p``, keyed like the layout's queries), the
-    curve read into each (``curves``) and the last solve's located
-    pillars.  The fixed curves (discounting, basis companions) are read
-    once, here.  An evaluation reads each curve once, in one batch, and
-    the table prices every quote off its slices of the batches:
+    The set's compiled ``_Layout`` (its rows, batches and ``owner``)
+    comes from ``_compiled``, keyed on the set's structure, so a set is
+    compiled once however many times it is re-marked, bumped or
+    repriced.  What depends on the quote values and the curves is this
+    object's own: the rates, the batches of discount factors read so far
+    (``p``, keyed like the layout's queries), the curve read into each
+    (``curves``) and the last solve's located pillars.  The fixed curves
+    (discounting, basis companions) are read once, here.  An evaluation
+    reads each curve once, in one batch, and the layout prices every
+    quote off its slices of the batches:
 
     * ``on_pillars``, while solving, evaluates the solved curve's batch
       on its pillar log-discounts through the kernels, exactly as a
@@ -424,21 +551,18 @@ class _Residuals:
       curve, whose interpolation data is rebuilt from its pillars;
     * ``curve_jacobians`` gives dR/d ln p over the pillars of every
       finished curve the set reads, the blocks of the quote Jacobian
-      in ``risk``.
+      in ``risk``;
+    * ``fairs`` and ``weights`` give every quote's fair value and PV
+      weight on finished curves, for ``fair_quote``, ``instrument_pv``
+      and the hedge weights in ``risk``.
 
-    ``load`` also serves ``fair_quote``, ``instrument_pv`` and the hedge
-    weights in ``risk``, which read the table's ``fairs`` and
-    ``weights`` on the loaded batches.  A curve is read again only when
-    another curve object takes its place.  An annuity that underflows to
-    zero gives NaN residuals.  ``owner`` names, per batch, the quote
-    behind each read; ``blind`` lists the quotes that read nothing on
-    the solved curve, so cannot pin it.
+    A curve is read again only when another curve object takes its
+    place.  An annuity that underflows to zero gives NaN residuals.
+    ``blind`` lists the quotes that read nothing on the solved curve,
+    so cannot pin it.
     """
 
-    __slots__ = (
-        "quotes", "rates", "layout", "table", "owner", "blind", "p", "curves",
-        "_pillars",
-    )
+    __slots__ = ("quotes", "rates", "layout", "blind", "p", "curves", "_pillars")
 
     def __init__(
         self,
@@ -450,9 +574,8 @@ class _Residuals:
         self.quotes = list(quotes)
         self.rates = np.array([q.implied_rate() for q in self.quotes])
         self.layout = layout = _compiled(
-            _Structure(self.quotes, ref, discounting, companions)
+            _structure(self.quotes, ref, discounting, companions)
         )
-        self.table, self.owner = layout.table, layout.owner
         self.blind = [self.quotes[i] for i in layout.blind]
         self.p: dict = {}
         self.curves: dict = {}
@@ -488,6 +611,16 @@ class _Residuals:
                 self._read(key, companions[key])
         return self.p
 
+    def fairs(self, *curves) -> np.ndarray:
+        """Every quote's fair value in rate space on the curves given as
+        to ``load``; raises ``ZeroDivisionError`` on a zero annuity."""
+        return self.layout.fairs(self.load(*curves))
+
+    def weights(self, *curves) -> np.ndarray:
+        """Every quote's PV per unit notional of a unit move in its fair
+        value, on the curves given as to ``load``."""
+        return self.layout.weights(self.load(*curves))
+
     def on_curves(
         self,
         target: YieldCurve,
@@ -514,14 +647,15 @@ class _Residuals:
 
     def jacobian(self) -> np.ndarray:
         """dR/d ln p over the pillars of the last ``on_pillars`` call,
-        anchor excluded: the table's dR/d ln P at every read of the
+        anchor excluded: the layout's dR/d ln P at every read of the
         solved curve, times d ln P/d ln p = A + B S' of the located
         batch, summed per quote."""
         loc, lnp = self._pillars
-        g = self.table.log_gradient(self.p, _OWN)
-        t = self.layout.queries[_OWN].t
+        layout = self.layout
+        g = layout.log_gradient(self.p, _OWN)
+        t = layout.queries[_OWN].t
         return _kernels.log_jacobian(
-            t, loc, lnp, g, self.owner[_OWN], len(self.quotes)
+            t, loc, lnp, g, layout.owner[_OWN], len(self.quotes)
         )[:, 1:]
 
     def curve_jacobians(
@@ -531,22 +665,22 @@ class _Residuals:
         companions: dict[int, YieldCurve] | None = None,
     ) -> list[tuple[YieldCurve, np.ndarray]]:
         """(curve, dR/d ln p over its pillars) for every curve the set
-        reads, at the curves given as to ``load``: per batch, the table's
-        dR/d ln P at each read chained through that curve's
+        reads, at the curves given as to ``load``: per batch, the
+        layout's dR/d ln P at each read chained through that curve's
         d ln P/d ln p and summed onto the quote behind the read."""
-        queries = self.layout.queries
+        layout = self.layout
         p = self.load(target, discounting, companions)
         return [
             (curve, curve.log_jacobian(
-                queries[key], self.table.log_gradient(p, key),
-                self.owner[key], len(self.quotes),
+                layout.queries[key], layout.log_gradient(p, key),
+                layout.owner[key], len(self.quotes),
             ))
             for key, curve in self.curves.items()
         ]
 
     def _evaluate(self) -> np.ndarray:
         try:
-            return self.table.fairs(self.p) - self.rates
+            return self.layout.fairs(self.p) - self.rates
         except ZeroDivisionError:
             # an annuity that underflowed to zero: no finite residual here
             return np.full(len(self.quotes), np.nan)
@@ -564,7 +698,7 @@ def fair_quote(
     to the target itself (single-curve pricing).
     """
     one = _Residuals([q], target.reference_date, discounting, companions)
-    f = float(one.table.fairs(one.load(target, discounting, companions))[0])
+    f = float(one.fairs(target, discounting, companions)[0])
     if q.kind is InstrumentKind.FUTURES:
         return 100.0 * (1.0 - (f + q.convexity))
     return f
@@ -586,11 +720,11 @@ def instrument_pv(
     to rate space internally.
     """
     one = _Residuals([q], target.reference_date, discounting, companions)
-    p = one.load(target, discounting, companions)
+    curves = (target, discounting, companions)
     strike = contract_quote
     if q.kind is InstrumentKind.FUTURES:
         strike = (100.0 - contract_quote) / 100.0 - q.convexity
-    return float(notional * one.table.weights(p)[0] * (one.table.fairs(p)[0] - strike))
+    return float(notional * one.weights(*curves)[0] * (one.fairs(*curves)[0] - strike))
 
 
 def repricing_errors(
@@ -734,7 +868,7 @@ def _solve_curve(
     from ``seed`` (``ts`` holds the anchor at 0 and the pillar times).
 
     The Jacobian is exact: J = (dR/d ln P at every read of the curve)
-    (d ln P/d ln p), from the residuals' leg table and the kernels'
+    (d ln P/d ln p), from the residuals' layout and the kernels'
     linear parts of the located batch (``_Residuals.jacobian``), at the
     cost of no further residual evaluation.  A J that the LU solve finds
     singular, or a non-finite step, fails the build; the condition

@@ -36,7 +36,7 @@ from .bootstrap import (
 )
 from .curve import TENOR_LABELS, YieldCurve
 from .interp import InterpScheme
-from .pricer import PRICE_CSV_HEADER, Book, load_portfolio, price_position
+from .pricer import PRICE_CSV_HEADER, Book, load_portfolio, price_portfolio
 from .quanto import (
     InfeasibleVolError,
     SwapVolCorrSpec,
@@ -286,16 +286,15 @@ def cmd_price(args) -> int:
     with _open_out(args.out) as fh:
         fh.write(f"# {_provenance('price', paths)}\n")
         fh.write(PRICE_CSV_HEADER + "\n")
-        for pos in positions:
-            pv, fair = price_position(
-                pos,
-                curves,
-                volcorr=volcorr,
-                swap_volcorr=swap_volcorr,
-                single_curve=args.single_curve,
-                paper_literal=args.paper_literal_black,
-            )
-            fh.write(f"{pos.id},{pos.kind},{pv:.12g},{fair:.12g}\n")
+        for r in price_portfolio(
+            positions,
+            curves,
+            volcorr=volcorr,
+            swap_volcorr=swap_volcorr,
+            single_curve=args.single_curve,
+            paper_literal=args.paper_literal_black,
+        ):
+            fh.write(f"{r['instrument_id']},{r['kind']},{r['pv']:.12g},{r['fair']:.12g}\n")
     return 0
 
 

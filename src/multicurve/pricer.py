@@ -356,7 +356,7 @@ def _compile_legs(disc: YieldCurve, fwd: YieldCurve, spec: SwapSpec, volcorr):
     n = len(fdays) - 1
     q_f = _query(fwd, fdays)
     q_d = _query(disc, np.concatenate((fdays[1:], xdays[1:])))
-    taus = _taus(start, end, months, spec.daycount_fixed)
+    taus = _taus(start.serial, end.serial, months, spec.daycount_fixed)
     # without a spec the coupons skip the multiply by QA altogether
     qa = None if volcorr is None else _adjustments(volcorr, q_f.t[:-1])[0]
 

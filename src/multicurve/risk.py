@@ -120,9 +120,17 @@ class MarketState:
     ):
         if "discount" not in quote_sets:
             raise ValueError("market state needs a 'discount' quote set")
-        for label in quote_sets:
+        for label, quotes in quote_sets.items():
             if label not in TENOR_LABELS:
                 raise ValueError(f"unknown curve label {label!r}")
+            # an OIS reads the discounting curve alone, so fits any set
+            months = tenor_months_from_label(label)
+            for q in quotes if months else ():
+                if q.kind is not InstrumentKind.OIS and q.underlying_tenor != months:
+                    raise ValueError(
+                        f"{label} {q.kind.value} quote ending {q.end.iso()} is on "
+                        f"the {q.underlying_tenor}M index, not the set's {months}M"
+                    )
         self.reference_date = reference_date
         self.quote_sets = {k: list(v) for k, v in quote_sets.items()}
         self._config = config or BootstrapConfig()
@@ -146,8 +154,6 @@ class MarketState:
         for q in self.quote_sets[label]:
             if q.kind is InstrumentKind.BASIS_SWAP:
                 other = f"fwd_{q.second_tenor}M"
-                if other == label:
-                    continue
                 if other not in self.quote_sets:
                     raise ValueError(
                         f"{label} basis swaps reference the {other} curve "
@@ -526,8 +532,8 @@ def hedge_ratios(
             # the quote set the base build compiled
             chosen = state._sets[label]
             if label not in weights:
-                p = chosen.load(curves[label], *pricing_curves(label, curves))
-                weights[label] = chosen.table.weights(p)
+                disc, companions = pricing_curves(label, curves)
+                weights[label] = chosen.weights(curves[label], disc, companions)
             own = float(weights[label][chosen.quotes.index(q)]) * 1e-4
         if own == 0.0:
             raise ValueError(

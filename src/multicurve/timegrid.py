@@ -303,13 +303,13 @@ def cached_schedule_serials(start: int, end: int, frequency_months: int) -> np.n
 
 @lru_cache(maxsize=4096)
 def cached_schedule_accruals(
-    start: Date, end: Date, frequency_months: int, daycount: DayCount
+    start: int, end: int, frequency_months: int, daycount: DayCount
 ) -> np.ndarray:
     """Year fractions of the consecutive periods of the schedule
-    ``cached_schedule_serials`` gives for these dates, as a read-only
-    array, memoised on the schedule's own arguments, so a lookup hashes
-    two dates rather than every date of the schedule."""
-    serials = cached_schedule_serials(start.serial, end.serial, frequency_months)
+    ``cached_schedule_serials`` gives for these serial days, as a
+    read-only array, memoised on the schedule's own arguments, so a
+    lookup hashes two days rather than every date of the schedule."""
+    serials = cached_schedule_serials(start, end, frequency_months)
     taus = year_fractions(serials[:-1], serials[1:], daycount)
     taus.flags.writeable = False
     return taus

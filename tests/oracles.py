@@ -858,7 +858,7 @@ def reference_bootstrap_curve(quotes, config=None, discount_curve=None,
         def value():
             if _OWN in queries:
                 one.p[_OWN] = ws.df(queries[_OWN].t)
-            return one.table.fairs(one.p)[0]
+            return one.layout.fairs(one.p)[0]
 
         return value
 

@@ -706,33 +706,32 @@ class TestQuoteSetCompiledOnce:
                   tenor_label="fwd_3M")
         seed = bootstrap_curve(quotes, **kw)
         clear_caches()
-        compiled, reads = [], []
-        real_compile, real_lookup = bootstrap._compile_quotes, YieldCurve.discount_time
-
-        def counting_compile(qs, *args):
-            compiled.extend(qs)
-            return real_compile(qs, *args)
+        reads = []
+        real_lookup = YieldCurve.discount_time
 
         def counting_lookup(curve, t):
             reads.append(curve)
             return real_lookup(curve, t)
 
-        monkeypatch.setattr(bootstrap, "_compile_quotes", counting_compile)
         monkeypatch.setattr(YieldCurve, "discount_time", counting_lookup)
         built = bootstrap_curve(quotes, start_curve=seed, **kw)
-        cold_compiled, cold_reads = list(compiled), list(reads)
-        compiled.clear()
+        cold_compiled, cold_reads = _layout_misses(), list(reads)
         reads.clear()
         again = bootstrap_curve(quotes, start_curve=seed, **kw)
+        compiled = _layout_misses() - cold_compiled
         monkeypatch.undo()
-        assert cold_compiled == select_pillar_instruments(quotes)
+        # one set compiled, the chosen quotes': compiling them again hits
+        assert cold_compiled == 1
+        chosen = select_pillar_instruments(quotes)
+        bootstrap._compiled(bootstrap._structure(chosen, REF, disc, {6: fwd6}))
+        assert _layout_misses() == 1
         # one read each of the seed, the two fixed curves and (closure
         # check) the finished curve
         assert [sum(r is c for r in cold_reads) for c in (seed, disc, fwd6, built)] == [1] * 4
         assert len(cold_reads) == 4
         # the set's layout is kept: the same build compiles nothing, reads
         # the same curves once each and gives the same curve
-        assert compiled == []
+        assert compiled == 0
         assert [sum(r is c for r in reads) for c in (seed, disc, fwd6, again)] == [1] * 4
         assert len(reads) == 4
         assert again.pillar_dfs.tobytes() == built.pillar_dfs.tobytes()
@@ -925,12 +924,12 @@ class TestCompileByKind:
         target = curves[label]
         whole = bootstrap._Residuals(quotes, REF, disc, companions)
         residuals = whole.on_curves(target, disc, companions)
-        weights = whole.table.weights(whole.p)
+        weights = whole.weights(target, disc, companions)
         blocks = self._blocks(whole, target, disc, companions)
         for i, q in enumerate(quotes):
             one = bootstrap._Residuals([q], REF, disc, companions)
             assert one.on_curves(target, disc, companions).tobytes() == residuals[i:i + 1].tobytes()
-            assert one.table.weights(one.p).tobytes() == weights[i:i + 1].tobytes()
+            assert one.weights(target, disc, companions).tobytes() == weights[i:i + 1].tobytes()
             alone = self._blocks(one, target, disc, companions)
             for key, block in blocks.items():
                 row = block[i]

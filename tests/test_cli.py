@@ -423,6 +423,27 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "error:input:" in err and "tenor" in err
 
+    @pytest.mark.parametrize("command", ["bootstrap", "risk"])
+    def test_quote_on_another_index_tenor_exits_input(self, workspace, tmp_path, command):
+        # a 7M swap in the 6M set formerly built a silently wrong curve
+        lines = (workspace / "fwd_6M.csv").read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("SWAP,6,"))
+        lines[i] = lines[i].replace("SWAP,6,", "SWAP,7,", 1)
+        csv = tmp_path / "fwd_6M.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        quotes = ["--quotes", f"discount={workspace / 'discount.csv'}",
+                  "--quotes", f"fwd_6M={csv}"]
+        if command == "bootstrap":
+            argv = ["bootstrap", *quotes, "--out", str(tmp_path / "curves")]
+        else:
+            argv = ["risk", "--portfolio", str(workspace / "portfolio.json"), *quotes]
+        rc, err = run_main(argv)
+        assert rc == 2
+        end = lines[i].split(",")[3]
+        assert err == [
+            f"error:input:fwd_6M SWAP quote ending {end} is on the 7M index, not the set's 6M"
+        ]
+
     def test_unsolvable_quote_exits_numerical(self, tmp_path, capsys):
         csv = tmp_path / "quotes.csv"
         csv.write_text(

@@ -2,6 +2,7 @@ import io
 import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,9 +41,9 @@ from multicurve import (
     write_ladder_csv,
     year_fraction,
 )
-from multicurve import _cashflows, _kernels, bootstrap, risk
+from multicurve import _kernels, bootstrap, risk
 from multicurve import basis as basis_mod
-from multicurve.risk import HEDGE_CSV_HEADER, LADDER_CSV_HEADER
+from multicurve.risk import HEDGE_CSV_HEADER, LADDER_CSV_HEADER, pricing_curves
 from multicurve.synthetic import (
     SyntheticMarket,
     default_market,
@@ -94,6 +95,27 @@ class TestMarketState:
         sets = make_quote_sets()
         with pytest.raises(ValueError):
             MarketState(REF, {"discount": sets["discount"], "fwd_1M": sets["fwd_1M"]})
+
+    @pytest.mark.parametrize("label, kind", [
+        ("fwd_6M", "SWAP"), ("fwd_6M", "FRA"), ("fwd_3M", "BASIS_SWAP"),
+    ])
+    def test_quote_on_another_index_tenor_rejected(self, label, kind):
+        # formerly built, rolling the quote's float leg every 7 months off
+        # the set's own curve
+        sets = make_quote_sets()
+        quotes = sets[label]
+        i = next(i for i, q in enumerate(quotes) if q.kind.value == kind)
+        quotes[i] = replace(quotes[i], underlying_tenor=7)
+        with pytest.raises(ValueError, match=(
+            f"{label} {kind} quote ending {quotes[i].end.iso()} is on the 7M "
+            f"index, not the set's {label[4:-1]}M"
+        )):
+            MarketState(REF, sets)
+
+    def test_ois_quote_fits_any_set(self):
+        # an OIS reads the discounting curve alone, whatever its tenor
+        ois = [q for q in make_ois_quotes() if q.kind is InstrumentKind.OIS][:2]
+        MarketState(REF, {"discount": ois, "fwd_3M": [replace(ois[0], underlying_tenor=6)]})
 
     def test_base_curves_are_cached(self):
         state = MarketState(
@@ -174,10 +196,10 @@ class TestDeltaLadder:
             REF, {"discount": [depo(6, 0.02), depo(24, 0.021)]}
         )
         state.base_curves()
-        # a leg table whose reverse pass sees no curve: every block of the
-        # exact J is 0
+        # a compiled set whose reverse pass sees no curve: every block of
+        # the exact J is 0
         monkeypatch.setattr(
-            _cashflows.LegTable, "log_gradient",
+            bootstrap._Layout, "log_gradient",
             lambda self, p, key: np.zeros(len(p[key])),
         )
         entries = delta_ladder(state, lambda c: c["discount"].discount_time(1.0))
@@ -222,6 +244,11 @@ def _pillar_locations(state):
         if state.quote_sets[label][i]
         in select_pillar_instruments(state.quote_sets[label])
     ]
+
+
+def _layout_misses() -> int:
+    """Quote sets compiled so far: the misses of the compiled-set memo."""
+    return bootstrap._compiled.cache_info().misses
 
 
 def _two_curve_state_and_book(config=None):
@@ -345,9 +372,7 @@ class TestWorkCounts:
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(
-            bootstrap, "_compile_quotes", counting("compile", bootstrap._compile_quotes)
-        )
+        compiled = _layout_misses()
         for module in (bootstrap, risk):
             if hasattr(module, "repricing_errors"):
                 monkeypatch.setattr(
@@ -360,8 +385,9 @@ class TestWorkCounts:
         entries = delta_ladder(state, pv_fn)
         assert all(e.error is None for e in entries)
         assert calls == []
+        assert _layout_misses() == compiled
 
-    def test_hedges_compile_no_quote(self, monkeypatch):
+    def test_hedges_compile_no_quote(self):
         # each hedge's PV weight comes from the quote set its base build
         # compiled
         state = MarketState(REF, make_quote_sets())
@@ -371,17 +397,10 @@ class TestWorkCounts:
 
         delta_ladder(state, pv_fn)
         pillars = _pillar_locations(state)
-        compiled = []
-        real = bootstrap._compile_quotes
-
-        def counting(qs, *args):
-            compiled.extend(qs)
-            return real(qs, *args)
-
-        monkeypatch.setattr(bootstrap, "_compile_quotes", counting)
+        compiled = _layout_misses()
         rows = hedge_ratios(state, pv_fn, pillars)
         assert len(rows) == len(pillars) == state.risk_stats()["pillars"]
-        assert compiled == []
+        assert _layout_misses() == compiled
 
     def test_residual_ladder_values_no_hedge(self, monkeypatch):
         state, pv_fn = _two_curve_state_and_book()
@@ -492,7 +511,7 @@ class TestCompiledSetsShared:
         for case, result in got:
             assert result == want[case]
 
-    def test_hedged_pv_fn_compiles_each_hedge_once(self, monkeypatch):
+    def test_hedged_pv_fn_compiles_each_hedge_once(self):
         state, pv_fn = _two_curve_state_and_book()
         rows = hedge_ratios(state, pv_fn, _all_locations(state))
         curves = state.base_curves()
@@ -500,19 +519,12 @@ class TestCompiledSetsShared:
         # cold: the book's own two quotes are hedges too, so every quote
         # valued is a hedge, and each compiles on its first valuation alone
         clear_caches()
-        compiled = []
-        real = bootstrap._compile_quotes
-
-        def counting(qs, *args):
-            compiled.extend(qs)
-            return real(qs, *args)
-
-        monkeypatch.setattr(bootstrap, "_compile_quotes", counting)
         pvs = [hedged(curves) for _ in range(3)]
-        monkeypatch.undo()
-        assert sorted(map(quote_fingerprint, compiled)) == sorted(
-            quote_fingerprint(r.quote) for r in rows
-        )
+        # one set compiled per hedge, each hedge's: compiling them again hits
+        assert _layout_misses() == len(rows)
+        for r in rows:
+            bootstrap._Residuals([r.quote], REF, *pricing_curves(r.set_label, curves))
+        assert _layout_misses() == len(rows)
         assert pvs[1] == pvs[0] and pvs[2] == pvs[0]
 
     def test_remark_op_after_a_warm_up_compiles_and_rolls_nothing(self, monkeypatch):
@@ -529,9 +541,9 @@ class TestCompiledSetsShared:
 
         clear_caches()
         remark(_moved_sets(0.010))
-        counts = {"compile": 0, "roll": 0}
+        counts = {"roll": 0}
         daily = []
-        real_compile, real_roll = bootstrap._compile_quotes, basis_mod.roll_months
+        real_roll = basis_mod.roll_months
         real_daily = YieldCurve.daily_discounts
 
         def counted(name, fn):
@@ -545,12 +557,12 @@ class TestCompiledSetsShared:
                 daily.append(curve.tenor_label)
             return real_daily(curve)
 
-        monkeypatch.setattr(bootstrap, "_compile_quotes", counted("compile", real_compile))
+        compiled = _layout_misses()
         monkeypatch.setattr(basis_mod, "roll_months", counted("roll", real_roll))
         monkeypatch.setattr(YieldCurve, "daily_discounts", counting_daily)
         tables = remark(_moved_sets(0.012))
         monkeypatch.undo()
-        assert counts == {"compile": 0, "roll": 0}
+        assert counts == {"roll": 0} and _layout_misses() == compiled
         assert sorted(daily) == sorted(("discount",) + labels)
         assert all(np.all(np.isfinite(t.mult)) for t in tables)
 

@@ -363,16 +363,17 @@ class TestCachedSchedules:
         start, end = Date.of(2023, 1, 31), Date.of(2026, 5, 31)
         dates = generate_schedule(start, end, 6)
         for daycount in DayCount:
-            taus = cached_schedule_accruals(start, end, 6, daycount)
+            taus = cached_schedule_accruals(start.serial, end.serial, 6, daycount)
             want = [year_fraction(a, b, daycount) for a, b in zip(dates[:-1], dates[1:])]
             assert taus.tobytes() == np.array(want).tobytes()
             assert not taus.flags.writeable
 
     def test_schedule_accruals_keyed_on_the_schedule(self):
         start, end = Date.of(2024, 2, 29), Date.of(2031, 8, 31)
-        taus = cached_schedule_accruals(start, end, 3, DayCount.THIRTY_360)
-        assert cached_schedule_accruals(start, end, 3, DayCount.THIRTY_360) is taus
-        assert cached_schedule_accruals(start, end, 3, DayCount.ACT_360) is not taus
+        s, e = start.serial, end.serial
+        taus = cached_schedule_accruals(s, e, 3, DayCount.THIRTY_360)
+        assert cached_schedule_accruals(s, e, 3, DayCount.THIRTY_360) is taus
+        assert cached_schedule_accruals(s, e, 3, DayCount.ACT_360) is not taus
         days = cached_schedule_serials(start.serial, end.serial, 3)
         assert taus.tobytes() == year_fractions(
             days[:-1], days[1:], DayCount.THIRTY_360
@@ -385,4 +386,4 @@ class TestCachedSchedules:
         with pytest.raises(ValueError):
             cached_schedule_serials(d.serial, d.serial + 100, 0)
         with pytest.raises(ValueError):
-            cached_schedule_accruals(d.add_days(1), d, 3, DayCount.ACT_360)
+            cached_schedule_accruals(d.serial + 1, d.serial, 3, DayCount.ACT_360)

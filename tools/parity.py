@@ -12,6 +12,9 @@ its ``perfbench/``, and writes every float below as a hex string
 * the pillar discount factors of the five-curve market built from the
   first ``remark`` snapshot of seeds 1-3, under each of the three
   interpolation schemes;
+* on the seed-1 market under each scheme, every quote's
+  ``fair_quote``, its ``instrument_pv`` struck 25 bp off its quote and
+  its ``repricing_errors`` entry;
 * the four daily basis tables (1M/3M/6M/12M against discounting) of
   one ``remark`` op, seed 1;
 * the pillar discount factors and the four basis tables of ``remark``
@@ -25,7 +28,8 @@ its ``perfbench/``, and writes every float below as a hex string
   adjustment, quanto-adjusted, adjusted with ``paper_literal``, single
   curve): its value and ``Book.gradient`` on the first curve set, and
   its exact pillar gradient and quote deltas on the seed-1 market;
-* that market's quote Jacobian J and cond(J);
+* that market's quote Jacobian J and cond(J), and each curve's hedge
+  weights: ``hedge_ratios``' own delta of every quote of its set;
 * the ladder and hedge CSVs of one ``risk`` op (seed 1) through
   ``multicurve risk``.
 
@@ -79,9 +83,12 @@ def digest(root: str) -> dict[str, list[str]]:
     import bench_workloads as bw
     import numpy as np
 
-    from multicurve import BootstrapConfig, InterpScheme, delta_ladder
+    from multicurve import BootstrapConfig, InterpScheme, delta_ladder, hedge_ratios
+    from multicurve.bootstrap import (
+        bump_quote, fair_quote, instrument_pv, repricing_errors,
+    )
     from multicurve.pricer import Book, price_position
-    from multicurve.risk import MarketState
+    from multicurve.risk import MarketState, pricing_curves
 
     out: dict[str, list[str]] = {}
     with tempfile.TemporaryDirectory() as work:
@@ -95,6 +102,16 @@ def digest(root: str) -> dict[str, list[str]]:
                 curves = MarketState(wl.ref, wl.snapshots[0], config).base_curves()
                 for label, curve in curves.items():
                     out[f"pillars/seed{seed}/{scheme.value}/{label}"] = _floats(curve.pillar_dfs)
+                if seed != 1:
+                    continue
+                for label, quotes in wl.snapshots[0].items():
+                    on = (curves[label], *pricing_curves(label, curves))
+                    name = f"quotes/{scheme.value}/{label}"
+                    out[f"{name}/fair"] = _floats(fair_quote(q, *on) for q in quotes)
+                    out[f"{name}/pv"] = _floats(
+                        instrument_pv(q, bump_quote(q, 25e-4).quote, *on) for q in quotes
+                    )
+                    out[f"{name}/repricing"] = _floats(repricing_errors(quotes, *on))
         state, _, tables = remark[1].op(0)
         for table in tables:
             for field in ("mult", "add", "fwd_disc"):
@@ -137,6 +154,12 @@ def digest(root: str) -> dict[str, list[str]]:
         matrix, _, cond, _ = state._jacobian()
         out["risk/J"] = _floats(np.ravel(matrix))
         out["risk/cond"] = _floats([cond])
+        hedges = [(label, i) for label in state.build_order
+                  for i in range(len(state.quote_sets[label]))]
+        for row in hedge_ratios(state, Book(book.positions), hedges):
+            out.setdefault(f"hedge/{row.set_label}/own", []).extend(
+                _floats([row.own_delta_per_bp])
+            )
 
         risk = bw.Risk()
         risk.setup(1, work)
